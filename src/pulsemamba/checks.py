@@ -221,15 +221,6 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("channel_scale", lambda: _weighted_sum(T.channel_scale(xg, gg)),
         [("x", xg), ("g", gg)])
 
-    az = Tensor(-rng.uniform(0.3, 2.0, (3, 4)), requires_grad=True)
-    bz = leaf((5, 4))
-    dz = Tensor(rng.uniform(0.05, 0.9, (5, 3)), requires_grad=True)
-
-    def zoh_loss():
-        ab, bb3 = ssm.discretize_zoh_op(az, bz, dz)
-        return T.add(_weighted_sum(ab, 1), _weighted_sum(bb3, 2))
-    run("discretize_zoh", zoh_loss, [("a", az), ("b", bz), ("delta", dz)])
-
     u = leaf((2, 9, 3))
     dl = Tensor(rng.uniform(0.05, 0.8, (2, 9, 3)), requires_grad=True)
     asc = Tensor(-rng.uniform(0.3, 2.0, (3, 4)), requires_grad=True)

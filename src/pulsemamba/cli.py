@@ -3,7 +3,8 @@
 Subcommands: synth, train, eval, gradcheck, scancheck, profile, plot.
 Configuration files are plain `key = value` text (one key per line, `#`
 comments); unknown keys are rejected and every run writes a
-``resolved_config.txt`` snapshot into its output directory.
+``resolved_config.txt`` snapshot into its output directory (gradcheck,
+scancheck and profile only when given ``--out``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 I/O or format error.
@@ -177,8 +178,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    write_resolved(args.out, {"full": bool(args.full)},
-                   {"subcommand": "gradcheck"})
+    if args.out:
+        write_resolved(args.out, {"full": bool(args.full)},
+                       {"subcommand": "gradcheck"})
     results = checks.op_gradient_suite(full=args.full)
     results.append(checks.model_gradient_suite())
     ok = True
@@ -190,7 +192,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_scancheck(args) -> int:
-    write_resolved(args.out, {}, {"subcommand": "scancheck"})
+    if args.out:
+        write_resolved(args.out, {}, {"subcommand": "scancheck"})
     results = [checks.scan_equivalence_suite(),
                checks.selective_oracle_suite(),
                checks.constant_projection_bitwise()]
@@ -207,7 +210,8 @@ def cmd_scancheck(args) -> int:
 def cmd_profile(args) -> int:
     cfg = apply_overrides(parse_config_file(args.config, MODEL_KEYS),
                           args.set, MODEL_KEYS)
-    write_resolved(args.out, cfg, {"subcommand": "profile", "input": args.input})
+    if args.out:
+        write_resolved(args.out, cfg, {"subcommand": "profile", "input": args.input})
     try:
         t, h, w = (int(s) for s in args.input.lower().split("x"))
     except ValueError as exc:
@@ -285,18 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("--full", action="store_true", help="more samples per op")
-    p.add_argument("--out", default=".", help="where to write resolved_config")
+    p.add_argument("--out", default=None,
+                   help="where to write resolved_config (none if omitted)")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("scancheck", help="scan kernel equivalence suites")
-    p.add_argument("--out", default=".", help="where to write resolved_config")
+    p.add_argument("--out", default=None,
+                   help="where to write resolved_config (none if omitted)")
     p.set_defaults(fn=cmd_scancheck)
 
     p = sub.add_parser("profile", help="analytic parameter / MAC counts")
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--input", default="128x128x128", help="TxHxW input size")
-    p.add_argument("--out", default=".", help="where to write resolved_config")
+    p.add_argument("--out", default=None,
+                   help="where to write resolved_config (none if omitted)")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("plot", help="line plot of a 2-column CSV")

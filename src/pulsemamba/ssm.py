@@ -8,10 +8,14 @@ per-direction SSM parameter sets).
 
 Conventions: A is diagonal per (channel d, state n) and strictly negative,
 stored as log(-a). The discrete transition uses the full ZOH form
-    Abar = exp(delta * a),   Bbar = ((exp(delta * a) - 1) / a) * b,
-with a two-term series branch Bbar = delta * b * (1 + delta*a/2) once
-|delta * a| < 1e-8, which is continuous with the exact branch to well
-below 1e-10.
+    Abar = exp(delta * a),   Bbar = (expm1(delta * a) / a) * b,
+where expm1 keeps Bbar accurate down to delta * a -> 0 without a series
+branch.
+
+The recurrent and selective scans work through time-major
+(chunk, B, D, N) blocks, with the chunk sized from the operand shape so
+one block stays about 1 MiB (cache resident), and share one recurrence
+kernel with the selective scan's reverse-time backward.
 """
 
 from __future__ import annotations
@@ -27,30 +31,30 @@ from .module import Module
 from .tensor import Tensor
 
 __all__ = [
-    "SERIES_BRANCH_THRESHOLD", "discretize_zoh", "discretize_zoh_op",
+    "SERIES_BRANCH_THRESHOLD", "discretize_zoh",
     "scan_recurrent", "scan_convolutional", "SSMParams",
     "selective_scan", "selective_scan_op", "selective_scan_reference",
     "MambaLayer", "mamba_layer_forward",
 ]
 
+# small-|delta*a| switch of the straight-line reference interpreter only
 SERIES_BRANCH_THRESHOLD = 1e-8
 
+BLOCK_BYTES = 1 << 20  # target size of one (chunk, B, D, N) float64 block
 
-def _zoh_values(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
-    """Shared ZOH arithmetic on broadcast-ready arrays.
 
-    ``a`` enters as (..., D, N); ``delta`` as (..., D, 1); ``b`` as
-    (..., 1, N) (or anything that broadcasts the same way). Returns
-    (abar, bbar, growth) with growth = (abar - 1) / a, the factor reused
-    by the backward rule.
+def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
+    """ZOH factors (abar, growth) with growth = expm1(delta*a) / a.
+
+    ``a`` (..., D, N) and ``delta`` (..., D, 1) broadcast against each
+    other; Bbar is growth * b. ``a`` is never 0 (a = -exp(a_log)).
+    ``abar``/``growth`` are optional output buffers of the result shape.
     """
-    da = delta * a
-    abar = np.exp(da)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (abar - 1.0) / a
-    series = delta * (1.0 + 0.5 * da)
-    growth = np.where(np.abs(da) < SERIES_BRANCH_THRESHOLD, series, exact)
-    return abar, growth * b, growth
+    da = np.multiply(delta, a, out=growth)
+    abar = np.exp(da, out=abar)
+    growth = np.expm1(da, out=da)
+    growth /= a
+    return abar, growth
 
 
 def discretize_zoh(a: np.ndarray, b: np.ndarray, delta):
@@ -72,73 +76,60 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta):
         raise ShapeError(f"discretize_zoh: a must be (D, N), got {a.shape}")
 
     if b.ndim == 1 and delta.ndim == 0:
-        abar, bbar, _ = _zoh_values(a, b[None, :], delta.reshape(1, 1))
-        return abar, bbar
+        abar, growth = _zoh(a, delta.reshape(1, 1))
+        return abar, growth * b
     if b.ndim == 1:
         b = np.broadcast_to(b, (delta.shape[0], b.shape[0]))
     if delta.ndim == 0:
         delta = np.broadcast_to(delta, (b.shape[0], a.shape[0]))
     if b.ndim != 2 or delta.ndim != 2 or b.shape[0] != delta.shape[0]:
         raise ShapeError(f"discretize_zoh: b {b.shape} vs delta {delta.shape}")
-    abar, bbar, _ = _zoh_values(a[None], b[:, None, :], delta[:, :, None])
-    return abar, bbar
+    abar, growth = _zoh(a[None], delta[:, :, None])
+    return abar, growth * b[:, None, :]
 
 
-def discretize_zoh_op(a: Tensor, b: Tensor, delta: Tensor):
-    """Differentiable per-token ZOH: a (D,N), b (L,N), delta (L,D).
+def _chunk_len(bsz: int, d: int, n: int) -> int:
+    return max(1, BLOCK_BYTES // (8 * bsz * d * n))
 
-    Returns (abar, bbar) tensors of shape (L, D, N); both outputs feed the
-    tape so gradient checks can run through the discretization alone.
+
+def _scan_core(abar, h, prev) -> None:
+    """In-place diagonal recurrence h[t] = abar[t] * h[t-1] + h[t].
+
+    abar, h: time-major (c, B, D, N) blocks, h holding the drive on entry
+    and the states on return; prev is the state before h[0]. The
+    selective backward runs it on reversed views, in reverse time.
     """
-    if np.any(delta.data <= 0.0):
-        raise NumericError("discretize_zoh requires delta > 0")
-    abar, bbar, growth = _zoh_values(a.data[None], b.data[:, None, :],
-                                     delta.data[:, :, None])
-    da = delta.data[:, :, None] * a.data[None]
-    on_series = np.abs(da) < SERIES_BRANCH_THRESHOLD
-
-    def bwd(gs):
-        g_abar, g_bbar = gs
-        # bbar = growth * b, growth = (abar-1)/a (or its 2-term series)
-        dg = g_bbar * b.data[:, None, :]
-        dgrowth_ddelta = np.where(on_series, 1.0 + da, abar)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dgrowth_da_exact = (da * abar - abar + 1.0) / (a.data[None] ** 2)
-        dgrowth_da = np.where(on_series,
-                              0.5 * delta.data[:, :, None] ** 2,
-                              dgrowth_da_exact)
-        g_da = g_abar * abar
-        ga = (g_da * delta.data[:, :, None] + dg * dgrowth_da).sum(axis=0)
-        gb = (g_bbar * growth).sum(axis=1)
-        gdelta = (g_da * a.data[None] + dg * dgrowth_ddelta).sum(axis=2)
-        return [ga, gb, gdelta]
-
-    out_a, out_b = T.apply_op_multi("discretize_zoh", [abar, bbar],
-                                    [a, b, delta], bwd)
-    return out_a, out_b
+    tmp = np.empty_like(prev)
+    for at, ht in zip(abar, h):
+        np.multiply(at, prev, out=tmp)
+        ht += tmp
+        prev = ht
 
 
-def _scan_core(a_seq, b_seq, c_seq, u, h0, keep_history: bool):
-    """Sequential diagonal-SSM recurrence over one chunk.
+def _chunked_scan(discretize, c_seq, x, states, chunk: int):
+    """Forward recurrence over time-major x (L, B, D).
 
-    a_seq, b_seq: (B, Lc, D, N); c_seq: (B, Lc, N) shared over channels or
-    (B, Lc, D, N) per channel; u: (B, Lc, D). Returns (y, h_final, hist)
-    where hist holds h after every step when requested.
+    ``discretize(s, e)`` gives the (abar, bbar) blocks of tokens [s, e);
+    c_seq is (L, B, N) or (L, B, D, N). ``states`` has row 0 zeroed and
+    either L + 1 rows (row t + 1 keeps h_t for the backward) or fewer,
+    reused per chunk with row 0 carrying h across chunks. Returns y
+    (B, L, D) and the final state (B, D, N).
     """
-    bsz, lc, d, n = a_seq.shape
-    h = h0
-    y = np.empty((bsz, lc, d), dtype=np.float64)
-    hist = np.empty((bsz, lc, d, n), dtype=np.float64) if keep_history else None
-    per_channel = c_seq.ndim == 4
-    for t in range(lc):
-        h = a_seq[:, t] * h + b_seq[:, t] * u[:, t, :, None]
-        if per_channel:
-            y[:, t] = np.einsum("bdn,bdn->bd", c_seq[:, t], h)
-        else:
-            y[:, t] = np.einsum("bn,bdn->bd", c_seq[:, t], h)
-        if keep_history:
-            hist[:, t] = h
-    return y, h, hist
+    L, bsz, d = x.shape
+    keep = states.shape[0] == L + 1
+    sub = "tbn" if c_seq.ndim == 3 else "tbdn"
+    y = np.empty((bsz, L, d), dtype=np.float64)
+    for s in range(0, L, chunk):
+        e = min(s + chunk, L)
+        h = states[s:e + 1] if keep else states[:e - s + 1]
+        abar, bbar = discretize(s, e)
+        np.multiply(bbar, x[s:e, :, :, None], out=h[1:])
+        _scan_core(abar, h[1:], h[0])
+        np.einsum(f"{sub},tbdn->btd", c_seq[s:e], h[1:], out=y[:, s:e])
+        _check_state(y[:, s:e], s)
+        if not keep:
+            states[0] = h[-1]
+    return y, states[-1] if keep else states[0]
 
 
 def _check_state(y: np.ndarray, offset: int):
@@ -165,25 +156,26 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
     n = abar.shape[-1]
 
     if abar.ndim == 2:
-        a_seq = np.broadcast_to(abar, (1, L, d, n))
-        b_seq = np.broadcast_to(bbar, (1, L, d, n))
+        a_seq = np.broadcast_to(abar, (L, 1, d, n))
+        b_seq = np.broadcast_to(bbar, (L, 1, d, n))
     elif abar.ndim == 3:
-        a_seq = abar[None]
-        b_seq = bbar[None]
+        a_seq = abar[:, None]
+        b_seq = bbar[:, None]
     else:
         raise ShapeError(f"scan_recurrent: abar shape {abar.shape}")
     if c.ndim == 1:
-        c_seq = np.broadcast_to(c, (1, L, n))
+        c_seq = np.broadcast_to(c, (L, 1, n))
     elif c.ndim == 2 and c.shape == (d, n):
-        c_seq = np.broadcast_to(c, (1, L, d, n))
+        c_seq = np.broadcast_to(c, (L, 1, d, n))
     elif c.ndim == 2 and c.shape[0] == L:
-        c_seq = c[None]
+        c_seq = c[:, None]
     else:
         raise ShapeError(f"scan_recurrent: c shape {c.shape}")
 
-    h0 = np.zeros((1, d, n), dtype=np.float64)
-    y, h, _ = _scan_core(a_seq, b_seq, c_seq, x[None], h0, keep_history=False)
-    _check_state(y, 0)
+    chunk = _chunk_len(1, d, n)
+    states = np.zeros((min(chunk, L) + 1, 1, d, n), dtype=np.float64)
+    y, h = _chunked_scan(lambda s, e: (a_seq[s:e], b_seq[s:e]), c_seq,
+                         x[:, None], states, chunk)
     if return_state:
         return y[0], h[0]
     return y[0]
@@ -260,13 +252,15 @@ class SSMParams(Module):
 
 def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
                       bmat: Tensor, cmat: Tensor,
-                      chunk: int = 1024) -> Tensor:
+                      chunk: Optional[int] = None) -> Tensor:
     """Fused input-dependent scan: per-token ZOH then the recurrence.
 
     u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
-    Per-token Abar/Bbar never materialize beyond one chunk unless the tape
-    is recording, in which case the full discretization and state history
-    are kept for the hand-written backward rule.
+    Abar/Bbar exist one chunk at a time (``chunk`` tokens, derived from
+    the shape unless given). When the tape records, the only thing kept
+    for the backward is the state history h (L + 1, B, D, N); the
+    backward recomputes the ZOH per chunk, runs the recurrence in reverse
+    time for dL/dh and forms every input gradient per chunk from it.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"selective_scan: u {u.shape} vs delta {delta.shape}")
@@ -280,62 +274,59 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     recording = T.is_grad_enabled() and any(
         p.requires_grad for p in (u, delta, a, bmat, cmat))
+    chunk = chunk or _chunk_len(bsz, d, n)
+    # time-major (L, B, ...) views: chunks and scan steps slice axis 0
+    av = a.data
+    ut, dt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, delta, bmat, cmat))
+    zoh_buf = np.empty((2, min(chunk, L), bsz, d, n), dtype=np.float64)
 
-    y = np.empty((bsz, L, d), dtype=np.float64)
-    h = np.zeros((bsz, d, n), dtype=np.float64)
-    if recording:
-        abar_full = np.empty((bsz, L, d, n), dtype=np.float64)
-        bbar_full = np.empty((bsz, L, d, n), dtype=np.float64)
-        growth_full = np.empty((bsz, L, d, n), dtype=np.float64)
-        hist = np.empty((bsz, L, d, n), dtype=np.float64)
+    def discretize(s, e):
+        abar, bbar = _zoh(av, dt[s:e, :, :, None], *zoh_buf[:, :e - s])
+        bbar *= bt[s:e, :, None, :]
+        return abar, bbar
 
-    for s in range(0, L, chunk):
-        e = min(s + chunk, L)
-        abar, bbar, growth = _zoh_values(a.data[None, None],
-                                         bmat.data[:, s:e, None, :],
-                                         delta.data[:, s:e, :, None])
-        yc, h, hc = _scan_core(abar, bbar, cmat.data[:, s:e], u.data[:, s:e],
-                               h, keep_history=recording)
-        _check_state(yc, s)
-        y[:, s:e] = yc
-        if recording:
-            abar_full[:, s:e] = abar
-            bbar_full[:, s:e] = bbar
-            growth_full[:, s:e] = growth
-            hist[:, s:e] = hc
-
+    rows = L + 1 if recording else min(chunk, L) + 1
+    states = np.empty((rows, bsz, d, n), dtype=np.float64)
+    states[0] = 0.0
+    y, _ = _chunked_scan(discretize, ct, ut, states, chunk)
     if not recording:
         return Tensor(y)
 
-    da = delta.data[:, :, :, None] * a.data[None, None]
-    on_series = np.abs(da) < SERIES_BRANCH_THRESHOLD
-
     def bwd(gy):
-        dh = np.zeros((bsz, d, n), dtype=np.float64)
-        g_abar = np.empty_like(abar_full)
-        g_bbar = np.empty_like(bbar_full)
+        gyt = np.swapaxes(gy, 0, 1)
         gu = np.empty((bsz, L, d), dtype=np.float64)
-        gc = np.empty((bsz, L, n), dtype=np.float64)
-        for t in range(L - 1, -1, -1):
-            gc[:, t] = np.einsum("bd,bdn->bn", gy[:, t], hist[:, t])
-            dh += gy[:, t, :, None] * cmat.data[:, t, None, :]
-            hprev = hist[:, t - 1] if t > 0 else np.zeros_like(dh)
-            g_abar[:, t] = dh * hprev
-            g_bbar[:, t] = dh * u.data[:, t, :, None]
-            gu[:, t] = (dh * bbar_full[:, t]).sum(axis=2)
-            dh = dh * abar_full[:, t]
-
-        dg = g_bbar * bmat.data[:, :, None, :]
-        g_da = g_abar * abar_full
-        dgrowth_ddelta = np.where(on_series, 1.0 + da, abar_full)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dgrowth_da_exact = (da * abar_full - abar_full + 1.0) / (a.data[None, None] ** 2)
-        dgrowth_da = np.where(on_series,
-                              0.5 * delta.data[:, :, :, None] ** 2,
-                              dgrowth_da_exact)
-        gdelta = (g_da * a.data[None, None] + dg * dgrowth_ddelta).sum(axis=3)
-        ga = (g_da * delta.data[:, :, :, None] + dg * dgrowth_da).sum(axis=(0, 1))
-        gb = (g_bbar * growth_full).sum(axis=2)
+        gdelta = np.empty_like(gu)
+        gb = np.empty((bsz, L, n), dtype=np.float64)
+        gc = np.empty_like(gb)
+        ga = np.zeros_like(av)
+        carry = np.zeros((bsz, d, n), dtype=np.float64)  # abar_e * dL/dh_e
+        for s in reversed(range(0, L, chunk)):
+            e = min(s + chunk, L)
+            sl = slice(s, e)
+            abar, growth = _zoh(av, dt[sl, :, :, None], *zoh_buf[:, :e - s])
+            # dL/dh_t = gy_t (x) C_t + abar_{t+1} * dL/dh_{t+1}
+            gh = gyt[sl, :, :, None] * ct[sl, :, None, :]
+            gh[-1] += carry
+            _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
+            np.multiply(abar[0], gh[0], out=carry)
+            np.einsum("tbd,tbdn->btn", gyt[sl], states[s + 1:e + 1], out=gc[:, sl])
+            # drive = growth * b * u
+            gg = gh * growth
+            np.einsum("tbdn,tbn->btd", gg, bt[sl], out=gu[:, sl])
+            np.einsum("tbdn,tbd->btn", gg, ut[sl], out=gb[:, sl])
+            bu = bt[sl, :, None, :] * ut[sl, :, :, None]
+            # dL/d(delta) per (d, n): abar * gh * (a * h_{t-1} + b * u)
+            q = av * states[s:e]
+            q += bu
+            q *= gh
+            q *= abar
+            gdelta[:, sl] = np.swapaxes(q.sum(axis=3), 0, 1)
+            # dL/da = (delta * q - gg * b * u) / a, divided after the loop
+            q *= dt[sl, :, :, None]
+            gg *= bu
+            q -= gg
+            ga += q.sum(axis=(0, 1))
+        ga /= av
         return [gu, gdelta, ga, gb, gc]
 
     return T.apply_op("selective_scan", y, [u, delta, a, bmat, cmat], bwd)

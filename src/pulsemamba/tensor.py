@@ -8,13 +8,16 @@ throughout; float32 appears only at checkpoint/dataset boundaries.
 Every recorded op appends one node to a module-level tape. ``backward``
 replays the tape in exact reverse execution order over the subgraph that
 reaches the loss; replaying the same node twice without a fresh forward is
-a ``GraphError``. Binary elementwise ops accept equal shapes or a scalar
-operand only; anything fancier (bias adds, channel gates, norm affines) is
-a dedicated op with its own backward rule.
+a ``GraphError``. Nodes refer to their outputs weakly, so a graph holds no
+reference cycle and is freed by reference counting alone. Binary
+elementwise ops accept equal shapes or a scalar operand only; anything
+fancier (bias adds, channel gates, norm affines) is a dedicated op with
+its own backward rule.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -65,13 +68,15 @@ def tape_size() -> int:
 
 
 class _Node:
-    """One executed op: references to in/out tensors plus a backward rule."""
+    """One executed op: its input tensors, a weak reference to its output
+    (the output refers to the node, so a strong one would be a cycle) and
+    its backward rule."""
 
-    __slots__ = ("name", "outputs", "parents", "bwd", "used")
+    __slots__ = ("name", "out", "parents", "bwd", "used")
 
-    def __init__(self, name, outputs, parents, bwd):
+    def __init__(self, name, out, parents, bwd):
         self.name = name
-        self.outputs = outputs
+        self.out = weakref.ref(out)
         self.parents = parents
         self.bwd = bwd
         self.used = False
@@ -84,7 +89,7 @@ class Tensor:
     reverse pass and always matches ``data``'s shape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -179,32 +184,11 @@ def apply_op(name: str, out_data, parents: Sequence[Tensor],
     no parent requires them. Used by this module and by the fused scan op.
     """
     out = Tensor(out_data)
-    _record(name, [out], parents, lambda gs: bwd(gs[0]))
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._node = _Node(name, out, list(parents), bwd)
+        _TAPE.append(out._node)
     return out
-
-
-def apply_op_multi(name: str, out_datas, parents: Sequence[Tensor],
-                   bwd: Callable) -> list:
-    """Like apply_op for ops with several outputs.
-
-    ``bwd(gouts) -> list`` receives one gradient array per output (zeros
-    where the output was never used downstream).
-    """
-    outs = [Tensor(d) for d in out_datas]
-    _record(name, outs, parents, bwd)
-    return outs
-
-
-def _record(name, outputs, parents, bwd):
-    if not _grad_enabled:
-        return
-    if not any(p.requires_grad for p in parents):
-        return
-    node = _Node(name, outputs, list(parents), bwd)
-    for o in outputs:
-        o.requires_grad = True
-        o._node = node
-    _TAPE.append(node)
 
 
 def backward(loss: Tensor) -> None:
@@ -212,7 +196,10 @@ def backward(loss: Tensor) -> None:
 
     Walks the tape strictly in reverse execution order, restricted to the
     nodes that can reach ``loss``. Nodes are single-use: a second backward
-    through the same forward is a GraphError.
+    through the same forward is a GraphError. When the walk ends, every
+    node it ran drops its inputs and backward rule: the graph's
+    activations are then freed as soon as the caller holds none of them,
+    without waiting for ``clear_tape`` or the cyclic garbage collector.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -234,24 +221,34 @@ def backward(loss: Tensor) -> None:
                 stack.append(p._node)
 
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(_TAPE):
-        if id(node) not in reachable:
-            continue
-        if node.used:
-            raise GraphError(f"tape node '{node.name}' already consumed by a previous backward")
-        node.used = True
-        gouts = [o.grad if o.grad is not None else np.zeros_like(o.data)
-                 for o in node.outputs]
-        gins = node.bwd(gouts)
-        for p, g in zip(node.parents, gins):
-            if g is None:
+    ran = []
+    try:
+        for node in reversed(_TAPE):
+            if id(node) not in reachable:
                 continue
-            if p.requires_grad or p._node is not None:
-                p._accumulate(g)
-        # intermediate grads are not needed once propagated
-        for o in node.outputs:
-            if o._node is node and o is not loss:
-                o.grad = None
+            if node.used:
+                raise GraphError(f"tape node '{node.name}' already consumed by a previous backward")
+            node.used = True
+            ran.append(node)
+            # alive: a reachable node's output is the loss or an input of
+            # a later reachable node, whose parents are still held
+            out = node.out()
+            gins = node.bwd(out.grad if out.grad is not None
+                            else np.zeros_like(out.data))
+            for p, g in zip(node.parents, gins):
+                if g is None:
+                    continue
+                if p.requires_grad or p._node is not None:
+                    p._accumulate(g)
+            # intermediate grads are not needed once propagated
+            if out is not loss:
+                out.grad = None
+    finally:
+        # only after the walk: an input released inside it could be
+        # dropped before its own node runs, taking its pending gradient
+        for node in ran:
+            node.bwd = None
+            node.parents = ()
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -328,9 +325,8 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    return apply_op("relu", np.where(mask, x.data, 0.0), [x],
-                    lambda g: [g * mask])
+    return apply_op("relu", np.maximum(x.data, 0.0), [x],
+                    lambda g: [g * (x.data > 0.0)])
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -347,8 +343,7 @@ def silu(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     out = np.logaddexp(0.0, x.data)
-    s = _sigmoid_np(x.data)
-    return apply_op("softplus", out, [x], lambda g: [g * s])
+    return apply_op("softplus", out, [x], lambda g: [g * _sigmoid_np(x.data)])
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -362,13 +357,10 @@ def flip(x: Tensor, axis: int) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 _UNARY = {"exp": exp, "relu": relu, "silu": silu, "sigmoid": sigmoid,
@@ -688,8 +680,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(bshape)) * inv.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat = x.data - mean.reshape(bshape)
+    xhat *= inv.reshape(bshape)
+    out = xhat * gamma.data.reshape(bshape)
+    out += beta.data.reshape(bshape)
 
     def bwd(g):
         gg = (g * xhat).sum(axis=axes)

@@ -1,6 +1,9 @@
 """Reverse-pass behaviour: trivial gradients, tape error contract, and the
 finite-difference suite over every op."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,15 @@ def test_second_backward_is_an_error(rng):
         T.backward(loss)
 
 
+def test_backward_through_consumed_subgraph_is_an_error(rng):
+    x = T.tensor(rng.normal(size=(4,)), requires_grad=True)
+    h = T.silu(x)
+    first, second = T.reduce_sum(h), T.reduce_sum(T.mul(h, h))
+    T.backward(first)
+    with pytest.raises(GraphError, match="silu"):
+        T.backward(second)
+
+
 def test_new_forward_allows_new_backward(rng):
     x = T.tensor(rng.normal(size=(4,)), requires_grad=True)
     T.backward(T.reduce_sum(T.silu(x)))
@@ -56,6 +68,26 @@ def test_grad_accumulates_across_uses(rng):
     y = T.add(T.mul(x, x), T.mul(x, x))
     T.backward(T.reduce_sum(y))
     np.testing.assert_allclose(x.grad, 4.0 * x.data)
+
+
+def test_dead_graph_freed_without_cyclic_gc(rng):
+    x = T.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = T.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = T.silu(T.linear(x, w))
+        probe = weakref.ref(hidden.data)  # the activation's buffer
+        loss = T.reduce_sum(T.mul(hidden, hidden))
+        del hidden
+        T.backward(loss)
+        T.clear_tape()
+        del loss
+        assert probe() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert x.grad is not None and w.grad is not None
 
 
 def test_no_grad_suppresses_recording(rng):

@@ -75,11 +75,20 @@ def test_train_missing_data_dir_exits_3(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
-def test_profile_prints_reference_deltas(capsys):
-    assert run_cli(["profile", "--input", "128x128x128", "--out", "."]) == 0
+def test_profile_prints_reference_deltas(capsys, tmp_path):
+    assert run_cli(["profile", "--input", "128x128x128",
+                    "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "0.56 M" in out and "47.3 G" in out
     assert "delta" in out and "total" in out
+
+
+def test_verify_commands_write_nothing_without_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["profile", "--input", "16x16x16", "--set", "channels=8",
+                    "--set", "blocks_per_stream=2", "--set", "ca_ratio=4"]) == 0
+    assert run_cli(["scancheck"]) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_bad_input_exits_2(tmp_path):

@@ -234,13 +234,29 @@ def test_selective_scan_gradients(rng):
 def test_selective_scan_chunking_invariance(rng):
     params = SSMParams(3, 8, 1, rng)
     x = rng.normal(size=(50, 3))
-    xt = Tensor(x[None])
+    xt = Tensor(x[None], requires_grad=True)
     bmat, cmat, delta = ssm._project_bcdelta(params, xt)
     a = T.neg(T.exp(params.a_log))
     with T.no_grad():
         y_small = ssm.selective_scan_op(xt, delta, a, bmat, cmat, chunk=7).data
-        y_big = ssm.selective_scan_op(xt, delta, a, bmat, cmat, chunk=1024).data
+        y_big = ssm.selective_scan_op(xt, delta, a, bmat, cmat).data
     np.testing.assert_array_equal(y_small, y_big)
+
+    weights = Tensor(np.cos(np.arange(150.0)).reshape(1, 50, 3))
+    leaves = [xt, params.a_log, params.w_b, params.w_c, params.w_dt_down,
+              params.w_dt_up, params.dt_bias]
+
+    def grads(chunk):
+        for p in leaves:
+            p.grad = None
+        bm, cm, dl = ssm._project_bcdelta(params, xt)
+        y = ssm.selective_scan_op(xt, dl, T.neg(T.exp(params.a_log)), bm, cm,
+                                  chunk=chunk)
+        T.backward(T.reduce_sum(T.mul(y, weights)))
+        return [p.grad.copy() for p in leaves]
+
+    for g_small, g_big in zip(grads(7), grads(None)):
+        assert checks.signal_rel_err(g_small, g_big) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

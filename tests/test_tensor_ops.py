@@ -168,6 +168,68 @@ def test_activation_values():
     assert abs(T.silu(T.tensor(1.0)).item() - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
 
 
+def _seed_sigmoid(x):
+    """The sign-split sigmoid the pointwise ops must stay bit-equal to."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _op_and_grad(op, x, g):
+    t = T.tensor(x, requires_grad=True)
+    out = op(t)
+    T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+    return out.data, t.grad
+
+
+def test_pointwise_ops_bit_equal_to_seed_formulas(rng):
+    edge = np.array([1000.0, -1000.0, 1e-300, -1e-300, 0.0, -0.0])
+    x = np.concatenate([edge, rng.normal(0.0, 8.0, 200)])
+    g = rng.normal(size=x.shape)
+    s = _seed_sigmoid(x)
+    with np.errstate(over="raise"):
+        assert _bits_equal(T._sigmoid_np(x), s)
+        out, gx = _op_and_grad(T.sigmoid, x, g)
+        assert _bits_equal(out, s) and _bits_equal(gx, g * s * (1.0 - s))
+        out, gx = _op_and_grad(T.silu, x, g)
+        assert _bits_equal(out, x * s)
+        assert _bits_equal(gx, g * (s * (1.0 + x * (1.0 - s))))
+        out, gx = _op_and_grad(T.softplus, x, g)
+        assert _bits_equal(out, np.logaddexp(0.0, x)) and _bits_equal(gx, g * s)
+        out, gx = _op_and_grad(T.relu, x, g)
+        mask = x > 0.0
+        assert _bits_equal(out, np.where(mask, x, 0.0)) and _bits_equal(gx, g * mask)
+    # relu is np.maximum: unlike the seed's where(), it propagates NaN
+    assert np.isnan(T.relu(T.tensor([np.nan])).data).all()
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_bit_equal_to_seed_formula(training, rng):
+    x = rng.normal(0.0, 3.0, (3, 4, 2, 3, 3))
+    x[0, :, 0, 0, :3] = [1000.0, -1000.0, 1e-300]
+    x[1, :, 0, 0, :3] = [-1e-300, 0.0, -0.0]
+    gamma, beta = rng.normal(size=4), rng.normal(size=4)
+    rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, 4)
+    axes, bshape = (0, 2, 3, 4), (1, 4, 1, 1, 1)
+    mean, var = (x.mean(axis=axes), x.var(axis=axes)) if training else (rm, rv)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean.reshape(bshape)) * inv.reshape(bshape)
+    ref = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+    with np.errstate(over="raise"):
+        out = T.batch_norm(T.tensor(x), T.tensor(gamma), T.tensor(beta),
+                           rm.copy(), rv.copy(), training)
+    assert _bits_equal(out.data, ref)
+
+
 def test_flip_is_involution(rng):
     x = T.tensor(rng.normal(size=(2, 3, 4)))
     np.testing.assert_array_equal(T.flip(T.flip(x, 2), 2).data, x.data)
