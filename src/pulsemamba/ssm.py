@@ -31,14 +31,11 @@ from .module import Module
 from .tensor import Tensor
 
 __all__ = [
-    "SERIES_BRANCH_THRESHOLD", "discretize_zoh",
+    "discretize_zoh",
     "scan_recurrent", "scan_convolutional", "SSMParams",
     "selective_scan", "selective_scan_op", "selective_scan_reference",
     "MambaLayer", "mamba_layer_forward",
 ]
-
-# small-|delta*a| switch of the straight-line reference interpreter only
-SERIES_BRANCH_THRESHOLD = 1e-8
 
 BLOCK_BYTES = 1 << 20  # target size of one (chunk, B, D, N) float64 block
 
@@ -364,7 +361,7 @@ def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
     """Straight-line interpreter of the selective scan, for oracle tests.
 
     Deliberately independent of the vectorized path: plain Python loops,
-    math.exp/log1p, explicit recurrence. Accepts x of shape (L, D).
+    math.exp/expm1/log1p, explicit recurrence. Accepts x of shape (L, D).
     """
     x = np.asarray(x, dtype=np.float64)
     L, d = x.shape
@@ -393,10 +390,7 @@ def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
             for j in range(n):
                 dai = dt * a[i][j]
                 abar = math.exp(dai)
-                if abs(dai) < SERIES_BRANCH_THRESHOLD:
-                    growth = dt * (1.0 + 0.5 * dai)
-                else:
-                    growth = (abar - 1.0) / a[i][j]
+                growth = math.expm1(dai) / a[i][j]
                 h[i][j] = abar * h[i][j] + growth * bt[j] * x[t][i]
                 acc += ct[j] * h[i][j]
             y[t][i] = acc

@@ -534,18 +534,22 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None)
         raise ShapeError(f"depthwise conv1d: x {x.shape} vs w {w.shape}")
     b, L, d = x.shape
     K = w.shape[1]
-    xp = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
     out = np.zeros_like(x.data)
-    for k in range(K):
-        out += xp[:, k:k + L, :] * w.data[:, k]
+    tap = np.empty_like(x.data)
+    # tap k reads x shifted K-1-k steps right; the zero pad adds nothing
+    for k in range(max(K - L, 0), K):
+        n = L - (K - 1 - k)
+        np.multiply(x.data[:, :n], w.data[:, k], out=tap[:, :n])
+        out[:, L - n:] += tap[:, :n]
     parents = [x, w]
     if bias is not None:
         if bias.shape != (d,):
             raise ShapeError("depthwise conv1d: bias must be (D,)")
-        out = out + bias.data
+        out += bias.data
         parents.append(bias)
 
     def bwd(g):
+        xp = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(w.data)
         for k in range(K):
@@ -605,6 +609,8 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
     """Max pooling over (T, H, W) windows; extents follow the conv rule.
 
+    The output is folded with ``np.maximum`` over the window offsets, so a
+    NaN anywhere in a window makes that output NaN (and its gradient 0).
     Ties route gradient to the earliest window offset (fixed scan order),
     keeping backward deterministic.
     """
@@ -618,35 +624,27 @@ def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
     to = _conv_out_len(t, kt, st, 0)
     ho = _conv_out_len(h, kh, sh, 0)
     wo = _conv_out_len(wd, kw, sw, 0)
+    # one strided view of x per window offset, in scan order
+    windows = [(slice(None), slice(None), slice(i, i + st * (to - 1) + 1, st),
+                slice(j, j + sh * (ho - 1) + 1, sh),
+                slice(k, k + sw * (wo - 1) + 1, sw))
+               for i in range(kt) for j in range(kh) for k in range(kw)]
 
-    best = np.full((b, c, to, ho, wo), -np.inf)
-    choice = np.zeros((b, c, to, ho, wo), dtype=np.int16)
-    idx = 0
-    for i in range(kt):
-        for j in range(kh):
-            for k in range(kw):
-                sl = x.data[:, :, i:i + st * (to - 1) + 1:st,
-                            j:j + sh * (ho - 1) + 1:sh,
-                            k:k + sw * (wo - 1) + 1:sw]
-                better = sl > best
-                best = np.where(better, sl, best)
-                choice[better] = idx
-                idx += 1
+    out = x.data[windows[0]].copy()
+    for win in windows[1:]:
+        np.maximum(out, x.data[win], out=out)
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        idx2 = 0
-        for i in range(kt):
-            for j in range(kh):
-                for k in range(kw):
-                    mask = choice == idx2
-                    gx[:, :, i:i + st * (to - 1) + 1:st,
-                       j:j + sh * (ho - 1) + 1:sh,
-                       k:k + sw * (wo - 1) + 1:sw] += np.where(mask, g, 0.0)
-                    idx2 += 1
+        unrouted = np.ones(out.shape, dtype=bool)
+        for win in windows:
+            hit = np.equal(x.data[win], out)
+            hit &= unrouted
+            gx[win] += np.where(hit, g, 0.0)
+            unrouted &= ~hit
         return [gx]
 
-    return apply_op("maxpool3d", best, [x], bwd)
+    return apply_op("maxpool3d", out, [x], bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +656,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel batch norm over axis 1 of (B, C, ...).
 
     Training mode normalizes by batch statistics (population variance) and
-    updates the running buffers in place; eval mode uses the buffers.
+    updates the running buffers in place; eval mode uses the buffers. The
+    output is the only full-size array the forward makes; the backward
+    recomputes the normalized input from ``x`` and (C,) copies of the
+    statistics, so later changes to the running buffers do not reach it.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a channel axis at dim 1")
@@ -676,16 +677,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
+        mean = running_mean.copy()
         var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mean.reshape(bshape)
-    xhat *= inv.reshape(bshape)
-    out = xhat * gamma.data.reshape(bshape)
+    out = np.subtract(x.data, mean.reshape(bshape))
+    out *= inv.reshape(bshape)
+    out *= gamma.data.reshape(bshape)
     out += beta.data.reshape(bshape)
 
     def bwd(g):
+        xhat = np.subtract(x.data, mean.reshape(bshape))
+        xhat *= inv.reshape(bshape)
         gg = (g * xhat).sum(axis=axes)
         gb = g.sum(axis=axes)
         gscaled = g * gamma.data.reshape(bshape)

@@ -2,11 +2,15 @@
 block/stem/lateral/head shape algebra, full-network contracts and the
 analytic profile."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsemamba import blocks
 from pulsemamba import tensor as T
 from pulsemamba.blocks import (ChannelAttention, LateralConnection,
                                ModelConfig, PredictorHead, PulseMambaNet,
@@ -301,6 +305,112 @@ def test_network_seeded_construction_is_deterministic():
     b = PulseMambaNet(cfg, seed=5)
     for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert np.array_equal(pa.data, pb.data)
+
+
+# ---------------------------------------------------------------------------
+# concurrent slow/fast streams
+
+DESK = ModelConfig(channels=32, blocks_per_stream=2)
+
+
+def sequential_forward(net, x):
+    """The network's forward written out as one submodule call at a time."""
+    feats = net.stem(x)
+    slow, fast = net.down_slow(feats), net.down_fast(feats)
+    last = len(net.blocks_slow) - 1
+    for i, (bs, bf) in enumerate(zip(net.blocks_slow, net.blocks_fast)):
+        slow, fast = bs(slow), bf(fast)
+        if i < last:
+            slow = T.maxpool3d(slow, (1, 2, 2))
+            fast = T.maxpool3d(fast, (1, 2, 2))
+            slow = T.add(slow, net.laterals[i](fast))
+    return net.head(slow, fast)
+
+
+@pytest.fixture
+def every_stage_concurrent(monkeypatch):
+    monkeypatch.setattr(blocks, "_CONCURRENT_MIN_ELEMS", 0)
+
+
+def test_stream_stage_placement():
+    ran_on = {}
+
+    def stage(name):
+        def run(x):
+            ran_on[name] = threading.current_thread()
+            return x
+        return run
+
+    big = Tensor(np.zeros(blocks._CONCURRENT_MIN_ELEMS))
+    small = Tensor(np.zeros(blocks._CONCURRENT_MIN_ELEMS - 1))
+    main = threading.current_thread()
+    for x, grads, slow_off_main in ((big, False, True), (small, False, False),
+                                    (big, True, False)):
+        ran_on.clear()
+        if grads:
+            blocks._both_streams(stage("slow"), x, stage("fast"), x)
+        else:
+            with T.no_grad():
+                blocks._both_streams(stage("slow"), x, stage("fast"), x)
+        assert ran_on["fast"] is main
+        assert (ran_on["slow"] is not main) == slow_off_main
+
+
+def test_concurrent_forward_bitwise_equals_sequential(every_stage_concurrent):
+    net = PulseMambaNet(DESK, seed=0).eval()
+    x = Tensor(np.random.default_rng(3).normal(size=(4, 3, 32, 16, 16)))
+    with T.no_grad():
+        ref = sequential_forward(net, x).data
+        for _ in range(2):
+            assert np.array_equal(net(x).data, ref)
+
+
+@pytest.mark.parametrize("failing", ["slow", "fast"])
+def test_stream_error_reaches_caller_and_worker_is_joined(
+        failing, every_stage_concurrent):
+    cfg = ModelConfig(channels=8, blocks_per_stream=2, ca_ratio=4, state_dim=4)
+    net = PulseMambaNet(cfg, seed=0).eval()
+    x = Tensor(np.random.default_rng(4).normal(size=(1, 3, 8, 16, 16)))
+    with T.no_grad():
+        ref = net(x).data
+    streams = {"slow": net.blocks_slow, "fast": net.blocks_fast}
+    original = streams[failing][0]
+    other = streams["fast" if failing == "slow" else "slow"]
+    other_block = other[0]
+    finished = []
+
+    def fail(_):
+        raise CapacityError("injected")
+
+    def finish_late(v):
+        time.sleep(0.05)
+        out = other_block(v)
+        finished.append(True)
+        return out
+
+    streams[failing][0] = fail
+    other[0] = finish_late
+    with T.no_grad(), pytest.raises(CapacityError, match="injected"):
+        net(x)
+    assert finished == [True]  # the other stream ran to its end first
+    streams[failing][0] = original
+    other[0] = other_block
+    with T.no_grad():
+        assert np.array_equal(net(x).data, ref)
+
+
+def test_recording_forwards_record_the_same_tape(every_stage_concurrent):
+    cfg = ModelConfig(channels=8, blocks_per_stream=3, ca_ratio=4, state_dim=4)
+    net = PulseMambaNet(cfg, seed=0).eval()
+    x = Tensor(np.random.default_rng(5).normal(size=(1, 3, 8, 32, 32)))
+    tapes = []
+    for _ in range(2):
+        T.clear_tape()
+        net(x)
+        tapes.append([node.name for node in T._TAPE])
+    T.clear_tape()
+    sequential_forward(net, x)
+    assert tapes[0] == tapes[1] == [node.name for node in T._TAPE]
 
 
 # ---------------------------------------------------------------------------

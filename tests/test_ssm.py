@@ -196,6 +196,25 @@ def test_selective_scan_matches_reference(rng):
         assert checks.signal_rel_err(y, y_ref) <= 1e-10
 
 
+@pytest.mark.parametrize("da", [2e-8, 1e-6, 1e-4])
+def test_reference_growth_accurate_at_small_delta_a(da, rng):
+    # one channel, one state, a = -1, B = C = x = 1: y is the growth
+    # factor expm1(delta*a)/a itself, checked against 50 digits
+    import mpmath as mp
+    params = SSMParams(1, 1, 1, rng)
+    for p in (params.a_log, params.w_b, params.w_c, params.w_dt_down):
+        p.data[...] = 0.0
+    params.dt_bias.data[...] = math.log(math.expm1(da))
+    params.b_bias = Tensor(np.ones(1))
+    params.c_bias = Tensor(np.ones(1))
+    raw = params.dt_bias.data[0]
+    delta = math.log1p(math.exp(-abs(raw))) + max(raw, 0.0)  # as the reference
+    y = selective_scan_reference(params, np.ones((1, 1)))[0, 0]
+    with mp.workdps(50):
+        ref = -mp.expm1(-mp.mpf(delta))
+        assert abs((mp.mpf(y) - ref) / ref) <= 1e-15
+
+
 def test_selective_scan_constant_projection_bitwise():
     result = checks.constant_projection_bitwise(seed=11)
     assert result.passed, result.line()

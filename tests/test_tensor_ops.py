@@ -158,6 +158,19 @@ def test_maxpool_matches_loop_oracle(rng):
         np.testing.assert_array_equal(ours, ref)
 
 
+def test_maxpool_propagates_nan_and_routes_ties_first():
+    x = np.array([[1.0, np.nan], [0.5, 0.5], [2.0, 2.0], [3.0, 1.0]])
+    x = x.reshape(1, 1, 1, 4, 2)
+    t = T.tensor(x, requires_grad=True)
+    out = T.maxpool3d(t, (1, 1, 2))
+    assert np.isnan(out.data[0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(out.data[0, 0, 0, 1:, 0], [0.5, 2.0, 3.0])
+    T.backward(T.reduce_sum(T.mul(out, T.tensor(np.full(out.shape, 2.0)))))
+    # a NaN window routes nowhere; a tie goes to the earlier offset
+    np.testing.assert_array_equal(t.grad.reshape(4, 2),
+                                  [[0, 0], [2, 0], [2, 0], [2, 0]])
+
+
 # ---------------------------------------------------------------------------
 # pointwise analytic values
 
@@ -228,6 +241,29 @@ def test_batch_norm_bit_equal_to_seed_formula(training, rng):
         out = T.batch_norm(T.tensor(x), T.tensor(gamma), T.tensor(beta),
                            rm.copy(), rv.copy(), training)
     assert _bits_equal(out.data, ref)
+
+
+def test_batch_norm_eval_backward_ignores_later_buffer_changes(rng):
+    # eval mode normalizes by the running buffers; changing them after the
+    # forward (as a training step on the same module would) must not move
+    # the gradient of that forward
+    x = rng.normal(0.0, 3.0, (2, 3, 2, 2, 2))
+    g = rng.normal(size=x.shape)
+    gamma, beta = rng.normal(size=3), rng.normal(size=3)
+    rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+
+    def grads(mutate):
+        xs, gs, bs = (T.tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        m, v = rm.copy(), rv.copy()
+        out = T.batch_norm(xs, gs, bs, m, v, training=False)
+        if mutate:
+            m += 5.0
+            v *= 3.0
+        T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        return xs.grad, gs.grad, bs.grad
+
+    for a, b in zip(grads(False), grads(True)):
+        assert _bits_equal(a, b)
 
 
 def test_flip_is_involution(rng):
