@@ -271,7 +271,18 @@ class TemporalDifferenceMambaBlock(Module):
 
 
 class Stem(Module):
-    """Three conv-BN-ReLU blocks, spatial halving after the first and last."""
+    """Three conv-BN-ReLU blocks, spatial halving after the first and last.
+
+    An eval-mode forward with grads off max-pools each halving stage's
+    conv output before its BN and ReLU, on a 4x smaller array. Eval BN,
+    ((x - mean) * inv) * gamma + beta with inv > 0, is monotone per
+    channel and so is each of its rounding steps: increasing where
+    gamma >= 0, decreasing where gamma < 0, where the window minimum is
+    pooled instead (as -max(-x), which is exact). For finite conv
+    outputs the result is bit for bit that of pooling last, and a NaN
+    still propagates. Recording or training-mode forwards keep the op
+    order, so the tape and the batch statistics are unchanged.
+    """
 
     def __init__(self, widths: Tuple[int, int, int],
                  rng: Optional[np.random.Generator] = None):
@@ -285,11 +296,22 @@ class Stem(Module):
         self.conv3 = Conv3d(s2, s3, (3, 3, 3), padding=(1, 1, 1), bias=False, rng=rng)
         self.bn3 = BatchNorm3d(s3)
 
+    def _halving_stage(self, conv: Conv3d, bn: BatchNorm3d, x: Tensor) -> Tensor:
+        x = conv(x)
+        if T.is_grad_enabled() or self.training:
+            return T.maxpool3d(T.relu(bn(x)), (1, 2, 2))
+        flip = bn.gamma.data < 0
+        if not flip.any():
+            return T.relu(bn(T.maxpool3d(x, (1, 2, 2))))
+        sign = np.where(flip, -1.0, 1.0).reshape(1, -1, 1, 1, 1)
+        pooled = T.maxpool3d(Tensor(x.data * sign), (1, 2, 2))
+        pooled.data *= sign
+        return T.relu(bn(pooled))
+
     def __call__(self, x: Tensor) -> Tensor:
-        x = T.maxpool3d(T.relu(self.bn1(self.conv1(x))), (1, 2, 2))
+        x = self._halving_stage(self.conv1, self.bn1, x)
         x = T.relu(self.bn2(self.conv2(x)))
-        x = T.maxpool3d(T.relu(self.bn3(self.conv3(x))), (1, 2, 2))
-        return x
+        return self._halving_stage(self.conv3, self.bn3, x)
 
 
 class TemporalDownsample(Module):

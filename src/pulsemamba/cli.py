@@ -7,7 +7,11 @@ comments); unknown keys are rejected and every run writes a
 scancheck and profile only when given ``--out``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O or format error.
+3 I/O or format error (including a malformed checkpoint or dataset
+header), 4 numeric failure (a non-finite value where finite ones are
+required, e.g. a training loss), 5 shape error (data whose extents the
+model or an operation cannot take, e.g. a clip too short for heart-rate
+estimation).
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 
 from . import checks
 from .blocks import ModelConfig
-from .errors import ConfigError, FormatError
+from .errors import (ConfigError, FormatError, InsufficientDataError,
+                     NumericError, ShapeError)
 from .profiling import REFERENCE_MACS, REFERENCE_PARAMS, profile_model
 from .svgplot import line_plot
 from .synth import SynthConfig, generate_clip, write_dataset
@@ -32,6 +37,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
+EXIT_SHAPE = 5
 
 # key -> (caster, default); config files and --set overrides share these
 SYNTH_KEYS = {
@@ -328,6 +335,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FormatError, FileNotFoundError, NotADirectoryError, OSError) as exc:
         print(f"io/format error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ShapeError, InsufficientDataError) as exc:
+        print(f"shape error: {exc}", file=sys.stderr)
+        return EXIT_SHAPE
 
 
 if __name__ == "__main__":

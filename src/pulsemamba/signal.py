@@ -84,13 +84,20 @@ def diff_normalize_label(label: np.ndarray) -> np.ndarray:
     return d
 
 
+def _centre_rows(x: Tensor) -> Tensor:
+    """Each row of (B, T) minus its mean; the gradient is centred too."""
+    return T.apply_op("centre_rows", x.data - x.data.mean(axis=1, keepdims=True),
+                      [x], lambda g: [g - g.mean(axis=1, keepdims=True)])
+
+
 def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     """1 - Pearson correlation, averaged over rows of (B, T) signals.
 
     Differentiable; in [0, 2]; invariant to positive affine transforms of
-    either argument. Variance guards of 1e-8 sit under each square root,
-    so a zero-variance row contributes loss 1 (correlation treated as 0)
-    and triggers a degenerate-batch warning.
+    either argument, as each row is centred before any product. Variance
+    guards of 1e-8 (on n times the centred sum of squares) sit under each
+    square root, so a zero-variance row contributes loss 1 (correlation
+    treated as 0) and triggers a degenerate-batch warning.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"loss operands differ: {pred.shape} vs {target.shape}")
@@ -104,14 +111,12 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
         warnings.warn("degenerate batch: zero-variance signal in NegPearson",
                       RuntimeWarning, stacklevel=2)
 
-    sum_x = T.reduce_sum(p, axes=1)
-    sum_y = T.reduce_sum(t, axes=1)
-    sum_xy = T.reduce_sum(T.mul(p, t), axes=1)
-    sum_x2 = T.reduce_sum(T.mul(p, p), axes=1)
-    sum_y2 = T.reduce_sum(T.mul(t, t), axes=1)
-    num = T.sub(T.scale(sum_xy, n), T.mul(sum_x, sum_y))
-    var_x = T.sub(T.scale(sum_x2, n), T.mul(sum_x, sum_x))
-    var_y = T.sub(T.scale(sum_y2, n), T.mul(sum_y, sum_y))
+    # centred first: raw moments (n*sum(xy) - sum(x)*sum(y)) cancel
+    # catastrophically once the offset dwarfs the signal
+    pc, tc = _centre_rows(p), _centre_rows(t)
+    num = T.scale(T.reduce_sum(T.mul(pc, tc), axes=1), n)
+    var_x = T.scale(T.reduce_sum(T.mul(pc, pc), axes=1), n)
+    var_y = T.scale(T.reduce_sum(T.mul(tc, tc), axes=1), n)
     denom = T.mul(T.sqrt(T.add(var_x, T.tensor(VAR_EPS))),
                   T.sqrt(T.add(var_y, T.tensor(VAR_EPS))))
     rho = T.div(num, denom)

@@ -13,9 +13,12 @@ where expm1 keeps Bbar accurate down to delta * a -> 0 without a series
 branch.
 
 The recurrent and selective scans work through time-major
-(chunk, B, D, N) blocks, with the chunk sized from the operand shape so
+(chunk, B, N, D) blocks, with the chunk sized from the operand shape so
 one block stays about 1 MiB (cache resident), and share one recurrence
-kernel with the selective scan's reverse-time backward.
+kernel with the selective scan's reverse-time backward. The state is
+held N-major, so every per-token broadcast (delta, u, B) and the
+readout y_t = C_t h_t run along the contiguous channel axis D; ``a``
+keeps its (D, N) shape at the API.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import tensor as T
 from .errors import NumericError, ShapeError
 from .module import Module
-from .tensor import Tensor
+from .tensor import BLOCK_BYTES, Tensor
 
 __all__ = [
     "discretize_zoh",
@@ -37,14 +40,12 @@ __all__ = [
     "MambaLayer", "mamba_layer_forward",
 ]
 
-BLOCK_BYTES = 1 << 20  # target size of one (chunk, B, D, N) float64 block
-
-
 def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
     """ZOH factors (abar, growth) with growth = expm1(delta*a) / a.
 
-    ``a`` (..., D, N) and ``delta`` (..., D, 1) broadcast against each
-    other; Bbar is growth * b. ``a`` is never 0 (a = -exp(a_log)).
+    ``a`` and ``delta`` broadcast against each other, in either layout:
+    (D, N) with (..., D, 1), or (N, D) with (..., 1, D); Bbar is
+    growth * b. ``a`` is never 0 (a = -exp(a_log)).
     ``abar``/``growth`` are optional output buffers of the result shape.
     """
     da = np.multiply(delta, a, out=growth)
@@ -92,7 +93,7 @@ def _chunk_len(bsz: int, d: int, n: int) -> int:
 def _scan_core(abar, h, prev) -> None:
     """In-place diagonal recurrence h[t] = abar[t] * h[t-1] + h[t].
 
-    abar, h: time-major (c, B, D, N) blocks, h holding the drive on entry
+    abar, h: time-major (c, B, N, D) blocks, h holding the drive on entry
     and the states on return; prev is the state before h[0]. The
     selective backward runs it on reversed views, in reverse time.
     """
@@ -103,35 +104,53 @@ def _scan_core(abar, h, prev) -> None:
         prev = ht
 
 
+def _readout(c, h, y) -> None:
+    """y[t, b, d] = sum_n c[t, b, n(, d)] * h[t, b, n, d] for one chunk.
+
+    A per-token C (c, B, N) is one matmul per token; a per-channel C
+    (c, B, N, D) (only time-invariant ``scan_recurrent`` has one) is
+    summed over N.
+    """
+    if c.ndim == 3:
+        np.matmul(c[:, :, None, :], h, out=y[:, :, None, :])
+    else:
+        np.einsum("tbnd,tbnd->tbd", c, h, out=y)
+
+
 def _chunked_scan(discretize, c_seq, x, states, chunk: int):
     """Forward recurrence over time-major x (L, B, D).
 
     ``discretize(s, e)`` gives the (abar, bbar) blocks of tokens [s, e);
-    c_seq is (L, B, N) or (L, B, D, N). ``states`` has row 0 zeroed and
+    c_seq is (L, B, N) or (L, B, N, D). ``states`` has row 0 zeroed and
     either L + 1 rows (row t + 1 keeps h_t for the backward) or fewer,
     reused per chunk with row 0 carrying h across chunks. Returns y
-    (B, L, D) and the final state (B, D, N).
+    (B, L, D) and the final state (B, N, D).
     """
     L, bsz, d = x.shape
     keep = states.shape[0] == L + 1
-    sub = "tbn" if c_seq.ndim == 3 else "tbdn"
-    y = np.empty((bsz, L, d), dtype=np.float64)
+    yt = np.empty((L, bsz, d), dtype=np.float64)
     for s in range(0, L, chunk):
         e = min(s + chunk, L)
         h = states[s:e + 1] if keep else states[:e - s + 1]
         abar, bbar = discretize(s, e)
-        np.multiply(bbar, x[s:e, :, :, None], out=h[1:])
+        np.multiply(bbar, x[s:e, :, None, :], out=h[1:])
         _scan_core(abar, h[1:], h[0])
-        np.einsum(f"{sub},tbdn->btd", c_seq[s:e], h[1:], out=y[:, s:e])
-        _check_state(y[:, s:e], s)
+        _readout(c_seq[s:e], h[1:], yt[s:e])
+        _check_state(yt[s:e], s)
         if not keep:
             states[0] = h[-1]
-    return y, states[-1] if keep else states[0]
+    return _batch_major(yt), states[-1] if keep else states[0]
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """Contiguous (B, L, ...) copy of a time-major (L, B, ...) array (a
+    view when B = 1)."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
 def _check_state(y: np.ndarray, offset: int):
     if not np.isfinite(y).all():
-        finite_per_step = np.isfinite(y).reshape(y.shape[0], y.shape[1], -1).all(axis=(0, 2))
+        finite_per_step = np.isfinite(y).reshape(y.shape[0], -1).all(axis=1)
         bad_t = int(np.argmin(finite_per_step))
         raise NumericError(f"non-finite scan state at step {offset + bad_t}")
 
@@ -141,7 +160,7 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
 
     Time-invariant mode: abar/bbar (D, N), c (N,) or (D, N). Per-token
     mode: abar/bbar (L, D, N), c (L, N). x is (L, D); h starts at zero and
-    y(t) depends only on x(1..t).
+    y(t) depends only on x(1..t). The returned state is (D, N).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -152,29 +171,30 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
     c = np.asarray(c, dtype=np.float64)
     n = abar.shape[-1]
 
+    # N-major views: (..., D, N) -> (..., N, D)
     if abar.ndim == 2:
-        a_seq = np.broadcast_to(abar, (L, 1, d, n))
-        b_seq = np.broadcast_to(bbar, (L, 1, d, n))
+        a_seq = np.broadcast_to(abar.T, (L, 1, n, d))
+        b_seq = np.broadcast_to(bbar.T, (L, 1, n, d))
     elif abar.ndim == 3:
-        a_seq = abar[:, None]
-        b_seq = bbar[:, None]
+        a_seq = np.swapaxes(abar, 1, 2)[:, None]
+        b_seq = np.swapaxes(bbar, 1, 2)[:, None]
     else:
         raise ShapeError(f"scan_recurrent: abar shape {abar.shape}")
     if c.ndim == 1:
         c_seq = np.broadcast_to(c, (L, 1, n))
     elif c.ndim == 2 and c.shape == (d, n):
-        c_seq = np.broadcast_to(c, (L, 1, d, n))
+        c_seq = np.broadcast_to(c.T, (L, 1, n, d))
     elif c.ndim == 2 and c.shape[0] == L:
         c_seq = c[:, None]
     else:
         raise ShapeError(f"scan_recurrent: c shape {c.shape}")
 
     chunk = _chunk_len(1, d, n)
-    states = np.zeros((min(chunk, L) + 1, 1, d, n), dtype=np.float64)
+    states = np.zeros((min(chunk, L) + 1, 1, n, d), dtype=np.float64)
     y, h = _chunked_scan(lambda s, e: (a_seq[s:e], b_seq[s:e]), c_seq,
                          x[:, None], states, chunk)
     if return_state:
-        return y[0], h[0]
+        return y[0], h[0].T
     return y[0]
 
 
@@ -255,7 +275,7 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
     Abar/Bbar exist one chunk at a time (``chunk`` tokens, derived from
     the shape unless given). When the tape records, the only thing kept
-    for the backward is the state history h (L + 1, B, D, N); the
+    for the backward is the state history h (L + 1, B, N, D); the
     backward recomputes the ZOH per chunk, runs the recurrence in reverse
     time for dL/dh and forms every input gradient per chunk from it.
     """
@@ -272,18 +292,19 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     recording = T.is_grad_enabled() and any(
         p.requires_grad for p in (u, delta, a, bmat, cmat))
     chunk = chunk or _chunk_len(bsz, d, n)
-    # time-major (L, B, ...) views: chunks and scan steps slice axis 0
-    av = a.data
+    # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
+    # the state and a run N-major, (..., N, D)
+    av = np.ascontiguousarray(a.data.T)
     ut, dt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, delta, bmat, cmat))
-    zoh_buf = np.empty((2, min(chunk, L), bsz, d, n), dtype=np.float64)
+    zoh_buf = np.empty((2, min(chunk, L), bsz, n, d), dtype=np.float64)
 
     def discretize(s, e):
-        abar, bbar = _zoh(av, dt[s:e, :, :, None], *zoh_buf[:, :e - s])
-        bbar *= bt[s:e, :, None, :]
+        abar, bbar = _zoh(av, dt[s:e, :, None, :], *zoh_buf[:, :e - s])
+        bbar *= bt[s:e, :, :, None]
         return abar, bbar
 
     rows = L + 1 if recording else min(chunk, L) + 1
-    states = np.empty((rows, bsz, d, n), dtype=np.float64)
+    states = np.empty((rows, bsz, n, d), dtype=np.float64)
     states[0] = 0.0
     y, _ = _chunked_scan(discretize, ct, ut, states, chunk)
     if not recording:
@@ -291,40 +312,41 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     def bwd(gy):
         gyt = np.swapaxes(gy, 0, 1)
-        gu = np.empty((bsz, L, d), dtype=np.float64)
+        gu = np.empty((L, bsz, d), dtype=np.float64)
         gdelta = np.empty_like(gu)
-        gb = np.empty((bsz, L, n), dtype=np.float64)
+        gb = np.empty((L, bsz, n), dtype=np.float64)
         gc = np.empty_like(gb)
         ga = np.zeros_like(av)
-        carry = np.zeros((bsz, d, n), dtype=np.float64)  # abar_e * dL/dh_e
+        carry = np.zeros((bsz, n, d), dtype=np.float64)  # abar_e * dL/dh_e
         for s in reversed(range(0, L, chunk)):
             e = min(s + chunk, L)
             sl = slice(s, e)
-            abar, growth = _zoh(av, dt[sl, :, :, None], *zoh_buf[:, :e - s])
-            # dL/dh_t = gy_t (x) C_t + abar_{t+1} * dL/dh_{t+1}
-            gh = gyt[sl, :, :, None] * ct[sl, :, None, :]
+            abar, growth = _zoh(av, dt[sl, :, None, :], *zoh_buf[:, :e - s])
+            # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
+            gh = ct[sl, :, :, None] * gyt[sl, :, None, :]
             gh[-1] += carry
             _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
             np.multiply(abar[0], gh[0], out=carry)
-            np.einsum("tbd,tbdn->btn", gyt[sl], states[s + 1:e + 1], out=gc[:, sl])
+            np.matmul(states[s + 1:e + 1], gyt[sl, :, :, None], out=gc[sl, :, :, None])
             # drive = growth * b * u
-            gg = gh * growth
-            np.einsum("tbdn,tbn->btd", gg, bt[sl], out=gu[:, sl])
-            np.einsum("tbdn,tbd->btn", gg, ut[sl], out=gb[:, sl])
-            bu = bt[sl, :, None, :] * ut[sl, :, :, None]
-            # dL/d(delta) per (d, n): abar * gh * (a * h_{t-1} + b * u)
+            gg = np.multiply(gh, growth, out=growth)
+            np.matmul(bt[sl, :, None, :], gg, out=gu[sl, :, None, :])
+            np.matmul(gg, ut[sl, :, :, None], out=gb[sl, :, :, None])
+            bu = bt[sl, :, :, None] * ut[sl, :, None, :]
+            # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
             q = av * states[s:e]
             q += bu
             q *= gh
             q *= abar
-            gdelta[:, sl] = np.swapaxes(q.sum(axis=3), 0, 1)
+            q.sum(axis=2, out=gdelta[sl])
             # dL/da = (delta * q - gg * b * u) / a, divided after the loop
-            q *= dt[sl, :, :, None]
+            q *= dt[sl, :, None, :]
             gg *= bu
             q -= gg
             ga += q.sum(axis=(0, 1))
         ga /= av
-        return [gu, gdelta, ga, gb, gc]
+        return [_batch_major(gu), _batch_major(gdelta), ga.T, _batch_major(gb),
+                _batch_major(gc)]
 
     return T.apply_op("selective_scan", y, [u, delta, a, bmat, cmat], bwd)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence, Tuple
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -21,7 +22,8 @@ def _scaled(vals: np.ndarray, lo: float, hi: float, out_lo: float,
 
 def line_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
               title: str = "", x_label: str = "", y_label: str = "") -> Path:
-    """Write an SVG overlay plot of (label, x, y) series."""
+    """Write an SVG overlay plot of (label, x, y) series; title, axis and
+    series labels are XML-escaped."""
     path = Path(path)
     xs = np.concatenate([np.asarray(x, dtype=np.float64) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, dtype=np.float64) for _, _, y in series])
@@ -39,14 +41,14 @@ def line_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
     ]
     if title:
         parts.append(f'<text x="{_W // 2}" y="14" text-anchor="middle" '
-                     f'font-size="13" font-family="monospace">{title}</text>')
+                     f'font-size="13" font-family="monospace">{escape(title)}</text>')
     if x_label:
         parts.append(f'<text x="{_W // 2}" y="{_H - 8}" text-anchor="middle" '
-                     f'font-size="11" font-family="monospace">{x_label}</text>')
+                     f'font-size="11" font-family="monospace">{escape(x_label)}</text>')
     if y_label:
         parts.append(f'<text x="12" y="{_H // 2}" text-anchor="middle" '
                      f'font-size="11" font-family="monospace" '
-                     f'transform="rotate(-90 12 {_H // 2})">{y_label}</text>')
+                     f'transform="rotate(-90 12 {_H // 2})">{escape(y_label)}</text>')
     parts.append(f'<text x="{_PAD}" y="{_H - _PAD + 14}" font-size="10" '
                  f'font-family="monospace">{x_lo:.4g}</text>')
     parts.append(f'<text x="{_W - 60}" y="{_H - _PAD + 14}" font-size="10" '
@@ -66,7 +68,7 @@ def line_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path,
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.2"/>')
         parts.append(f'<text x="{_W - 150}" y="{28 + 14 * idx}" font-size="11" '
-                     f'font-family="monospace" fill="{color}">{label}</text>')
+                     f'font-family="monospace" fill="{color}">{escape(label)}</text>')
 
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")

@@ -39,6 +39,11 @@ __all__ = [
 _grad_enabled = True
 _TAPE: list["_Node"] = []
 
+# Cache-resident working set of one block of float64 work: one state
+# block of the SSM scan, all block temporaries of SiLU and of the
+# depthwise causal conv.
+BLOCK_BYTES = 1 << 20
+
 
 class no_grad:
     """Context manager that suspends tape recording."""
@@ -335,10 +340,21 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid_np(x.data)
-    out = x.data * s
-    return apply_op("silu", out, [x],
-                    lambda g: [g * (s * (1.0 + x.data * (1.0 - s)))])
+    # cache-sized blocks keep the sigmoid's ~8 temporaries out of memory;
+    # the backward recomputes the sigmoid
+    xf = np.ascontiguousarray(x.data).reshape(-1)
+    out = np.empty(x.shape)
+    of = out.reshape(-1)
+    step = BLOCK_BYTES // (8 * 8)
+    for i in range(0, xf.size, step):
+        blk = xf[i:i + step]
+        np.multiply(blk, _sigmoid_np(blk), out=of[i:i + step])
+
+    def bwd(g):
+        s = _sigmoid_np(x.data)
+        return [g * (s * (1.0 + x.data * (1.0 - s)))]
+
+    return apply_op("silu", out, [x], bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -400,18 +416,20 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     din = x.shape[-1]
     if w.ndim != 2 or w.shape[1] != din:
         raise ShapeError(f"linear: x last extent {din} vs weight {w.shape}")
-    out = x.data @ w.data.T
+    dout = w.shape[0]
+    # one 2-D GEMM over all leading axes, not one per leading index
+    x2 = x.data.reshape(-1, din)
+    out = (x2 @ w.data.T).reshape(x.shape[:-1] + (dout,))
     parents = [x, w]
     if bias is not None:
-        if bias.shape != (w.shape[0],):
-            raise ShapeError(f"linear: bias {bias.shape} vs Dout {w.shape[0]}")
-        out = out + bias.data
+        if bias.shape != (dout,):
+            raise ShapeError(f"linear: bias {bias.shape} vs Dout {dout}")
+        out += bias.data
         parents.append(bias)
 
     def bwd(g):
-        g2 = g.reshape(-1, w.shape[0])
-        x2 = x.data.reshape(-1, din)
-        gx = (g @ w.data)
+        g2 = g.reshape(-1, dout)
+        gx = (g2 @ w.data).reshape(x.shape)
         gw = g2.T @ x2
         if bias is None:
             return [gx, gw]
@@ -534,19 +552,31 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None)
         raise ShapeError(f"depthwise conv1d: x {x.shape} vs w {w.shape}")
     b, L, d = x.shape
     K = w.shape[1]
-    out = np.zeros_like(x.data)
-    tap = np.empty_like(x.data)
-    # tap k reads x shifted K-1-k steps right; the zero pad adds nothing
-    for k in range(max(K - L, 0), K):
-        n = L - (K - 1 - k)
-        np.multiply(x.data[:, :n], w.data[:, k], out=tap[:, :n])
-        out[:, L - n:] += tap[:, :n]
     parents = [x, w]
     if bias is not None:
         if bias.shape != (d,):
             raise ShapeError("depthwise conv1d: bias must be (D,)")
-        out += bias.data
         parents.append(bias)
+    out = np.empty(x.shape)
+    rows = max(1, BLOCK_BYTES // (3 * 8 * b * d))  # x, tap and out blocks
+    tap = np.empty((b, min(rows, L), d))
+    # cache-sized blocks of output rows [r0, r1); per element: 0, then
+    # taps in k order, then bias. Tap k reads x shifted K-1-k steps
+    # right; the zero pad adds nothing
+    for r0 in range(0, L, rows):
+        r1 = min(r0 + rows, L)
+        blk = out[:, r0:r1]
+        blk[...] = 0.0
+        for k in range(K):
+            lo = max(r0, K - 1 - k)  # first output row tap k reaches
+            if lo >= r1:
+                continue
+            n = r1 - lo
+            np.multiply(x.data[:, lo - (K - 1 - k):r1 - (K - 1 - k)],
+                        w.data[:, k], out=tap[:, :n])
+            blk[:, lo - r0:] += tap[:, :n]
+        if bias is not None:
+            blk += bias.data
 
     def bwd(g):
         xp = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))

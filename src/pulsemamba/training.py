@@ -1,9 +1,10 @@
 """Adam, the training/evaluation loops, and bit-exact checkpoint I/O.
 
-Determinism contract: batch order and chunk windows derive from
-(seed, epoch) alone, and parameters, Adam moments and BN buffers are
-round-tripped through float32 at every epoch checkpoint, so resuming from
-any epoch reproduces the uninterrupted run bit for bit.
+Determinism contract: batch order and chunk windows derive from the
+seed alone (every epoch draws the same ones), and parameters, Adam
+moments and BN buffers are round-tripped through float32 at every epoch
+checkpoint, so resuming from any epoch reproduces the uninterrupted run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+# meta.json keys that loading, resuming and evaluating read
+_META_KEYS = ("format_version", "config_hash", "model_config", "epoch",
+              "global_step", "entries")
+_ENTRY_KEYS = ("name", "shape", "offset", "crc32")
 
 
 @dataclass
@@ -187,6 +192,12 @@ def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
     return path
 
 
+def _require_keys(obj, keys, what: str) -> None:
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise FormatError(f"{what} lacks {', '.join(missing)}")
+
+
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a checkpoint directory, verifying version and checksums."""
     path = Path(path)
@@ -197,12 +208,14 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
-    if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise FormatError(f"checkpoint version {meta.get('format_version')!r}, "
+    _require_keys(meta, _META_KEYS, f"{meta_path}: header")
+    if meta["format_version"] != CHECKPOINT_VERSION:
+        raise FormatError(f"checkpoint version {meta['format_version']!r}, "
                           f"expected {CHECKPOINT_VERSION}")
     blob = (path / "state.bin").read_bytes()
     arrays = {}
-    for entry in meta["entries"]:
+    for i, entry in enumerate(meta["entries"]):
+        _require_keys(entry, _ENTRY_KEYS, f"{meta_path}: entry {i}")
         size = int(np.prod(entry["shape"])) * 4 if entry["shape"] else 4
         raw = blob[entry["offset"]:entry["offset"] + size]
         if len(raw) != size:

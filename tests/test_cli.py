@@ -2,6 +2,7 @@
 and the resolved_config snapshot."""
 
 import csv
+import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from pulsemamba import cli
+from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba.svgplot import line_plot
+from pulsemamba.training import AdamState, save_checkpoint
 
 
 def run_cli(argv):
@@ -73,6 +76,73 @@ def test_train_missing_data_dir_exits_3(tmp_path, capsys):
                     "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_IO
     assert "missing" in capsys.readouterr().err
+
+
+TINY_MODEL = ["--set", "input_h=16", "--set", "input_w=16",
+              "--set", "channels=16", "--set", "blocks_per_stream=2",
+              "--set", "ca_ratio=4"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_exits_4(tiny_dataset, tmp_path, capsys):
+    # an absurd step size makes the second forward overflow (numpy warns
+    # on the way; the test is about the exit code)
+    code = run_cli(["train", "--data", str(tiny_dataset),
+                    "--out", str(tmp_path / "run"), "--set", "epochs=1",
+                    "--set", "batch_size=1", "--set", "chunk_len=32",
+                    "--set", "lr=1e300"] + TINY_MODEL)
+    assert code == cli.EXIT_NUMERIC
+    assert "numeric error" in capsys.readouterr().err
+
+
+def test_shape_error_exits_5(tiny_dataset, tmp_path, capsys):
+    # one-frame chunks have no frame difference to normalize
+    code = run_cli(["train", "--data", str(tiny_dataset),
+                    "--out", str(tmp_path / "run"), "--set", "epochs=1",
+                    "--set", "chunk_len=1"] + TINY_MODEL)
+    assert code == cli.EXIT_SHAPE
+    assert "shape error" in capsys.readouterr().err
+
+
+def _untrained_checkpoint(path):
+    cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
+    return save_checkpoint(path, PulseMambaNet(cfg), cfg, AdamState(), 0, 0)
+
+
+def test_clip_too_short_for_hr_exits_5(tmp_path, capsys):
+    data = tmp_path / "short"
+    assert run_cli(["synth", "--out", str(data), "--set", "num_clips=1",
+                    "--set", "duration_s=1.5", "--set", "height=24",
+                    "--set", "width=24"]) == 0
+    code = run_cli(["eval", "--ckpt", str(_untrained_checkpoint(tmp_path / "ckpt")),
+                    "--data", str(data), "--out", str(tmp_path / "eval"),
+                    "--set", "chunk_len=32", "--set", "input_h=16",
+                    "--set", "input_w=16"])
+    assert code == cli.EXIT_SHAPE
+    assert "need >= 2 s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["entries", "model_config", "crc32"])
+def test_checkpoint_meta_missing_key_exits_3(key, tiny_dataset, tmp_path, capsys):
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt")
+    meta = json.loads((ckpt / "meta.json").read_text())
+    del (meta["entries"][0] if key == "crc32" else meta)[key]
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(tiny_dataset),
+                    "--out", str(tmp_path / "eval"), "--set", "chunk_len=32",
+                    "--set", "input_h=16", "--set", "input_w=16"])
+    assert code == cli.EXIT_IO
+    assert key in capsys.readouterr().err
+
+
+def test_line_plot_escapes_markup(tmp_path):
+    path = line_plot([("a<b & c>d", np.arange(3.0), np.arange(3.0))],
+                     tmp_path / "esc.svg", title="<title> & co",
+                     x_label="x < 1", y_label="y > 0 & 'q'")
+    texts = [el.text for el in ET.parse(path).getroot().iter()
+             if el.tag.endswith("text")]
+    for label in ("a<b & c>d", "<title> & co", "x < 1", "y > 0 & 'q'"):
+        assert label in texts
 
 
 def test_profile_prints_reference_deltas(capsys, tmp_path):

@@ -83,6 +83,20 @@ def test_neg_pearson_affine_invariance(rng):
     assert abs(base - moved) <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-1e7, 1e7), st.floats(-1e7, 1e7))
+def test_neg_pearson_offset_invariance_property(seed, off_x, off_y):
+    # signals and offsets on a 2**-20 grid, so x + offset is exact and any
+    # drift is the loss's own rounding (criterion 7's bound)
+    r = np.random.default_rng(seed)
+    grid = 2.0 ** 20
+    x, y = np.round(r.normal(size=(2, 2, 64)) * grid) / grid
+    off_x, off_y = round(off_x * grid) / grid, round(off_y * grid) / grid
+    base = neg_pearson_loss(Tensor(x), Tensor(y)).item()
+    moved = neg_pearson_loss(Tensor(x + off_x), Tensor(y + off_y)).item()
+    assert abs(base - moved) <= 1e-9
+
+
 def test_neg_pearson_zero_variance_warns_and_returns_one():
     with pytest.warns(RuntimeWarning):
         loss = neg_pearson_loss(Tensor([[2.0, 2.0, 2.0]]),

@@ -266,6 +266,37 @@ def test_batch_norm_eval_backward_ignores_later_buffer_changes(rng):
         assert _bits_equal(a, b)
 
 
+def _seed_conv1d(x, w, bias):
+    # the single-pass formula: 0, then each tap in k order, then the bias
+    L, K = x.shape[1], w.shape[1]
+    out = np.zeros_like(x)
+    for k in range(max(K - L, 0), K):
+        n = L - (K - 1 - k)
+        out[:, L - n:] += x[:, :n] * w[:, k]
+    return out + bias
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+@pytest.mark.parametrize("L", [1, 3, 4, 23])
+def test_conv1d_depthwise_causal_bit_equal_to_seed_formula(L, block_rows, rng,
+                                                           monkeypatch):
+    if block_rows:  # (B=2, D=3) rows: L = 23 crosses four block edges
+        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * 8 * 2 * 3 * block_rows)
+    x = rng.normal(size=(2, L, 3))
+    x[0, 0] = [0.0, -0.0, 1e-300]
+    w, bias = rng.normal(size=(3, 4)), rng.normal(size=3)
+    out = T.conv1d_depthwise_causal(T.tensor(x), T.tensor(w), T.tensor(bias))
+    assert _bits_equal(out.data, _seed_conv1d(x, w, bias))
+    no_bias = T.conv1d_depthwise_causal(T.tensor(x), T.tensor(w))
+    assert _bits_equal(no_bias.data, _seed_conv1d(x, w, 0.0))
+
+
+def test_silu_blocks_bit_equal_to_seed_formula(rng, monkeypatch):
+    monkeypatch.setattr(T, "BLOCK_BYTES", 8 * 8 * 7)  # 7-element blocks
+    x = rng.normal(0.0, 8.0, (3, 10, 2))
+    assert _bits_equal(T.silu(T.tensor(x)).data, x * _seed_sigmoid(x))
+
+
 def test_flip_is_involution(rng):
     x = T.tensor(rng.normal(size=(2, 3, 4)))
     np.testing.assert_array_equal(T.flip(T.flip(x, 2), 2).data, x.data)
