@@ -273,14 +273,12 @@ class TemporalDifferenceMambaBlock(Module):
 class Stem(Module):
     """Three conv-BN-ReLU blocks, spatial halving after the first and last.
 
-    An eval-mode forward with grads off max-pools each halving stage's
-    conv output before its BN and ReLU, on a 4x smaller array. Eval BN,
-    ((x - mean) * inv) * gamma + beta with inv > 0, is monotone per
-    channel and so is each of its rounding steps: increasing where
-    gamma >= 0, decreasing where gamma < 0, where the window minimum is
-    pooled instead (as -max(-x), which is exact). For finite conv
-    outputs the result is bit for bit that of pooling last, and a NaN
-    still propagates. Recording or training-mode forwards keep the op
+    With grads off, an eval-mode BN and no gamma < 0, a halving stage
+    max-pools its conv output before BN and ReLU, on a 4x smaller array.
+    Eval BN, ((x - mean) * inv) * gamma + beta with inv > 0 and
+    gamma >= 0, is non-decreasing per channel in each rounding step, so
+    for finite conv outputs the result is bit for bit that of pooling
+    last, and a NaN still propagates. Every other forward keeps the op
     order, so the tape and the batch statistics are unchanged.
     """
 
@@ -298,15 +296,9 @@ class Stem(Module):
 
     def _halving_stage(self, conv: Conv3d, bn: BatchNorm3d, x: Tensor) -> Tensor:
         x = conv(x)
-        if T.is_grad_enabled() or self.training:
+        if T.is_grad_enabled() or bn.training or (bn.gamma.data < 0).any():
             return T.maxpool3d(T.relu(bn(x)), (1, 2, 2))
-        flip = bn.gamma.data < 0
-        if not flip.any():
-            return T.relu(bn(T.maxpool3d(x, (1, 2, 2))))
-        sign = np.where(flip, -1.0, 1.0).reshape(1, -1, 1, 1, 1)
-        pooled = T.maxpool3d(Tensor(x.data * sign), (1, 2, 2))
-        pooled.data *= sign
-        return T.relu(bn(pooled))
+        return T.relu(bn(T.maxpool3d(x, (1, 2, 2))))
 
     def __call__(self, x: Tensor) -> Tensor:
         x = self._halving_stage(self.conv1, self.bn1, x)

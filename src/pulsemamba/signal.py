@@ -84,10 +84,11 @@ def diff_normalize_label(label: np.ndarray) -> np.ndarray:
     return d
 
 
-def _centre_rows(x: Tensor) -> Tensor:
-    """Each row of (B, T) minus its mean; the gradient is centred too."""
-    return T.apply_op("centre_rows", x.data - x.data.mean(axis=1, keepdims=True),
-                      [x], lambda g: [g - g.mean(axis=1, keepdims=True)])
+def _row_means(x: Tensor) -> Tensor:
+    """Each row's mean of (B, T), repeated along the row (binary ops need
+    equal shapes, so the mean is repeated as a (B, 1, T, 1, 1) time axis)."""
+    m = T.reshape(T.reduce_mean(x, axes=1), (-1, 1, 1, 1, 1))
+    return T.reshape(T.upsample_nearest_time(m, x.shape[1]), x.shape)
 
 
 def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -113,7 +114,7 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     # centred first: raw moments (n*sum(xy) - sum(x)*sum(y)) cancel
     # catastrophically once the offset dwarfs the signal
-    pc, tc = _centre_rows(p), _centre_rows(t)
+    pc, tc = T.sub(p, _row_means(p)), T.sub(t, _row_means(t))
     num = T.scale(T.reduce_sum(T.mul(pc, tc), axes=1), n)
     var_x = T.scale(T.reduce_sum(T.mul(pc, pc), axes=1), n)
     var_y = T.scale(T.reduce_sum(T.mul(tc, tc), axes=1), n)

@@ -2,6 +2,7 @@
 block/stem/lateral/head shape algebra, full-network contracts and the
 analytic profile."""
 
+import copy
 import threading
 import time
 
@@ -191,31 +192,52 @@ def test_stem_zero_input_gives_zero_in_eval(rng):
     np.testing.assert_array_equal(y.data, 0.0)
 
 
-@pytest.mark.parametrize("gamma_signs", ["nonnegative", "mixed"])
-def test_eval_stem_pools_first_bit_equal_to_pooling_last(gamma_signs, rng):
+@pytest.mark.parametrize("case, bn1_rows", [("nonnegative", 8), ("mixed", 16),
+                                             ("bn1_training", 16)])
+def test_eval_stem_pools_first_bit_equal_to_pooling_last(case, bn1_rows, rng,
+                                                          monkeypatch):
     stem = Stem((4, 6, 8), rng=rng).eval()
     for bn in (stem.bn1, stem.bn2, stem.bn3):
         c = bn.gamma.shape[0]
         bn.gamma.data = rng.uniform(0.1, 2.0, c)
-        if gamma_signs == "mixed":
+        if case == "mixed":
             bn.gamma.data[::2] *= -1.0
             bn.gamma.data[1] = 0.0
         bn.beta.data = rng.normal(size=c)
         bn.running_mean[:] = rng.normal(size=c)
         bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+    if case == "bn1_training":
+        stem.bn1.train()   # e.g. re-estimating BN statistics
+    ref = copy.deepcopy(stem)
     x = rng.normal(size=(1, 3, 4, 16, 16))
     x[0, :, 1, :8, :8] = 0.25   # flat patch: tied windows at every stage
-    x[0, 1, 2, 12, 3] = np.nan  # one NaN spreads through the convs
+    if case != "bn1_training":
+        x[0, 1, 2, 12, 3] = np.nan  # one NaN spreads through the convs
+
+    seen = []
+    batch_norm = T.batch_norm
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.shape[-1])
+        return batch_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(T, "batch_norm", spy)
     with T.no_grad():
         got = stem(Tensor(x)).data
 
         def pool_last(conv, bn, h):
             return T.maxpool3d(T.relu(bn(conv(h))), (1, 2, 2))
 
-        h = pool_last(stem.conv1, stem.bn1, Tensor(x))
-        h = T.relu(stem.bn2(stem.conv2(h)))
-        want = pool_last(stem.conv3, stem.bn3, h).data
-    assert np.isnan(want).any() and not np.isnan(want).all()
+        h = pool_last(ref.conv1, ref.bn1, Tensor(x))
+        h = T.relu(ref.bn2(ref.conv2(h)))
+        want = pool_last(ref.conv3, ref.bn3, h).data
+    assert seen[0] == bn1_rows
+    if case == "bn1_training":
+        assert not np.isnan(want).any()
+        np.testing.assert_array_equal(stem.bn1.running_mean, ref.bn1.running_mean)
+        np.testing.assert_array_equal(stem.bn1.running_var, ref.bn1.running_var)
+    else:
+        assert np.isnan(want).any() and not np.isnan(want).all()
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     finite = ~np.isnan(want)
     np.testing.assert_array_equal(got[finite].view(np.uint64),
