@@ -175,41 +175,39 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
-class TemporalDifferenceConv3d(Module):
-    """3D conv plus a temporal-difference term.
+class TemporalDifferenceConv3d(Conv3d):
+    """3D conv minus theta times a centre-tap temporal-difference term.
 
-    output = conv3d(x, w) - theta * pointwise(x, S) where S[o, c] sums the
-    kernel weights over the two adjacent-time planes (all spatial taps).
-    theta = 0 reduces exactly to the vanilla convolution. Kernel time
-    extent must be 3 so the adjacent planes exist; stride is 1 and padding
-    keeps extents unchanged.
+    output = conv3d(x, W) - theta * x(p0) * S, with S[o, c] the sum of W
+    over the two adjacent-time planes. The term is linear in W, so it is
+    folded into the kernel (theta * S off the centre tap, by one constant
+    (taps, taps) map on the flattened kernel) and one conv runs; theta = 0
+    is the vanilla conv bit for bit. Time extent 3 and odd spatial
+    extents; stride 1 and padding keep extents unchanged.
     """
 
     def __init__(self, cin: int, cout: int, kernel=(3, 3, 3), theta: float = 0.5,
                  bias: bool = False, rng: Optional[np.random.Generator] = None):
-        super().__init__()
         if not 0.0 <= theta <= 1.0:
             raise ConfigError(f"theta must be in [0, 1], got {theta}")
         kt, kh, kw = kernel
-        if kt != 3:
-            raise ConfigError("temporal-difference kernel needs time extent 3")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        fan_in = cin * kt * kh * kw
-        self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in),
-                                        (cout, cin, kt, kh, kw)), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout), requires_grad=True) if bias else None
+        if kt != 3 or kh % 2 == 0 or kw % 2 == 0:
+            raise ConfigError("temporal-difference kernel needs time extent 3 "
+                              "and odd spatial extents")
+        super().__init__(cin, cout, kernel, padding=(1, kh // 2, kw // 2),
+                         bias=bias, rng=rng)
         self.theta = theta
-        self.padding = (1, kh // 2, kw // 2)
 
     def __call__(self, x: Tensor) -> Tensor:
-        vanilla = T.conv3d(x, self.weight, self.bias, (1, 1, 1), self.padding)
-        if self.theta == 0.0:
-            return vanilla
-        adj = T.add(T.narrow(self.weight, 2, 0, 1), T.narrow(self.weight, 2, 2, 1))
-        s = T.reduce_sum(adj, axes=(2, 3, 4))
-        s_kernel = T.reshape(s, s.shape + (1, 1, 1))
-        diff = T.conv3d(x, s_kernel)
-        return T.sub(vanilla, T.scale(diff, self.theta))
+        cout, cin, kt, kh, kw = self.weight.shape
+        plane = kh * kw
+        fold = np.eye(kt * plane)
+        centre = fold[plane + plane // 2]
+        centre[:plane] = -self.theta
+        centre[2 * plane:] = -self.theta
+        w = T.linear(T.reshape(self.weight, (cout * cin, kt * plane)), Tensor(fold))
+        return T.conv3d(x, T.reshape(w, self.weight.shape), self.bias,
+                        self.stride, self.padding)
 
 
 class ChannelAttention(Module):

@@ -148,7 +148,6 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("silu", lambda: _weighted_sum(T.silu(x)), [("x", x)])
     run("sigmoid", lambda: _weighted_sum(T.sigmoid(x)), [("x", x)])
     run("softplus", lambda: _weighted_sum(T.softplus(x)), [("x", x)])
-    run("tanh", lambda: _weighted_sum(T.tanh(x)), [("x", x)])
     run("flip", lambda: _weighted_sum(T.flip(x, 1)), [("x", x)])
 
     xl = leaf((2, 3, 4))
@@ -205,8 +204,6 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
 
     run("sum", lambda: _weighted_sum(T.reduce_sum(xl, axes=(1,))), [("x", xl)])
     run("mean", lambda: _weighted_sum(T.reduce_mean(xl, axes=(0, 2))), [("x", xl)])
-    run("std", lambda: _weighted_sum(T.reduce_std(xl, axes=(2,))), [("x", xl)])
-    run("max", lambda: _weighted_sum(T.reduce_max(xl, axes=(2,))), [("x", xl)])
     run("reshape", lambda: _weighted_sum(T.reshape(xl, (6, 4))), [("x", xl)])
     run("transpose", lambda: _weighted_sum(T.transpose(xl, (2, 0, 1))), [("x", xl)])
     cc1, cc2 = leaf((2, 3, 4)), leaf((2, 2, 4))

@@ -2,12 +2,14 @@
 
 Walks the model configuration and the documented shape algebra instead of
 executing tensors. Counting conventions (fixed so numbers are
-reproducible): a MAC is one multiply inside a conv/GEMM contraction; the
-scan counts 7 ops per (token, channel, state) element (delta*a, exp,
-growth division, Bbar multiply, two recurrence multiplies, output
-multiply); gates count their multiply; norms, pools, additions and plain
-activations count zero. Parameter counts include affine norm parameters
-but not running-statistic buffers.
+reproducible): a MAC is one multiply inside a conv/GEMM contraction; a
+temporal-difference conv counts as the one 3x3x3 conv it runs (its
+difference term is folded into the kernel); the scan counts 7 ops per
+(token, channel, state) element (delta*a, exp, growth division, Bbar
+multiply, two recurrence multiplies, output multiply); gates count their
+multiply; norms, pools, additions and plain activations count zero.
+Parameter counts include affine norm parameters but not running-statistic
+buffers.
 
 Reference values for the full-scale published configuration: 0.56 M
 parameters and 47.3 G MACs at 128x128x128 input.
@@ -103,7 +105,7 @@ def _block_params(c: int, cfg: ModelConfig) -> int:
 
 def _block_macs(c: int, cfg: ModelConfig, t: int, h: int, w: int) -> int:
     pos = t * h * w
-    m = conv3d_macs(c, c, (3, 3, 3), pos) + c * c * pos      # TDC + diff term
+    m = conv3d_macs(c, c, (3, 3, 3), pos)                    # TDC, folded
     m += _mamba_macs(c, cfg.state_dim, cfg.expand, cfg.conv_kernel, pos)
     m += _ca_macs(c, min(cfg.ca_ratio, c), pos)
     return m

@@ -37,7 +37,7 @@ __all__ = [
     "discretize_zoh",
     "scan_recurrent", "scan_convolutional", "SSMParams",
     "selective_scan", "selective_scan_op", "selective_scan_reference",
-    "MambaLayer", "mamba_layer_forward",
+    "MambaLayer",
 ]
 
 def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
@@ -479,24 +479,3 @@ class MambaLayer(Module):
 
     def __call__(self, h: Tensor) -> Tensor:
         return self.forward(h)
-
-
-def mamba_layer_forward(h_k, direction: str, layer: MambaLayer) -> Tensor:
-    """Single-direction layer evaluation, pre-gating.
-
-    h_k: (L, C) raw (the layer norm is internal). The backward direction
-    flips the inner sequence before Conv1d + SSM and flips its output back
-    to forward order; the returned y_dir is (L, E*C).
-    """
-    if direction not in ("forward", "backward"):
-        raise ShapeError(f"direction must be forward/backward, got {direction!r}")
-    ht = h_k if isinstance(h_k, Tensor) else Tensor(h_k)
-    squeeze = ht.ndim == 2
-    if squeeze:
-        ht = T.reshape(ht, (1,) + ht.shape)
-    x, _ = layer._inner_sequences(ht)
-    params = layer.ssm_fwd if direction == "forward" else layer.ssm_bwd
-    y = layer._direction(x, params, backward_dir=(direction == "backward"))
-    if squeeze:
-        y = T.reshape(y, y.shape[1:])
-    return y

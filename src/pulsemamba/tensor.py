@@ -1,9 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
-The operation set is exactly what the video network's forward pass needs:
-3D/1D convolutions, pooling, affine maps, norms, the usual pointwise
-nonlinearities and a handful of shape movers. Computation is float64
-throughout; float32 appears only at checkpoint/dataset boundaries.
+The operation set is exactly what the network, its loss and its checks
+use: 3D/1D convolutions, pooling, affine maps, norms, sum/mean, the
+pointwise ops they apply and a handful of shape movers. Computation is
+float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 
 Every recorded op appends one node to a module-level tape. ``backward``
 replays the tape in exact reverse execution order over the subgraph that
@@ -28,10 +28,10 @@ __all__ = [
     "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
     "clear_tape", "tape_size", "backward",
     "add", "sub", "mul", "div", "scale", "neg",
-    "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "tanh", "flip",
-    "elementwise", "linear", "conv3d", "conv1d_depthwise_causal",
+    "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
+    "linear", "conv3d", "conv1d_depthwise_causal",
     "conv_transpose1d", "maxpool3d", "batch_norm", "layer_norm",
-    "reduce_sum", "reduce_mean", "reduce_std", "reduce_max",
+    "reduce_sum", "reduce_mean",
     "reshape", "transpose", "concat", "upsample_nearest_time",
     "narrow", "channel_scale",
 ]
@@ -362,11 +362,6 @@ def softplus(x: Tensor) -> Tensor:
     return apply_op("softplus", out, [x], lambda g: [g * _sigmoid_np(x.data)])
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return apply_op("tanh", t, [x], lambda g: [g * (1.0 - t * t)])
-
-
 def flip(x: Tensor, axis: int) -> Tensor:
     return apply_op("flip", np.flip(x.data, axis=axis).copy(), [x],
                     lambda g: [np.flip(g, axis=axis)])
@@ -377,35 +372,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-_UNARY = {"exp": exp, "relu": relu, "silu": silu, "sigmoid": sigmoid,
-          "softplus": softplus, "tanh": tanh, "sqrt": sqrt}
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise(op_kind: str, x: Tensor, y: Optional[Tensor] = None,
-                axis: Optional[int] = None, factor: Optional[float] = None) -> Tensor:
-    """Dispatch the pointwise op family by name.
-
-    ``flip`` takes ``axis``; ``scale`` takes ``factor``; binary kinds take
-    ``y`` (equal shape or scalar).
-    """
-    if op_kind in _UNARY:
-        return _UNARY[op_kind](x)
-    if op_kind in _BINARY:
-        if y is None:
-            raise ShapeError(f"{op_kind} needs a second operand")
-        return _BINARY[op_kind](x, _wrap(y))
-    if op_kind == "flip":
-        if axis is None:
-            raise ShapeError("flip needs an axis")
-        return flip(x, axis)
-    if op_kind == "scale":
-        if factor is None:
-            raise ShapeError("scale needs a factor")
-        return scale(x, factor)
-    raise ShapeError(f"unknown elementwise kind '{op_kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +434,14 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     to = _conv_out_len(t, kt, st, pt)
     ho = _conv_out_len(h, kh, sh, ph)
     wo = _conv_out_len(wd, kw, sw, pw)
-    pointwise = (kt, kh, kw) == (1, 1, 1) and (st, sh, sw) == (1, 1, 1) \
-        and (pt, ph, pw) == (0, 0, 0)
-
-    if pointwise:
-        xp = x.data
-        w2 = w.data.reshape(cout, cin)
-        out = np.matmul(w2, x.data.reshape(b, cin, -1)).reshape(b, cout, t, h, wd)
-    else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-        w2 = w.data.reshape(cout, cin * kt * kh * kw)
-        out = np.empty((b, cout, to, ho, wo), dtype=np.float64)
-        cols = np.empty((b, cin, kt * kh * kw, ho * wo), dtype=np.float64)
-        for ot in range(to):
-            _gather_cols(xp, cols, ot * st, kt, kh, kw, sh, sw, ho, wo)
-            np.matmul(w2, cols.reshape(b, -1, ho * wo),
-                      out=out[:, :, ot].reshape(b, cout, ho * wo))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    w2 = w.data.reshape(cout, cin * kt * kh * kw)
+    out = np.empty((b, cout, to, ho, wo), dtype=np.float64)
+    cols = np.empty((b, cin, kt * kh * kw, ho * wo), dtype=np.float64)
+    for ot in range(to):
+        _gather_cols(xp, cols, ot * st, kt, kh, kw, sh, sw, ho, wo)
+        np.matmul(w2, cols.reshape(b, -1, ho * wo),
+                  out=out[:, :, ot].reshape(b, cout, ho * wo))
 
     parents = [x, w]
     if bias is not None:
@@ -493,24 +451,18 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         parents.append(bias)
 
     def bwd(g):
-        if pointwise:
-            g2 = g.reshape(b, cout, -1)
-            x2 = x.data.reshape(b, cin, -1)
-            gw = np.einsum("bop,bcp->oc", g2, x2, optimize=True).reshape(w.shape)
-            gx = np.matmul(w2.T, g2).reshape(x.shape)
-        else:
-            gxp = np.zeros_like(xp)
-            gw2 = np.zeros((cout, cin * kt * kh * kw), dtype=np.float64)
-            cols_b = np.empty_like(cols)
-            for ot in range(to):
-                _gather_cols(xp, cols_b, ot * st, kt, kh, kw, sh, sw, ho, wo)
-                g_slice = g[:, :, ot].reshape(b, cout, ho * wo)
-                for bi in range(b):
-                    gw2 += g_slice[bi] @ cols_b[bi].reshape(-1, ho * wo).T
-                gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
-                _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)
-            gw = gw2.reshape(w.shape)
-            gx = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
+        gxp = np.zeros_like(xp)
+        gw2 = np.zeros((cout, cin * kt * kh * kw), dtype=np.float64)
+        cols_b = np.empty_like(cols)
+        for ot in range(to):
+            _gather_cols(xp, cols_b, ot * st, kt, kh, kw, sh, sw, ho, wo)
+            g_slice = g[:, :, ot].reshape(b, cout, ho * wo)
+            for bi in range(b):
+                gw2 += g_slice[bi] @ cols_b[bi].reshape(-1, ho * wo).T
+            gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
+            _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)
+        gw = gw2.reshape(w.shape)
+        gx = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
         if bias is None:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3, 4))]
@@ -519,15 +471,16 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 
 
 def _gather_cols(xp, cols, it0, kt, kh, kw, sh, sw, ho, wo):
-    """Fill cols (B, Cin, kt*kh*kw, ho*wo) from one output-t slice of xp."""
+    """Fill cols (B, Cin, kt*kh*kw, ho*wo) from one output-t slice of xp,
+    one copy per tap into a (B, Cin, taps, ho, wo) view of cols."""
+    dst = cols.reshape(cols.shape[:3] + (ho, wo))
     idx = 0
     for i in range(kt):
         plane = xp[:, :, it0 + i]
         for j in range(kh):
             for k in range(kw):
-                cols[:, :, idx, :] = plane[:, :, j:j + sh * (ho - 1) + 1:sh,
-                                           k:k + sw * (wo - 1) + 1:sw].reshape(
-                    xp.shape[0], xp.shape[1], -1)
+                dst[:, :, idx] = plane[:, :, j:j + sh * (ho - 1) + 1:sh,
+                                       k:k + sw * (wo - 1) + 1:sw]
                 idx += 1
 
 
@@ -788,43 +741,6 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
         return [np.broadcast_to(ge, x.shape) / n]
 
     return apply_op("mean", out, [x], bwd)
-
-
-def reduce_std(x: Tensor, axes=None, eps: float = 0.0) -> Tensor:
-    """Population standard deviation over ``axes`` with an eps guard.
-
-    eps is added under the square root. A single-element reduction with
-    eps=0 has no usable gradient and raises NumericError.
-    """
-    axes = _norm_axes(axes, x.ndim)
-    n = int(np.prod([x.shape[a] for a in axes]))
-    if n < 2 and eps == 0.0:
-        raise NumericError("std over a single element with eps=0 is degenerate")
-    mean = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=axes)
-    out = np.sqrt(var + eps)
-
-    def bwd(g):
-        ge = np.expand_dims(g, axes)
-        se = np.expand_dims(out, axes)
-        return [ge * centered / (n * np.maximum(se, 1e-300))]
-
-    return apply_op("std", out, [x], bwd)
-
-
-def reduce_max(x: Tensor, axes=None) -> Tensor:
-    axes = _norm_axes(axes, x.ndim)
-    out = x.data.max(axis=axes)
-
-    def bwd(g):
-        oe = np.expand_dims(out, axes)
-        mask = x.data == oe
-        counts = mask.sum(axis=axes, keepdims=True)
-        ge = np.expand_dims(g, axes)
-        return [np.where(mask, ge / counts, 0.0)]
-
-    return apply_op("max", out, [x], bwd)
 
 
 # ---------------------------------------------------------------------------

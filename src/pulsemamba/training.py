@@ -351,7 +351,9 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
     """Chunked inference over whole clips.
 
     Returns (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id
-    to its concatenated (predicted, target) diff-domain signals.
+    to its concatenated (predicted, target) diff-domain signals. Each
+    chunk's last sample, the zero pad ``prepare_chunk`` appends, is left
+    out of both, so the traces carry no artificial sample every chunk.
     """
     if isinstance(model_or_fn, Module):
         model_or_fn.eval()
@@ -363,8 +365,9 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
             continue
         pairs = [prepare_chunk(ch) for ch in chunks]
         frames = np.stack([f for f, _ in pairs])
-        target = np.concatenate([l for _, l in pairs])
-        pred = _predict_signal(model_or_fn, frames).reshape(-1)
+        target = np.concatenate([l[:-1] for _, l in pairs])
+        pred = _predict_signal(model_or_fn, frames).reshape(len(pairs), -1)
+        pred = pred[:, :-1].reshape(-1)
         cid = f"clip_{i:04d}"
         clip_ids.append(cid)
         pred_hrs.append(estimate_hr(PulseTrace(pred, rec.fs)))

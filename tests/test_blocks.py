@@ -83,9 +83,45 @@ def test_tdc_matches_double_sum_oracle(rng):
     assert rel <= 1e-12
 
 
+def two_conv_tdc(x, weight, theta, padding):
+    """The difference term as its own pointwise conv (kernel S = sum of the
+    adjacent-time planes), subtracted from the vanilla conv."""
+    vanilla = T.conv3d(x, weight, None, (1, 1, 1), padding)
+    adj = T.add(T.narrow(weight, 2, 0, 1), T.narrow(weight, 2, 2, 1))
+    s = T.reduce_sum(adj, axes=(2, 3, 4))
+    diff = T.conv3d(x, T.reshape(s, s.shape + (1, 1, 1)))
+    return T.sub(vanilla, T.scale(diff, theta))
+
+
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (3, 1, 3)])
+def test_tdc_folded_kernel_matches_two_conv_form(kernel, rng):
+    from pulsemamba.checks import signal_rel_err
+    layer = TemporalDifferenceConv3d(3, 4, kernel=kernel, theta=0.7, rng=rng)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5, 5)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(2, 4, 4, 5, 5)))
+
+    def run(forward):
+        x.grad = layer.weight.grad = None
+        y = forward()
+        T.backward(T.reduce_sum(T.mul(y, weights)))
+        return y.data, x.grad.copy(), layer.weight.grad.copy()
+
+    folded = run(lambda: layer(x))
+    ref = run(lambda: two_conv_tdc(x, layer.weight, 0.7, layer.padding))
+    assert signal_rel_err(folded[0], ref[0]) <= 1e-14
+    assert signal_rel_err(folded[1], ref[1]) <= 1e-12
+    assert signal_rel_err(folded[2], ref[2]) <= 1e-12
+
+
 def test_tdc_rejects_theta_outside_unit_interval(rng):
     with pytest.raises(ConfigError):
         TemporalDifferenceConv3d(2, 2, theta=1.5, rng=rng)
+
+
+@pytest.mark.parametrize("kernel", [(1, 3, 3), (3, 2, 3), (3, 3, 4)])
+def test_tdc_rejects_kernel_without_adjacent_planes_or_centre(kernel, rng):
+    with pytest.raises(ConfigError):
+        TemporalDifferenceConv3d(2, 2, kernel=kernel, rng=rng)
 
 
 def test_channel_attention_zero_weights_halve_input(rng):

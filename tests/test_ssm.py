@@ -11,9 +11,8 @@ from pulsemamba import checks, ssm
 from pulsemamba import tensor as T
 from pulsemamba.errors import NumericError, ShapeError
 from pulsemamba.ssm import (MambaLayer, SSMParams, discretize_zoh,
-                            mamba_layer_forward, scan_convolutional,
-                            scan_recurrent, selective_scan,
-                            selective_scan_reference)
+                            scan_convolutional, scan_recurrent,
+                            selective_scan, selective_scan_reference)
 from pulsemamba.tensor import Tensor
 
 
@@ -285,11 +284,10 @@ def test_mamba_layer_zero_c_projection_gives_zero(rng):
     layer = MambaLayer(6, state_dim=8, rng=rng)
     for params in (layer.ssm_fwd, layer.ssm_bwd):
         params.w_c.data[:] = 0.0
-    x = rng.normal(size=(9, 6))
+    x = rng.normal(size=(2, 9, 6))
     with T.no_grad():
-        for direction in ("forward", "backward"):
-            y = mamba_layer_forward(x, direction, layer)
-            np.testing.assert_array_equal(y.data, 0.0)
+        y = layer(Tensor(x))
+    np.testing.assert_array_equal(y.data, 0.0)
 
 
 def test_mamba_layer_palindrome_symmetry(rng):
@@ -300,17 +298,18 @@ def test_mamba_layer_palindrome_symmetry(rng):
     half = rng.normal(size=(5, 4))
     x = np.concatenate([half, half[::-1]], axis=0)  # palindromic in time
     with T.no_grad():
-        y_fwd = mamba_layer_forward(x, "forward", layer).data
-        y_bwd = mamba_layer_forward(x, "backward", layer).data
-    np.testing.assert_allclose(y_bwd, y_fwd[::-1], rtol=1e-12, atol=1e-12)
+        y = layer(Tensor(x[None])).data[0]
+    # the backward direction is the forward one, time-reversed, so their
+    # gated sum is palindromic too; a missing flip breaks this
+    np.testing.assert_allclose(y, y[::-1], rtol=1e-12, atol=1e-12)
 
 
 def test_mamba_layer_shape_contract(rng):
     layer = MambaLayer(8, state_dim=16, expand=2, rng=rng)
-    x = rng.normal(size=(16, 8))
+    x = rng.normal(size=(2, 16, 8))
     with T.no_grad():
-        y = mamba_layer_forward(x, "forward", layer)
-    assert y.shape == (16, 16)
+        y = layer(Tensor(x))
+    assert y.shape == (2, 16, 8)
     assert np.isfinite(y.data).all()
 
 
@@ -321,12 +320,6 @@ def test_mamba_layer_short_sequence_padding(rng):
         y = layer(Tensor(x[None]))
     assert y.shape == (1, 2, 4)
     assert np.isfinite(y.data).all()
-
-
-def test_mamba_layer_forward_rejects_bad_direction(rng):
-    layer = MambaLayer(4, rng=rng)
-    with pytest.raises(ShapeError):
-        mamba_layer_forward(rng.normal(size=(4, 4)), "sideways", layer)
 
 
 def test_scan_suites_pass():

@@ -272,6 +272,23 @@ def test_oracle_predictor_reaches_zero_error(tmp_path):
     assert rep.pearson_rho == pytest.approx(1.0)
 
 
+def test_evaluate_records_drops_each_chunks_pad_sample(tmp_path):
+    from pulsemamba.synth import chunk_and_resize
+    records = make_dataset(tmp_path / "data", 2, seed0=30, duration_s=6.0)
+    chunk_len = 32
+    padded = [np.stack([prepare_chunk(c)[1] for c in
+                        chunk_and_resize(rec, chunk_len, (16, 16), mode="eval")])
+              for rec in records]
+    padded_iter = iter(padded)  # the oracle predicts the padded targets
+    clip_ids, _, _, traces = evaluate_records(
+        lambda frames: next(padded_iter), records, chunk_len, (16, 16))
+    for cid, chunks in zip(clip_ids, padded):
+        pred, target = traces[cid]
+        assert target.shape == (len(chunks) * (chunk_len - 1),)
+        assert np.all(target != 0.0)
+        np.testing.assert_array_equal(pred, target)
+
+
 def test_evaluate_checkpoint_end_to_end(tmp_path):
     make_dataset(tmp_path / "data", 3, seed0=40, duration_s=4.0)
     cfg = ModelConfig(**TOY_MODEL)
