@@ -346,14 +346,21 @@ def _predict_signal(model_or_fn, frames_batch: np.ndarray) -> np.ndarray:
     return np.asarray(model_or_fn(frames_batch), dtype=np.float64)
 
 
+def _stitch(chunks: np.ndarray) -> np.ndarray:
+    """Join (n_chunks, chunk_len) diff signals on the clip's time axis."""
+    # each pad holds the place of the difference across a window boundary,
+    # which no window sees: fill it with its neighbours' mean, drop the last
+    out = chunks.copy()
+    out[:-1, -1] = 0.5 * (chunks[:-1, -2] + chunks[1:, 0])
+    return out.reshape(-1)[:-1]
+
+
 def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
                      input_hw: Tuple[int, int]):
     """Chunked inference over whole clips.
 
     Returns (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id
-    to its concatenated (predicted, target) diff-domain signals. Each
-    chunk's last sample, the zero pad ``prepare_chunk`` appends, is left
-    out of both, so the traces carry no artificial sample every chunk.
+    to its stitched (predicted, target) diff-domain signals.
     """
     if isinstance(model_or_fn, Module):
         model_or_fn.eval()
@@ -363,11 +370,9 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
         chunks = chunk_and_resize(rec, chunk_len, input_hw, mode="eval")
         if not chunks:
             continue
-        pairs = [prepare_chunk(ch) for ch in chunks]
-        frames = np.stack([f for f, _ in pairs])
-        target = np.concatenate([l[:-1] for _, l in pairs])
-        pred = _predict_signal(model_or_fn, frames).reshape(len(pairs), -1)
-        pred = pred[:, :-1].reshape(-1)
+        frames, labels = (np.stack(a) for a in zip(*map(prepare_chunk, chunks)))
+        target = _stitch(labels)
+        pred = _stitch(_predict_signal(model_or_fn, frames).reshape(labels.shape))
         cid = f"clip_{i:04d}"
         clip_ids.append(cid)
         pred_hrs.append(estimate_hr(PulseTrace(pred, rec.fs)))

@@ -290,18 +290,34 @@ def test_mamba_layer_zero_c_projection_gives_zero(rng):
     np.testing.assert_array_equal(y.data, 0.0)
 
 
-def test_mamba_layer_palindrome_symmetry(rng):
+def _shared_direction_layer(rng):
     layer = MambaLayer(4, state_dim=8, rng=rng)
-    # share SSM parameters across directions
     for name in ("a_log", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias"):
         getattr(layer.ssm_bwd, name).data = getattr(layer.ssm_fwd, name).data.copy()
+    return layer
+
+
+def test_mamba_layer_palindrome_symmetry(rng):
+    layer = _shared_direction_layer(rng)
     half = rng.normal(size=(5, 4))
     x = np.concatenate([half, half[::-1]], axis=0)  # palindromic in time
     with T.no_grad():
         y = layer(Tensor(x[None])).data[0]
     # the backward direction is the forward one, time-reversed, so their
-    # gated sum is palindromic too; a missing flip breaks this
+    # gated sum is palindromic too; a missing output flip breaks this
     np.testing.assert_allclose(y, y[::-1], rtol=1e-12, atol=1e-12)
+
+
+def test_mamba_layer_time_reversal_equivariance(rng):
+    # with shared direction parameters, reversing the input swaps the two
+    # directions, so the output reverses too; dropping either the input or
+    # the output flip of the backward direction breaks this
+    layer = _shared_direction_layer(rng)
+    x = rng.normal(size=(2, 10, 4))
+    with T.no_grad():
+        y = layer(Tensor(x)).data
+        y_rev = layer(Tensor(x[:, ::-1].copy())).data
+    np.testing.assert_allclose(y_rev, y[:, ::-1], rtol=1e-12, atol=1e-12)
 
 
 def test_mamba_layer_shape_contract(rng):

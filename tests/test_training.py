@@ -272,21 +272,39 @@ def test_oracle_predictor_reaches_zero_error(tmp_path):
     assert rep.pearson_rho == pytest.approx(1.0)
 
 
-def test_evaluate_records_drops_each_chunks_pad_sample(tmp_path):
+def _padded_targets(records, chunk_len):
+    """Per clip, the (n_chunks, chunk_len) targets evaluate_records runs on."""
     from pulsemamba.synth import chunk_and_resize
+    return [np.stack([prepare_chunk(c)[1] for c in
+                      chunk_and_resize(rec, chunk_len, (16, 16), mode="eval")])
+            for rec in records]
+
+
+def test_evaluate_records_fills_each_chunks_pad_sample(tmp_path):
     records = make_dataset(tmp_path / "data", 2, seed0=30, duration_s=6.0)
     chunk_len = 32
-    padded = [np.stack([prepare_chunk(c)[1] for c in
-                        chunk_and_resize(rec, chunk_len, (16, 16), mode="eval")])
-              for rec in records]
+    padded = _padded_targets(records, chunk_len)
     padded_iter = iter(padded)  # the oracle predicts the padded targets
     clip_ids, _, _, traces = evaluate_records(
         lambda frames: next(padded_iter), records, chunk_len, (16, 16))
     for cid, chunks in zip(clip_ids, padded):
         pred, target = traces[cid]
-        assert target.shape == (len(chunks) * (chunk_len - 1),)
+        # one sample per frame difference of the tiled frames
+        assert target.shape == (len(chunks) * chunk_len - 1,)
         assert np.all(target != 0.0)
         np.testing.assert_array_equal(pred, target)
+
+
+def test_evaluate_records_keeps_the_clips_time_axis(tmp_path):
+    # a stitched trace shorter than the frames it spans reads every rate
+    # high by chunk_len / (chunk_len - 1): +2.3 bpm at 72 bpm here
+    records = make_dataset(tmp_path / "data", 4, seed0=50, duration_s=8.0)
+    padded_iter = iter(_padded_targets(records, 32))
+    _, pred_hrs, gt_hrs, _ = evaluate_records(
+        lambda frames: next(padded_iter), records, 32, (16, 16))
+    for rec, pred_hr, gt_hr in zip(records, pred_hrs, gt_hrs):
+        assert gt_hr == pred_hr
+        assert abs(gt_hr - rec.meta["gt_mean_bpm"]) <= 1.0
 
 
 def test_evaluate_checkpoint_end_to_end(tmp_path):
