@@ -40,6 +40,12 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_SHAPE = 5
 
+
+def _field_keys(cls, *names) -> Dict:
+    """Schema entries for dataclass fields; each default's type casts."""
+    return {n: (type(getattr(cls, n)), getattr(cls, n)) for n in names}
+
+
 # key -> (caster, default); config files and --set overrides share these
 SYNTH_KEYS = {
     "seed": (int, 0), "num_clips": (int, 30), "fs": (float, 30.0),
@@ -49,19 +55,29 @@ SYNTH_KEYS = {
     "hr_max_bpm": (float, 140.0), "noise_sigma": (float, 0.0),
     "motion_amplitude_px": (float, 0.0), "skin_mask": (float, 0.6),
 }
-MODEL_KEYS = {
-    "channels": (int, 64), "blocks_per_stream": (int, 3),
-    "state_dim": (int, 16), "expand": (int, 2), "theta": (float, 0.5),
-    "ca_ratio": (int, 8),
-}
-TRAIN_KEYS = {
-    **MODEL_KEYS,
-    "lr": (float, 3e-3), "weight_decay": (float, 5e-4), "epochs": (int, 20),
-    "batch_size": (int, 4), "seed": (int, 0), "chunk_len": (int, 128),
-    "input_h": (int, 128), "input_w": (int, 128), "val_fraction": (float, 0.0),
-}
-EVAL_KEYS = {"chunk_len": (int, 128), "input_h": (int, 128),
-             "input_w": (int, 128), "max_plots": (int, 8)}
+MODEL_KEYS = _field_keys(ModelConfig, "channels", "blocks_per_stream",
+                        "state_dim", "expand", "theta", "ca_ratio")
+# TrainConfig fields set one to one; input_h/input_w make its input_hw
+TRAIN_FIELDS = ("lr", "weight_decay", "epochs", "batch_size", "seed",
+                "chunk_len")
+TRAIN_KEYS = {**MODEL_KEYS, **_field_keys(TrainConfig, *TRAIN_FIELDS),
+              "input_h": (int, TrainConfig.input_hw[0]),
+              "input_w": (int, TrainConfig.input_hw[1])}
+EVAL_KEYS = {**{k: TRAIN_KEYS[k] for k in ("chunk_len", "input_h", "input_w")},
+             "max_plots": (int, 8)}
+
+
+def _assign(resolved: Dict, schema: Dict, item: str, where: str) -> None:
+    """Apply one `key = value` item (a config line or a --set) to resolved."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key = value, got {item!r}")
+    key, val = (s.strip() for s in item.split("=", 1))
+    if key not in schema:
+        raise ConfigError(f"{where}: unknown key '{key}'")
+    try:
+        resolved[key] = schema[key][0](val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for '{key}': {val!r}") from exc
 
 
 def parse_config_file(path: Optional[str], schema: Dict) -> Dict:
@@ -74,32 +90,14 @@ def parse_config_file(path: Optional[str], schema: Dict) -> Dict:
         raise FormatError(f"config file {p} does not exist")
     for ln, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{p}:{ln}: expected key = value, got {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in schema:
-            raise ConfigError(f"{p}:{ln}: unknown key '{key}'")
-        caster = schema[key][0]
-        try:
-            resolved[key] = caster(val)
-        except ValueError as exc:
-            raise ConfigError(f"{p}:{ln}: bad value for '{key}': {val!r}") from exc
+        if line:
+            _assign(resolved, schema, line, f"{p}:{ln}")
     return resolved
 
 
 def apply_overrides(resolved: Dict, overrides: Sequence[str], schema: Dict) -> Dict:
     for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, val = (s.strip() for s in item.split("=", 1))
-        if key not in schema:
-            raise ConfigError(f"--set: unknown key '{key}'")
-        try:
-            resolved[key] = schema[key][0](val)
-        except ValueError as exc:
-            raise ConfigError(f"--set: bad value for '{key}': {val!r}") from exc
+        _assign(resolved, schema, item, "--set")
     return resolved
 
 
@@ -113,12 +111,7 @@ def write_resolved(out_dir, resolved: Dict, extra: Optional[Dict] = None) -> Pat
 
 
 def _model_config(resolved: Dict) -> ModelConfig:
-    return ModelConfig(channels=resolved["channels"],
-                       blocks_per_stream=resolved["blocks_per_stream"],
-                       state_dim=resolved["state_dim"],
-                       expand=resolved["expand"],
-                       theta=resolved["theta"],
-                       ca_ratio=resolved["ca_ratio"])
+    return ModelConfig(**{k: resolved[k] for k in MODEL_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +144,9 @@ def cmd_train(args) -> int:
     cfg = apply_overrides(parse_config_file(args.config, TRAIN_KEYS),
                           args.set, TRAIN_KEYS)
     write_resolved(args.out, cfg, {"subcommand": "train", "data": args.data})
-    model_cfg = _model_config(cfg)
-    train_cfg = TrainConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                            epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                            seed=cfg["seed"], chunk_len=cfg["chunk_len"],
-                            input_hw=(cfg["input_h"], cfg["input_w"]),
-                            val_fraction=cfg["val_fraction"])
-    ckpt, log = train_loop(model_cfg, args.data, train_cfg, args.out,
+    train_cfg = TrainConfig(input_hw=(cfg["input_h"], cfg["input_w"]),
+                            **{k: cfg[k] for k in TRAIN_FIELDS})
+    ckpt, log = train_loop(_model_config(cfg), args.data, train_cfg, args.out,
                            resume_from=args.resume, log_fn=print)
     print(f"final checkpoint: {ckpt} ({len(log)} steps)")
     return EXIT_OK
@@ -190,12 +179,7 @@ def cmd_gradcheck(args) -> int:
                        {"subcommand": "gradcheck"})
     results = checks.op_gradient_suite(full=args.full)
     results.append(checks.model_gradient_suite())
-    ok = True
-    for r in results:
-        print(r.line())
-        ok = ok and r.passed
-    print("gradcheck:", "all passed" if ok else "FAILURES")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _report("gradcheck", results)
 
 
 def cmd_scancheck(args) -> int:
@@ -204,13 +188,16 @@ def cmd_scancheck(args) -> int:
     results = [checks.scan_equivalence_suite(),
                checks.selective_oracle_suite(),
                checks.constant_projection_bitwise()]
-    ok = True
+    return _report("scancheck", results, f"max relative error "
+                   f"{max(r.max_err for r in results[:2]):.3e}, ")
+
+
+def _report(command: str, results, summary: str = "") -> int:
+    """Print one line per check result and a verdict; the exit code."""
     for r in results:
         print(r.line())
-        ok = ok and r.passed
-    print(f"scancheck: max relative error "
-          f"{max(r.max_err for r in results[:2]):.3e}",
-          "(all passed)" if ok else "(FAILURES)")
+    ok = all(r.passed for r in results)
+    print(f"{command}: {summary}" + ("all passed" if ok else "FAILURES"))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -306,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scancheck)
 
     p = sub.add_parser("profile", help="analytic parameter / MAC counts")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    add_common(p, needs_out=False)
     p.add_argument("--input", default="128x128x128", help="TxHxW input size")
     p.add_argument("--out", default=None,
                    help="where to write resolved_config (none if omitted)")

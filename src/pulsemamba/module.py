@@ -21,49 +21,32 @@ class Module:
     def __init__(self):
         self.training = True
 
-    def _entries(self):
+    def _walk(self, prefix: str = "") -> Iterator[Tuple[str, object]]:
+        """Pre-order walk: (prefix, self), then every Tensor, ndarray and
+        sub-Module entry in insertion order under its dotted name."""
+        yield prefix, self
         for key, val in vars(self).items():
-            if key == "training":
-                continue
-            yield key, val
-
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-        for key, val in self._entries():
             name = f"{prefix}{key}"
-            if isinstance(val, Tensor):
+            if isinstance(val, (Tensor, np.ndarray)):
                 yield name, val
             elif isinstance(val, Module):
-                yield from val.named_parameters(f"{name}.")
+                yield from val._walk(f"{name}.")
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{name}.{i}.")
+                        yield from item._walk(f"{name}.{i}.")
+
+    def named_parameters(self) -> Iterator[Tuple[str, Tensor]]:
+        return ((n, v) for n, v in self._walk() if isinstance(v, Tensor))
 
     def parameters(self) -> Iterator[Tensor]:
-        for _, p in self.named_parameters():
-            yield p
+        return (p for _, p in self.named_parameters())
 
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for key, val in self._entries():
-            name = f"{prefix}{key}"
-            if isinstance(val, np.ndarray):
-                yield name, val
-            elif isinstance(val, Module):
-                yield from val.named_buffers(f"{name}.")
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(f"{name}.{i}.")
+    def named_buffers(self) -> Iterator[Tuple[str, np.ndarray]]:
+        return ((n, v) for n, v in self._walk() if isinstance(v, np.ndarray))
 
     def modules(self) -> Iterator["Module"]:
-        yield self
-        for _, val in self._entries():
-            if isinstance(val, Module):
-                yield from val.modules()
-            elif isinstance(val, (list, tuple)):
-                for item in val:
-                    if isinstance(item, Module):
-                        yield from item.modules()
+        return (m for _, m in self._walk() if isinstance(m, Module))
 
     def train(self, mode: bool = True) -> "Module":
         for m in self.modules():

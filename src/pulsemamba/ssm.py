@@ -351,27 +351,22 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     return T.apply_op("selective_scan", y, [u, delta, a, bmat, cmat], bwd)
 
 
-def _project_bcdelta(params: SSMParams, x: Tensor):
-    """Per-token B, C, delta from the (post-conv) inner sequence."""
-    bmat = T.linear(x, params.w_b, params.b_bias)
-    cmat = T.linear(x, params.w_c, params.c_bias)
-    dt = T.linear(T.linear(x, params.w_dt_down), params.w_dt_up, params.dt_bias)
-    delta = T.softplus(dt)
-    return bmat, cmat, delta
-
-
 def selective_scan(params: SSMParams, x) -> Tensor:
     """Input-dependent scan over x (L, D) or (B, L, D).
 
-    B(t), C(t), delta(t) come from the parameter projections of x itself;
-    with constant-output projections this reduces exactly (bitwise) to the
-    time-invariant recurrence on the same discretized values.
+    B(t), C(t), delta(t) come from the parameter projections of x itself,
+    delta through a softplus; with constant-output projections this
+    reduces exactly (bitwise) to the time-invariant recurrence on the same
+    discretized values.
     """
     xt = x if isinstance(x, Tensor) else Tensor(x)
     squeeze = xt.ndim == 2
     if squeeze:
         xt = T.reshape(xt, (1,) + xt.shape)
-    bmat, cmat, delta = _project_bcdelta(params, xt)
+    bmat = T.linear(xt, params.w_b, params.b_bias)
+    cmat = T.linear(xt, params.w_c, params.c_bias)
+    delta = T.softplus(T.linear(T.linear(xt, params.w_dt_down),
+                                params.w_dt_up, params.dt_bias))
     a = T.neg(T.exp(params.a_log))
     y = selective_scan_op(xt, delta, a, bmat, cmat)
     if squeeze:
@@ -461,9 +456,7 @@ class MambaLayer(Module):
         if backward_dir:
             x = T.flip(x, axis=1)
         xc = T.silu(T.conv1d_depthwise_causal(x, self.conv_w, self.conv_b))
-        bmat, cmat, delta = _project_bcdelta(params, xc)
-        a = T.neg(T.exp(params.a_log))
-        y = selective_scan_op(xc, delta, a, bmat, cmat)
+        y = selective_scan(params, xc)
         if backward_dir:
             y = T.flip(y, axis=1)
         return y

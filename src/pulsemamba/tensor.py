@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
 The operation set is exactly what the network, its loss and its checks
-use: 3D/1D convolutions, pooling, affine maps, norms, sum/mean, the
-pointwise ops they apply and a handful of shape movers. Computation is
+use: 3D/1D convolutions, pooling, affine maps, norms (batch and layer
+norm are front ends of one kernel), sum/mean, the pointwise ops they
+apply and a handful of shape movers. Computation is
 float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 
 Every recorded op appends one node to a module-level tape. ``backward``
@@ -118,20 +119,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -419,7 +411,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     floor((S + 2p - k) / stride) + 1 per axis. Columns are gathered one
     output-t slice at a time (never a full im2col buffer) and contracted
     with a single GEMM per slice; backward regathers columns instead of
-    caching them.
+    caching them, and forms no input gradient for an ``x`` that needs none.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError("conv3d expects 5-D input and weight")
@@ -451,7 +443,8 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         parents.append(bias)
 
     def bwd(g):
-        gxp = np.zeros_like(xp)
+        # an input that needs no gradient (the network's frames) gets none
+        gxp = np.zeros_like(xp) if x.requires_grad else None
         gw2 = np.zeros((cout, cin * kt * kh * kw), dtype=np.float64)
         cols_b = np.empty_like(cols)
         for ot in range(to):
@@ -459,10 +452,11 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             g_slice = g[:, :, ot].reshape(b, cout, ho * wo)
             for bi in range(b):
                 gw2 += g_slice[bi] @ cols_b[bi].reshape(-1, ho * wo).T
-            gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
-            _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)
+            if gxp is not None:
+                gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
+                _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)
         gw = gw2.reshape(w.shape)
-        gx = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
+        gx = None if gxp is None else gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
         if bias is None:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3, 4))]
@@ -639,74 +633,82 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel batch norm over axis 1 of (B, C, ...).
 
     Training mode normalizes by batch statistics (population variance) and
-    updates the running buffers in place; eval mode uses the buffers. The
-    output is the only full-size array the forward makes; the backward
-    recomputes the normalized input from ``x`` and (C,) copies of the
-    statistics, so later changes to the running buffers do not reach it.
+    updates the running buffers in place; eval mode uses (C,) copies of the
+    buffers, so later changes to them do not reach the backward. A front
+    end of ``_normalize``, as ``layer_norm`` is.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a channel axis at dim 1")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError("batch_norm: affine params must be (C,)")
     axes = (0,) + tuple(range(2, x.ndim))
-    bshape = (1, c) + (1,) * (x.ndim - 2)
-
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        mean = x.data.mean(axis=axes, keepdims=True)
+        var = x.data.var(axis=axes, keepdims=True)
     else:
-        mean = running_mean.copy()
-        var = running_var
-
-    inv = 1.0 / np.sqrt(var + eps)
-    out = np.subtract(x.data, mean.reshape(bshape))
-    out *= inv.reshape(bshape)
-    out *= gamma.data.reshape(bshape)
-    out += beta.data.reshape(bshape)
-
-    def bwd(g):
-        xhat = np.subtract(x.data, mean.reshape(bshape))
-        xhat *= inv.reshape(bshape)
-        gg = (g * xhat).sum(axis=axes)
-        gb = g.sum(axis=axes)
-        gscaled = g * gamma.data.reshape(bshape)
-        if training:
-            m1 = gscaled.mean(axis=axes).reshape(bshape)
-            m2 = (gscaled * xhat).mean(axis=axes).reshape(bshape)
-            gx = inv.reshape(bshape) * (gscaled - m1 - xhat * m2)
-        else:
-            gx = gscaled * inv.reshape(bshape)
-        return [gx, gg, gb]
-
-    return apply_op("batch_norm", out, [x, gamma, beta], bwd)
+        bshape = (1, -1) + (1,) * (x.ndim - 2)
+        mean = running_mean.reshape(bshape).copy()
+        var = running_var.reshape(bshape)
+    out = _normalize("batch_norm", x, gamma, beta, 1, axes, mean, var,
+                     training, eps)
+    if training:
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(-1)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(-1)
+    return out
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError("layer_norm: affine params must match the last axis")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    A front end of ``_normalize``, as ``batch_norm`` is.
+    """
+    last = x.ndim - 1
+    mean = x.data.mean(axis=last, keepdims=True)
+    var = x.data.var(axis=last, keepdims=True)
+    return _normalize("layer_norm", x, gamma, beta, last, (last,), mean, var,
+                      True, eps)
+
+
+def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
+               stat_axes, mean: np.ndarray, var: np.ndarray,
+               batch_stats: bool, eps: float) -> Tensor:
+    """The one norm kernel: out = gamma * (x - mean) * inv + beta along
+    ``axis``, inv = 1 / sqrt(var + eps).
+
+    ``mean``/``var`` are keepdims statistics over ``stat_axes``; with
+    ``batch_stats`` they are statistics of ``x`` itself and the backward
+    differentiates through them. The output is the only full-size array
+    the forward makes: it is normalized in place, and the backward
+    recomputes the normalized input from ``x``.
+    """
+    c = x.shape[axis]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"{name}: affine params must be ({c},), "
+                         f"got {gamma.shape} and {beta.shape}")
+    pshape = tuple(c if i == axis else 1 for i in range(x.ndim))
+    param_axes = tuple(i for i in range(x.ndim) if i != axis)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    out = gamma.data * xhat + beta.data
+    out = np.subtract(x.data, mean)
+    out *= inv
+    out *= gamma.data.reshape(pshape)
+    out += beta.data.reshape(pshape)
 
     def bwd(g):
-        gg = (g * xhat).reshape(-1, d).sum(axis=0)
-        gb = g.reshape(-1, d).sum(axis=0)
-        gs = g * gamma.data
-        m1 = gs.mean(axis=-1, keepdims=True)
-        m2 = (gs * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gs - m1 - xhat * m2)
+        xhat = np.subtract(x.data, mean)
+        xhat *= inv
+        gg = (g * xhat).sum(axis=param_axes)
+        # summed in C order whatever g's layout, as the seed's layer norm did
+        gb = np.ascontiguousarray(g).sum(axis=param_axes)
+        gscaled = g * gamma.data.reshape(pshape)
+        if batch_stats:
+            m1 = gscaled.mean(axis=stat_axes, keepdims=True)
+            m2 = (gscaled * xhat).mean(axis=stat_axes, keepdims=True)
+            gx = inv * (gscaled - m1 - xhat * m2)
+        else:
+            gx = gscaled * inv
         return [gx, gg, gb]
 
-    return apply_op("layer_norm", out, [x, gamma, beta], bwd)
+    return apply_op(name, out, [x, gamma, beta], bwd)
 
 
 # ---------------------------------------------------------------------------

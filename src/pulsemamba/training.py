@@ -32,7 +32,7 @@ from .tensor import Tensor
 
 __all__ = [
     "TrainConfig", "AdamState", "adam_step", "prepare_chunk",
-    "split_records", "train_loop", "evaluate_records", "evaluate_checkpoint",
+    "train_loop", "evaluate_records", "evaluate_checkpoint",
     "save_checkpoint", "load_checkpoint", "restore_model", "config_hash",
     "CHECKPOINT_VERSION",
 ]
@@ -53,15 +53,12 @@ class TrainConfig:
     seed: int = 0
     chunk_len: int = 128
     input_hw: Tuple[int, int] = (128, 128)
-    val_fraction: float = 0.0
 
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +118,6 @@ def prepare_chunk(chunk: ClipRecord) -> Tuple[np.ndarray, np.ndarray]:
     label = diff_normalize_label(chunk.label)
     label = np.concatenate([label, [0.0]])
     return frames, label
-
-
-def split_records(records: List[ClipRecord], val_fraction: float,
-                  seed: int) -> Tuple[List[ClipRecord], List[ClipRecord]]:
-    """Seeded train/validation split."""
-    if val_fraction <= 0.0:
-        return list(records), []
-    perm = np.random.default_rng(seed).permutation(len(records))
-    n_val = max(1, int(round(val_fraction * len(records))))
-    val_idx = set(perm[:n_val].tolist())
-    train = [r for i, r in enumerate(records) if i not in val_idx]
-    val = [r for i, r in enumerate(records) if i in val_idx]
-    return train, val
 
 
 def _quantize_state(model: Module, state: AdamState) -> None:
@@ -227,26 +211,32 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def _entry(arrays: Dict[str, np.ndarray], key: str, shape) -> np.ndarray:
+    """The stored array ``key``, which must have the model's ``shape``."""
+    if key not in arrays:
+        raise FormatError(f"checkpoint missing {key}")
+    if arrays[key].shape != tuple(shape):
+        raise FormatError(f"shape mismatch for {key}: stored "
+                          f"{arrays[key].shape}, model {tuple(shape)}")
+    return arrays[key]
+
+
 def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
                   model: Module) -> AdamState:
-    """Load parameters, moments and buffers into an existing model."""
-    for name, p in model.named_parameters():
-        key = f"param:{name}"
-        if key not in arrays:
-            raise FormatError(f"checkpoint missing parameter {name}")
-        if tuple(arrays[key].shape) != p.shape:
-            raise FormatError(f"shape mismatch for {name}")
-        p.data = arrays[key].copy()
+    """Load parameters, moments and buffers into an existing model.
+
+    Every parameter must be stored; Adam moments come in (m, v) pairs and
+    buffers are optional. A missing or mis-shaped entry is a FormatError.
+    """
     state = AdamState(t=int(meta.get("adam_t", 0)))
     for name, p in model.named_parameters():
-        mk, vk = f"adam_m:{name}", f"adam_v:{name}"
-        if mk in arrays:
-            state.m[name] = arrays[mk].copy()
-            state.v[name] = arrays[vk].copy()
+        p.data = _entry(arrays, f"param:{name}", p.shape).copy()
+        if f"adam_m:{name}" in arrays or f"adam_v:{name}" in arrays:
+            state.m[name] = _entry(arrays, f"adam_m:{name}", p.shape).copy()
+            state.v[name] = _entry(arrays, f"adam_v:{name}", p.shape).copy()
     for name, buf in model.named_buffers():
-        key = f"buffer:{name}"
-        if key in arrays:
-            buf[:] = arrays[key]
+        if f"buffer:{name}" in arrays:
+            buf[:] = _entry(arrays, f"buffer:{name}", buf.shape)
     return state
 
 
@@ -268,8 +258,6 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     records = read_dataset(data_dir)
     if not records:
         raise FormatError(f"no clips found under {data_dir}")
-    train_records, _ = split_records(records, train_cfg.val_fraction,
-                                     train_cfg.seed)
 
     model = PulseMambaNet(model_cfg, seed=train_cfg.seed)
     state = AdamState()
@@ -295,10 +283,10 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
         # batches, so lr=0 keeps the loss constant and resuming reproduces
         # the uninterrupted run
         rng = np.random.default_rng(train_cfg.seed)
-        order = rng.permutation(len(train_records))
+        order = rng.permutation(len(records))
         chunks = []
         for idx in order:
-            got = chunk_and_resize(train_records[idx], train_cfg.chunk_len,
+            got = chunk_and_resize(records[idx], train_cfg.chunk_len,
                                    train_cfg.input_hw, mode="train", rng=rng)
             chunks.extend(got)
         for s in range(0, len(chunks), train_cfg.batch_size):
@@ -390,8 +378,11 @@ def evaluate_checkpoint(ckpt_path, data_dir, out_dir=None,
     per-clip CSV when out_dir is given.
     """
     meta, arrays = load_checkpoint(ckpt_path)
-    model_cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in meta["model_config"].items()})
+    try:
+        model_cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in meta["model_config"].items()})
+    except (AttributeError, TypeError) as exc:
+        raise FormatError(f"{ckpt_path}: bad model_config ({exc})") from exc
     if config_hash(model_cfg) != meta["config_hash"]:
         raise ConfigError("checkpoint config hash does not match its stored config")
     model = PulseMambaNet(model_cfg, seed=0)

@@ -3,9 +3,11 @@ and the resolved_config snapshot."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +137,50 @@ def test_checkpoint_meta_missing_key_exits_3(key, tiny_dataset, tmp_path, capsys
     assert key in capsys.readouterr().err
 
 
+def _unknown_config_key(meta):
+    meta["model_config"]["not_a_field"] = 1
+
+
+def _unpaired_moment(meta):
+    first_v = next(e for e in meta["entries"] if e["name"].startswith("adam_v:"))
+    meta["entries"].remove(first_v)
+
+
+def _reshaped_buffer(meta):
+    # same size and crc, so only the shape check can catch it
+    entry = next(e for e in meta["entries"] if e["name"].startswith("buffer:"))
+    n, = entry["shape"]
+    entry["shape"] = [2, n // 2]
+
+
+@pytest.mark.parametrize("corrupt,subcommand,what", [
+    (_unknown_config_key, "eval", "not_a_field"),
+    (_unpaired_moment, "train", "adam_v:"),
+    (_reshaped_buffer, "eval", "shape mismatch"),
+], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer"])
+def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
+                                              tiny_dataset, tmp_path, capsys):
+    cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
+    model = PulseMambaNet(cfg)
+    named = list(model.named_parameters())
+    state = AdamState(t=1, m={n: np.zeros(p.shape) for n, p in named},
+                      v={n: np.ones(p.shape) for n, p in named})
+    ckpt = save_checkpoint(tmp_path / "ckpt", model, cfg, state, 1, 1)
+    meta = json.loads((ckpt / "meta.json").read_text())
+    corrupt(meta)
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    if subcommand == "eval":
+        argv = ["eval", "--ckpt", str(ckpt), "--set", "chunk_len=32",
+                "--set", "input_h=16", "--set", "input_w=16"]
+    else:
+        argv = ["train", "--resume", str(ckpt), "--set", "epochs=2",
+                "--set", "chunk_len=32"] + TINY_MODEL
+    code = run_cli(argv + ["--data", str(tiny_dataset),
+                           "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_IO
+    assert what in capsys.readouterr().err
+
+
 def test_line_plot_escapes_markup(tmp_path):
     path = line_plot([("a<b & c>d", np.arange(3.0), np.arange(3.0))],
                      tmp_path / "esc.svg", title="<title> & co",
@@ -231,11 +277,15 @@ def test_gradcheck_subcommand(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "pulsemamba.cli",
                            "profile", "--input", "16x16x16",
                            "--set", "channels=8", "--set", "blocks_per_stream=2",
                            "--set", "ca_ratio=4"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "parameters" in proc.stdout
 

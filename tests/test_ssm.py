@@ -1,4 +1,4 @@
-"""Scan kernels: ZOH values and branches, recurrent/convolutional
+"""Scan kernels: ZOH values and limits, recurrent/convolutional
 equivalence, causality, stability, selective-scan oracles and the
 bidirectional layer."""
 
@@ -33,28 +33,14 @@ def test_zoh_small_delta_limit():
     assert abs(bbar[0, 0]) < 1e-12
 
 
-def test_zoh_series_branch_continuity():
+def test_zoh_tiny_delta_matches_mpmath():
     # the float64 exact form loses ~5 digits to cancellation at
     # |delta*a| = 1e-12, so the oracle is a 50-digit evaluation
     import mpmath as mp
     mp.mp.dps = 50
-    a = np.array([[-1.0]])
-    b = np.array([1.0])
-
-    def true_bbar(delta):
-        return float((mp.e ** (mp.mpf(delta) * -1) - 1) / -1)
-
-    _, bbar = discretize_zoh(a, b, 1e-12)  # series branch
-    ref = true_bbar(1e-12)
+    _, bbar = discretize_zoh(np.array([[-1.0]]), np.array([1.0]), 1e-12)
+    ref = float((mp.e ** (mp.mpf(1e-12) * -1) - 1) / -1)
     assert abs(bbar[0, 0] - ref) / abs(ref) <= 1e-10
-
-    # at the switch point itself the two formulas agree to the float64
-    # cancellation floor
-    d = 1e-8
-    series = d * (1.0 + 0.5 * d * -1.0)
-    exact = (math.exp(d * -1.0) - 1.0) / -1.0
-    assert abs(series - exact) / abs(exact) <= 1e-8
-    assert abs(series - true_bbar(d)) / true_bbar(d) <= 1e-12
 
 
 def test_zoh_rejects_nonpositive_delta():
@@ -249,32 +235,28 @@ def test_selective_scan_gradients(rng):
     assert result.passed, result.line()
 
 
-def test_selective_scan_chunking_invariance(rng):
+def test_selective_scan_chunking_invariance(rng, monkeypatch):
     params = SSMParams(3, 8, 1, rng)
-    x = rng.normal(size=(50, 3))
-    xt = Tensor(x[None], requires_grad=True)
-    bmat, cmat, delta = ssm._project_bcdelta(params, xt)
-    a = T.neg(T.exp(params.a_log))
-    with T.no_grad():
-        y_small = ssm.selective_scan_op(xt, delta, a, bmat, cmat, chunk=7).data
-        y_big = ssm.selective_scan_op(xt, delta, a, bmat, cmat).data
-    np.testing.assert_array_equal(y_small, y_big)
-
+    xt = Tensor(rng.normal(size=(1, 50, 3)), requires_grad=True)
     weights = Tensor(np.cos(np.arange(150.0)).reshape(1, 50, 3))
     leaves = [xt, params.a_log, params.w_b, params.w_c, params.w_dt_down,
               params.w_dt_up, params.dt_bias]
+    shape_chunk = ssm._chunk_len  # 50 tokens at this shape: one chunk
 
-    def grads(chunk):
+    def run(chunk):
+        monkeypatch.setattr(ssm, "_chunk_len",
+                            (lambda *_: chunk) if chunk else shape_chunk)
+        with T.no_grad():
+            y = selective_scan(params, xt).data
         for p in leaves:
             p.grad = None
-        bm, cm, dl = ssm._project_bcdelta(params, xt)
-        y = ssm.selective_scan_op(xt, dl, T.neg(T.exp(params.a_log)), bm, cm,
-                                  chunk=chunk)
-        T.backward(T.reduce_sum(T.mul(y, weights)))
-        return [p.grad.copy() for p in leaves]
+        T.backward(T.reduce_sum(T.mul(selective_scan(params, xt), weights)))
+        return y, [p.grad.copy() for p in leaves]
 
-    for g_small, g_big in zip(grads(7), grads(None)):
-        assert checks.signal_rel_err(g_small, g_big) <= 1e-12
+    (y_small, g_small), (y_big, g_big) = run(7), run(None)
+    np.testing.assert_array_equal(y_small, y_big)
+    for a, b in zip(g_small, g_big):
+        assert checks.signal_rel_err(a, b) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,31 @@ def test_conv3d_oracle_randomized_shapes(rng):
         assert np.abs(ours - ref).max() / scale <= 1e-12
 
 
+def test_conv3d_forms_no_input_gradient_for_constant_input(rng, monkeypatch):
+    x = rng.normal(size=(2, 3, 4, 6, 6))
+    w = rng.normal(size=(4, 3, 1, 3, 3))
+    calls = []
+    scatter = T._scatter_cols
+    monkeypatch.setattr(T, "_scatter_cols",
+                        lambda *a: calls.append(a) or scatter(*a))
+
+    def w_grad(x_needs_grad):
+        xs = T.tensor(x, requires_grad=x_needs_grad)
+        ws, bs = T.tensor(w, requires_grad=True), T.tensor(np.ones(4))
+        out = T.conv3d(xs, ws, bs, stride=(1, 2, 1), padding=(0, 1, 1))
+        g = np.cos(np.arange(out.size)).reshape(out.shape)
+        T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        assert (xs.grad is not None) == x_needs_grad
+        return ws.grad
+
+    gw_with_gx = w_grad(True)
+    assert calls
+    calls.clear()
+    gw = w_grad(False)
+    assert calls == []
+    assert _bits_equal(gw, gw_with_gx)
+
+
 def test_linear_identity_and_hand_case():
     out = T.linear(T.tensor([1.0, 2.0]), T.tensor([[1.0, 0.0], [0.0, 1.0]]),
                    T.tensor([0.0, 0.0]))
@@ -264,6 +289,33 @@ def test_batch_norm_eval_backward_ignores_later_buffer_changes(rng):
 
     for a, b in zip(grads(False), grads(True)):
         assert _bits_equal(a, b)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_layer_norm_matches_seed_formula(transposed, rng):
+    # the seed kept x-hat for the backward; the shared norm kernel
+    # recomputes it, so only the gradients may move, at rounding level.
+    # transposed: the upstream gradient reaches the norm non-contiguous
+    x = rng.normal(0.0, 3.0, (3, 5, 6))
+    x[0, 0] = [1000.0, -1000.0, 1e-300, -1e-300, 0.0, -0.0]
+    gamma, beta = rng.normal(size=6), rng.normal(size=6)
+    g = rng.normal(size=(5, 3, 6) if transposed else (3, 5, 6))
+    g_norm = g.transpose(1, 0, 2) if transposed else g
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    gs = g_norm * gamma
+    ref_gx = inv * (gs - gs.mean(axis=-1, keepdims=True)
+                    - xhat * (gs * xhat).mean(axis=-1, keepdims=True))
+    ref_gg = (g_norm * xhat).reshape(-1, 6).sum(axis=0)
+    ref_gb = g_norm.reshape(-1, 6).sum(axis=0)
+
+    xs, gs_t, bs = (T.tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    out = T.layer_norm(xs, gs_t, bs)
+    assert _bits_equal(out.data, gamma * xhat + beta)
+    y = T.transpose(out, (1, 0, 2)) if transposed else out
+    T.backward(T.reduce_sum(T.mul(y, T.tensor(g))))
+    for got, ref in ((xs.grad, ref_gx), (gs_t.grad, ref_gg), (bs.grad, ref_gb)):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _seed_conv1d(x, w, bias):

@@ -16,7 +16,7 @@ from pulsemamba.training import (AdamState, TrainConfig, adam_step,
                                  config_hash, evaluate_checkpoint,
                                  evaluate_records, load_checkpoint,
                                  prepare_chunk, restore_model,
-                                 save_checkpoint, split_records, train_loop)
+                                 save_checkpoint, train_loop)
 
 TOY_MODEL = dict(channels=16, blocks_per_stream=2, ca_ratio=4)
 
@@ -161,16 +161,6 @@ def test_empty_dataset_raises_format_error(tmp_path):
                    toy_train_cfg(), tmp_path / "run")
 
 
-def test_split_records_is_seeded():
-    records = [generate_clip(SynthConfig(seed=i, duration_s=2.0,
-                                         resolution=(16, 16)))
-               for i in range(10)]
-    tr_a, va_a = split_records(records, 0.2, seed=4)
-    tr_b, va_b = split_records(records, 0.2, seed=4)
-    assert len(va_a) == 2 and len(tr_a) == 8
-    assert [id(r) for r in va_a] == [id(r) for r in va_b]
-
-
 def test_prepare_chunk_alignment():
     clip = generate_clip(SynthConfig(seed=1, duration_s=2.0, resolution=(16, 16)))
     frames, label = prepare_chunk(clip)
@@ -192,6 +182,19 @@ def _toy_checkpoint(tmp_path):
     path = save_checkpoint(tmp_path / "ckpt", model, cfg, state, epoch=2,
                            global_step=17)
     return cfg, model, state, path
+
+
+def test_toy_net_entry_names_pinned():
+    # checkpoint entries and Adam's moments follow these names and orders
+    model = PulseMambaNet(ModelConfig(**TOY_MODEL), seed=1)
+    bn = ["stem.bn1", "stem.bn2", "stem.bn3", "down_slow.bn", "down_fast.bn",
+          "blocks_slow.0.bn", "blocks_slow.1.bn", "blocks_fast.0.bn",
+          "blocks_fast.1.bn"]
+    assert [n for n, _ in model.named_buffers()] == [
+        f"{m}.{b}" for m in bn for b in ("running_mean", "running_var")]
+    params = [n for n, _ in model.named_parameters()]
+    assert len(params) == 128
+    assert params[0] == "stem.conv1.weight" and params[-1] == "head.point_b"
 
 
 def test_checkpoint_round_trip_exact(tmp_path):
