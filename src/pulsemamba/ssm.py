@@ -117,29 +117,32 @@ def _readout(c, h, y) -> None:
         np.einsum("tbnd,tbnd->tbd", c, h, out=y)
 
 
-def _chunked_scan(discretize, c_seq, x, states, chunk: int):
-    """Forward recurrence over time-major x (L, B, D).
+def _chunked_scan(discretize, c_seq, x, chunk: int, starts=None):
+    """Forward recurrence over time-major x (L, B, D) from h = 0.
 
     ``discretize(s, e)`` gives the (abar, bbar) blocks of tokens [s, e);
-    c_seq is (L, B, N) or (L, B, N, D). ``states`` has row 0 zeroed and
-    either L + 1 rows (row t + 1 keeps h_t for the backward) or fewer,
-    reused per chunk with row 0 carrying h across chunks. Returns y
-    (B, L, D) and the final state (B, N, D).
+    c_seq is (L, B, N) or (L, B, N, D). The states live in one chunk
+    buffer (chunk + 1, B, N, D), reused per chunk with row 0 carrying h
+    across chunks. ``starts``, when given, is a (ceil(L / chunk), B, N, D)
+    array whose row k receives chunk k's start state. Returns y (B, L, D)
+    and the final state (B, N, D).
     """
     L, bsz, d = x.shape
-    keep = states.shape[0] == L + 1
+    states = np.zeros((min(chunk, L) + 1, bsz, c_seq.shape[2], d),
+                      dtype=np.float64)
     yt = np.empty((L, bsz, d), dtype=np.float64)
-    for s in range(0, L, chunk):
+    for k, s in enumerate(range(0, L, chunk)):
         e = min(s + chunk, L)
-        h = states[s:e + 1] if keep else states[:e - s + 1]
+        h = states[:e - s + 1]
+        if starts is not None:
+            starts[k] = h[0]
         abar, bbar = discretize(s, e)
         np.multiply(bbar, x[s:e, :, None, :], out=h[1:])
         _scan_core(abar, h[1:], h[0])
         _readout(c_seq[s:e], h[1:], yt[s:e])
         _check_state(yt[s:e], s)
-        if not keep:
-            states[0] = h[-1]
-    return _batch_major(yt), states[-1] if keep else states[0]
+        states[0] = h[-1]
+    return _batch_major(yt), states[0]
 
 
 def _batch_major(a: np.ndarray) -> np.ndarray:
@@ -189,10 +192,8 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
     else:
         raise ShapeError(f"scan_recurrent: c shape {c.shape}")
 
-    chunk = _chunk_len(1, d, n)
-    states = np.zeros((min(chunk, L) + 1, 1, n, d), dtype=np.float64)
     y, h = _chunked_scan(lambda s, e: (a_seq[s:e], b_seq[s:e]), c_seq,
-                         x[:, None], states, chunk)
+                         x[:, None], _chunk_len(1, d, n))
     if return_state:
         return y[0], h[0].T
     return y[0]
@@ -273,11 +274,13 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     """Fused input-dependent scan: per-token ZOH then the recurrence.
 
     u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
-    Abar/Bbar exist one chunk at a time (``chunk`` tokens, derived from
-    the shape unless given). When the tape records, the only thing kept
-    for the backward is the state history h (L + 1, B, N, D); the
-    backward recomputes the ZOH per chunk, runs the recurrence in reverse
-    time for dL/dh and forms every input gradient per chunk from it.
+    Abar/Bbar and the states exist one chunk at a time (``chunk`` tokens,
+    derived from the shape unless given). When the tape records, the only
+    array kept for the backward is h at the chunk starts,
+    (ceil(L / chunk), B, N, D). The backward walks the chunks in
+    reverse: it recomputes the chunk's ZOH, rebuilds its states from the
+    start state exactly as the forward made them, runs the recurrence in
+    reverse time for dL/dh and forms every input gradient from them.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"selective_scan: u {u.shape} vs delta {delta.shape}")
@@ -292,21 +295,21 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     recording = T.is_grad_enabled() and any(
         p.requires_grad for p in (u, delta, a, bmat, cmat))
     chunk = chunk or _chunk_len(bsz, d, n)
+    c = min(chunk, L)
     # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
     # the state and a run N-major, (..., N, D)
     av = np.ascontiguousarray(a.data.T)
     ut, dt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, delta, bmat, cmat))
-    zoh_buf = np.empty((2, min(chunk, L), bsz, n, d), dtype=np.float64)
+    zoh_buf = np.empty((2, c, bsz, n, d), dtype=np.float64)
 
     def discretize(s, e):
         abar, bbar = _zoh(av, dt[s:e, :, None, :], *zoh_buf[:, :e - s])
         bbar *= bt[s:e, :, :, None]
         return abar, bbar
 
-    rows = L + 1 if recording else min(chunk, L) + 1
-    states = np.empty((rows, bsz, n, d), dtype=np.float64)
-    states[0] = 0.0
-    y, _ = _chunked_scan(discretize, ct, ut, states, chunk)
+    starts = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
+              if recording else None)
+    y, _ = _chunked_scan(discretize, ct, ut, chunk, starts)
     if not recording:
         return Tensor(y)
 
@@ -317,24 +320,31 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
         gb = np.empty((L, bsz, n), dtype=np.float64)
         gc = np.empty_like(gb)
         ga = np.zeros_like(av)
+        buf = np.empty((3, c + 1, bsz, n, d), dtype=np.float64)  # abar, growth, h
         carry = np.zeros((bsz, n, d), dtype=np.float64)  # abar_e * dL/dh_e
-        for s in reversed(range(0, L, chunk)):
-            e = min(s + chunk, L)
+        for k in reversed(range(len(starts))):
+            s, e = k * chunk, min(k * chunk + chunk, L)
             sl = slice(s, e)
-            abar, growth = _zoh(av, dt[sl, :, None, :], *zoh_buf[:, :e - s])
+            abar, growth = _zoh(av, dt[sl, :, None, :], *buf[:2, :e - s])
+            # the chunk's states h_{s-1} .. h_{e-1}, as the forward made them
+            h = buf[2, :e - s + 1]
+            h[0] = starts[k]
+            np.multiply(growth, bt[sl, :, :, None], out=h[1:])
+            h[1:] *= ut[sl, :, None, :]
+            _scan_core(abar, h[1:], h[0])
             # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
             gh = ct[sl, :, :, None] * gyt[sl, :, None, :]
             gh[-1] += carry
             _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
             np.multiply(abar[0], gh[0], out=carry)
-            np.matmul(states[s + 1:e + 1], gyt[sl, :, :, None], out=gc[sl, :, :, None])
+            np.matmul(h[1:], gyt[sl, :, :, None], out=gc[sl, :, :, None])
             # drive = growth * b * u
             gg = np.multiply(gh, growth, out=growth)
             np.matmul(bt[sl, :, None, :], gg, out=gu[sl, :, None, :])
             np.matmul(gg, ut[sl, :, :, None], out=gb[sl, :, :, None])
             bu = bt[sl, :, :, None] * ut[sl, :, None, :]
             # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
-            q = av * states[s:e]
+            q = av * h[:-1]
             q += bu
             q *= gh
             q *= abar

@@ -9,8 +9,10 @@ float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 Every recorded op appends one node to a module-level tape. ``backward``
 replays the tape in exact reverse execution order over the subgraph that
 reaches the loss; replaying the same node twice without a fresh forward is
-a ``GraphError``. Nodes refer to their outputs weakly, so a graph holds no
-reference cycle and is freed by reference counting alone. Binary
+a ``GraphError``. Nodes do not refer to their outputs, so a graph holds no
+reference cycle and is freed by reference counting alone, and each node
+drops its inputs and backward rule as soon as ``backward`` has run it, so
+activations die while the backward runs, not after it. Binary
 elementwise ops accept equal shapes or a scalar operand only; anything
 fancier (bias adds, channel gates, norm affines) is a dedicated op with
 its own backward rule.
@@ -18,7 +20,6 @@ its own backward rule.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -74,15 +75,14 @@ def tape_size() -> int:
 
 
 class _Node:
-    """One executed op: its input tensors, a weak reference to its output
-    (the output refers to the node, so a strong one would be a cycle) and
-    its backward rule."""
+    """One executed op: its input tensors and its backward rule. It holds
+    no reference to its output, which refers to it: that would be a
+    cycle."""
 
-    __slots__ = ("name", "out", "parents", "bwd", "used")
+    __slots__ = ("name", "parents", "bwd", "used")
 
-    def __init__(self, name, out, parents, bwd):
+    def __init__(self, name, parents, bwd):
         self.name = name
-        self.out = weakref.ref(out)
         self.parents = parents
         self.bwd = bwd
         self.used = False
@@ -183,7 +183,7 @@ def apply_op(name: str, out_data, parents: Sequence[Tensor],
     out = Tensor(out_data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = _Node(name, out, list(parents), bwd)
+        out._node = _Node(name, list(parents), bwd)
         _TAPE.append(out._node)
     return out
 
@@ -193,10 +193,13 @@ def backward(loss: Tensor) -> None:
 
     Walks the tape strictly in reverse execution order, restricted to the
     nodes that can reach ``loss``. Nodes are single-use: a second backward
-    through the same forward is a GraphError. When the walk ends, every
-    node it ran drops its inputs and backward rule: the graph's
-    activations are then freed as soon as the caller holds none of them,
-    without waiting for ``clear_tape`` or the cyclic garbage collector.
+    through the same forward is a GraphError. Each node drops its inputs
+    and backward rule as soon as it has run, so an activation is freed
+    once the last node that reads it has run and the caller holds it no
+    more, without waiting for ``clear_tape`` or the cyclic garbage
+    collector. Until a node has run, ``pending`` holds its output (the
+    loss, or an input of a node that has run), keyed by the node, so the
+    gradient gathered there still reaches the node.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -218,34 +221,28 @@ def backward(loss: Tensor) -> None:
                 stack.append(p._node)
 
     loss._accumulate(np.ones_like(loss.data))
-    ran = []
-    try:
-        for node in reversed(_TAPE):
-            if id(node) not in reachable:
+    pending = {root: loss}
+    for node in reversed(_TAPE):
+        if id(node) not in reachable:
+            continue
+        if node.used:
+            raise GraphError(f"tape node '{node.name}' already consumed by a previous backward")
+        node.used = True
+        out = pending.pop(node)
+        gins = node.bwd(out.grad if out.grad is not None
+                        else np.zeros_like(out.data))
+        for p, g in zip(node.parents, gins):
+            if p._node is not None:
+                pending[p._node] = p
+            if g is None:
                 continue
-            if node.used:
-                raise GraphError(f"tape node '{node.name}' already consumed by a previous backward")
-            node.used = True
-            ran.append(node)
-            # alive: a reachable node's output is the loss or an input of
-            # a later reachable node, whose parents are still held
-            out = node.out()
-            gins = node.bwd(out.grad if out.grad is not None
-                            else np.zeros_like(out.data))
-            for p, g in zip(node.parents, gins):
-                if g is None:
-                    continue
-                if p.requires_grad or p._node is not None:
-                    p._accumulate(g)
-            # intermediate grads are not needed once propagated
-            if out is not loss:
-                out.grad = None
-    finally:
-        # only after the walk: an input released inside it could be
-        # dropped before its own node runs, taking its pending gradient
-        for node in ran:
-            node.bwd = None
-            node.parents = ()
+            if p.requires_grad or p._node is not None:
+                p._accumulate(g)
+        node.bwd = None
+        node.parents = ()
+        # intermediate grads are not needed once propagated
+        if out is not loss:
+            out.grad = None
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -410,8 +407,9 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     x: (B, Cin, T, H, W), w: (Cout, Cin, kt, kh, kw). Output extents follow
     floor((S + 2p - k) / stride) + 1 per axis. Columns are gathered one
     output-t slice at a time (never a full im2col buffer) and contracted
-    with a single GEMM per slice; backward regathers columns instead of
-    caching them, and forms no input gradient for an ``x`` that needs none.
+    with a single GEMM per slice. The recorded op keeps neither the
+    padded input nor the columns: backward re-pads ``x``, regathers the
+    columns, and forms no input gradient for an ``x`` that needs none.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError("conv3d expects 5-D input and weight")
@@ -443,15 +441,16 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         parents.append(bias)
 
     def bwd(g):
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
         # an input that needs no gradient (the network's frames) gets none
         gxp = np.zeros_like(xp) if x.requires_grad else None
         gw2 = np.zeros((cout, cin * kt * kh * kw), dtype=np.float64)
-        cols_b = np.empty_like(cols)
+        cols = np.empty((b, cin, kt * kh * kw, ho * wo), dtype=np.float64)
         for ot in range(to):
-            _gather_cols(xp, cols_b, ot * st, kt, kh, kw, sh, sw, ho, wo)
+            _gather_cols(xp, cols, ot * st, kt, kh, kw, sh, sw, ho, wo)
             g_slice = g[:, :, ot].reshape(b, cout, ho * wo)
             for bi in range(b):
-                gw2 += g_slice[bi] @ cols_b[bi].reshape(-1, ho * wo).T
+                gw2 += g_slice[bi] @ cols[bi].reshape(-1, ho * wo).T
             if gxp is not None:
                 gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
                 _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)

@@ -182,8 +182,28 @@ def _require_keys(obj, keys, what: str) -> None:
         raise FormatError(f"{what} lacks {', '.join(missing)}")
 
 
+def _is_count(v) -> bool:
+    """A non-negative JSON integer (true/false are not counts)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+# value checks for the meta.json keys that loading and resuming use
+_META_TYPES = {"format_version": _is_count, "epoch": _is_count,
+               "global_step": _is_count, "adam_t": _is_count,
+               "entries": lambda v: isinstance(v, list)}
+_ENTRY_TYPES = {"name": lambda v: isinstance(v, str), "offset": _is_count,
+                "shape": lambda v: isinstance(v, list) and all(map(_is_count, v))}
+
+
+def _check_types(obj: dict, types, what: str) -> None:
+    for key, ok in types.items():
+        if key in obj and not ok(obj[key]):
+            raise FormatError(f"{what}: bad {key} {obj[key]!r}")
+
+
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Read a checkpoint directory, verifying version and checksums."""
+    """Read a checkpoint directory, verifying its header keys and value
+    types, its version and every checksum; any defect is a FormatError."""
     path = Path(path)
     meta_path = path / "meta.json"
     if not meta_path.exists():
@@ -193,6 +213,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
     _require_keys(meta, _META_KEYS, f"{meta_path}: header")
+    _check_types(meta, _META_TYPES, f"{meta_path}: header")
     if meta["format_version"] != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint version {meta['format_version']!r}, "
                           f"expected {CHECKPOINT_VERSION}")
@@ -200,6 +221,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     arrays = {}
     for i, entry in enumerate(meta["entries"]):
         _require_keys(entry, _ENTRY_KEYS, f"{meta_path}: entry {i}")
+        _check_types(entry, _ENTRY_TYPES, f"{meta_path}: entry {i}")
         size = int(np.prod(entry["shape"])) * 4 if entry["shape"] else 4
         raw = blob[entry["offset"]:entry["offset"] + size]
         if len(raw) != size:
@@ -228,7 +250,7 @@ def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
     Every parameter must be stored; Adam moments come in (m, v) pairs and
     buffers are optional. A missing or mis-shaped entry is a FormatError.
     """
-    state = AdamState(t=int(meta.get("adam_t", 0)))
+    state = AdamState(t=meta.get("adam_t", 0))
     for name, p in model.named_parameters():
         p.data = _entry(arrays, f"param:{name}", p.shape).copy()
         if f"adam_m:{name}" in arrays or f"adam_v:{name}" in arrays:
@@ -268,8 +290,8 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
         if meta["config_hash"] != config_hash(model_cfg):
             raise ConfigError("resume checkpoint was built for a different model config")
         state = restore_model(meta, arrays, model)
-        start_epoch = int(meta["epoch"])
-        global_step = int(meta["global_step"])
+        start_epoch = meta["epoch"]
+        global_step = meta["global_step"]
 
     named = list(model.named_parameters())
     loss_log: List[Tuple[int, int, float]] = []

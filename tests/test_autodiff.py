@@ -90,6 +90,24 @@ def test_dead_graph_freed_without_cyclic_gc(rng):
     assert x.grad is not None and w.grad is not None
 
 
+def test_backward_frees_activations_while_it_runs(rng):
+    x = T.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    seen = []
+
+    def probe_bwd(g):
+        # silu and mul have run: nothing may hold their activation now
+        seen.append(activation())
+        return [g]
+
+    h = T.silu(T.apply_op("probe", x.data.copy(), [x], probe_bwd))
+    activation = weakref.ref(h.data)
+    loss = T.reduce_sum(T.mul(h, h))
+    del h
+    T.backward(loss)
+    assert seen == [None]
+    assert x.grad is not None
+
+
 def test_no_grad_suppresses_recording(rng):
     x = T.tensor(rng.normal(size=(3,)), requires_grad=True)
     before = T.tape_size()

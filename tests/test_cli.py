@@ -153,11 +153,40 @@ def _reshaped_buffer(meta):
     entry["shape"] = [2, n // 2]
 
 
+def _string_offset(meta):
+    entry = meta["entries"][0]
+    entry["offset"] = str(entry["offset"])
+
+
+def _string_shape(meta):
+    meta["entries"][0]["shape"] = "ab"
+
+
+def _entries_not_a_list(meta):
+    meta["entries"] = 7
+
+
+def _set_header(key, value):
+    def corrupt(meta):
+        meta[key] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,subcommand,what", [
     (_unknown_config_key, "eval", "not_a_field"),
     (_unpaired_moment, "train", "adam_v:"),
     (_reshaped_buffer, "eval", "shape mismatch"),
-], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer"])
+    (_string_offset, "eval", "bad offset"),
+    (_string_shape, "eval", "bad shape"),
+    (_entries_not_a_list, "eval", "bad entries"),
+    (_set_header("epoch", "x"), "train", "bad epoch"),
+    (_set_header("global_step", 1.5), "train", "bad global_step"),
+    (_set_header("adam_t", "x"), "train", "bad adam_t"),
+    (_set_header("format_version", True), "eval", "bad format_version"),
+], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
+        "string_offset", "string_shape", "entries_not_a_list",
+        "string_epoch", "float_global_step", "string_adam_t",
+        "boolean_format_version"])
 def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
                                               tiny_dataset, tmp_path, capsys):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)

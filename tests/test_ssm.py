@@ -3,6 +3,7 @@ equivalence, causality, stability, selective-scan oracles and the
 bidirectional layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,10 +236,11 @@ def test_selective_scan_gradients(rng):
     assert result.passed, result.line()
 
 
-def test_selective_scan_chunking_invariance(rng, monkeypatch):
+@pytest.mark.parametrize("bsz", [1, 2])
+def test_selective_scan_chunking_invariance(bsz, rng, monkeypatch):
     params = SSMParams(3, 8, 1, rng)
-    xt = Tensor(rng.normal(size=(1, 50, 3)), requires_grad=True)
-    weights = Tensor(np.cos(np.arange(150.0)).reshape(1, 50, 3))
+    xt = Tensor(rng.normal(size=(bsz, 50, 3)), requires_grad=True)
+    weights = Tensor(np.cos(np.arange(150.0 * bsz)).reshape(bsz, 50, 3))
     leaves = [xt, params.a_log, params.w_b, params.w_c, params.w_dt_down,
               params.w_dt_up, params.dt_bias]
     shape_chunk = ssm._chunk_len  # 50 tokens at this shape: one chunk
@@ -257,6 +259,29 @@ def test_selective_scan_chunking_invariance(rng, monkeypatch):
     np.testing.assert_array_equal(y_small, y_big)
     for a, b in zip(g_small, g_big):
         assert checks.signal_rel_err(a, b) <= 1e-12
+
+
+def test_recorded_scan_keeps_only_chunk_start_states(rng):
+    bsz, L, d, n = 1, 4096, 64, 16
+    chunk = ssm._chunk_len(bsz, d, n)
+    assert L // chunk >= 16  # many chunks, so the full history would dwarf one
+    u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
+    delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)))
+    a = Tensor(-np.tile(np.arange(1.0, n + 1.0), (d, 1)))
+    bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n))) for _ in range(2))
+    state = bsz * n * d * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = ssm.selective_scan_op(u, delta, a, bmat, cmat)
+        held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+    finally:
+        tracemalloc.stop()
+    boundary = -(-L // chunk) * state
+    assert held <= boundary + (chunk + 1) * state
+    assert held < (L + 1) * state / 16
+    T.backward(T.reduce_sum(y))
+    assert u.grad is not None and np.isfinite(u.grad).all()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ for conv/linear/pooling, analytic values for the pointwise ops, shape
 algebra, and the error contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,27 @@ def test_conv3d_oracle_randomized_shapes(rng):
         ref = conv3d_oracle(x, w, st_, pad)
         scale = max(np.abs(ref).max(), 1e-300)
         assert np.abs(ours - ref).max() / scale <= 1e-12
+
+
+def test_recorded_conv3d_keeps_no_padded_input(rng):
+    x = T.tensor(rng.normal(size=(1, 4, 16, 32, 32)), requires_grad=True)
+    w = T.tensor(rng.normal(size=(4, 4, 3, 3, 3)), requires_grad=True)
+    padded = 8 * 4 * 18 * 34 * 34
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv3d(x, w, padding=(1, 1, 1))
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    # the node's own bookkeeping only: no padded copy, no column buffer
+    assert held < padded // 8
+    T.backward(T.reduce_sum(out))
+    # every tap of every output channel reaches an interior voxel once
+    per_channel = w.data.sum(axis=(0, 2, 3, 4))[:, None, None, None]
+    np.testing.assert_allclose(x.grad[0, :, 1:-1, 1:-1, 1:-1],
+                               np.broadcast_to(per_channel, (4, 14, 30, 30)),
+                               rtol=1e-12)
 
 
 def test_conv3d_forms_no_input_gradient_for_constant_input(rng, monkeypatch):
