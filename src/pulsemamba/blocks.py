@@ -13,7 +13,7 @@ T.is_grad_enabled()``) therefore runs each slow stage on one module-level
 worker thread while the calling thread runs the matching fast stage, once
 the stage input holds at least ``_CONCURRENT_MIN_ELEMS`` elements. A
 recording forward, or a smaller one, runs them in sequence, slow first,
-so the tape order never depends on thread scheduling.
+so the graph's node order never depends on thread scheduling.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ class Stem(Module):
     gamma >= 0, is non-decreasing per channel in each rounding step, so
     for finite conv outputs the result is bit for bit that of pooling
     last, and a NaN still propagates. Every other forward keeps the op
-    order, so the tape and the batch statistics are unchanged.
+    order, so the recorded graph and the batch statistics are unchanged.
     """
 
     def __init__(self, widths: Tuple[int, int, int],
@@ -371,7 +371,7 @@ class PulseMambaNet(Module):
     The stream stages between fusions (the temporal downsamples, then each
     slow/fast block pair) run concurrently when grads are off and the
     stage is large, and in sequence, slow first, otherwise (always when
-    the tape records); see the module docstring.
+    the forward records a graph); see the module docstring.
     Stem, pools, laterals and head always run on the calling thread.
     """
 

@@ -75,7 +75,8 @@ def gradcheck(name: str, build_loss: Callable[[], Tensor],
               leaves: Sequence[Tuple[str, Tensor]],
               rng: np.random.Generator, samples_per_leaf: int = 8,
               eps: float = FD_STEP, tol: float = GRAD_TOL) -> CheckResult:
-    """Compare tape gradients of a scalar loss against central differences.
+    """Compare backward's gradients of a scalar loss against central
+    differences.
 
     build_loss must rebuild the forward pass from the leaves' current data
     (it is called repeatedly with perturbed entries).
@@ -83,7 +84,6 @@ def gradcheck(name: str, build_loss: Callable[[], Tensor],
     def fresh_loss() -> Tensor:
         for _, p in leaves:
             p.grad = None
-        T.clear_tape()
         return build_loss()
 
     loss = fresh_loss()
@@ -102,7 +102,6 @@ def gradcheck(name: str, build_loss: Callable[[], Tensor],
             err = abs(an - fd) / max(abs(an), abs(fd), REL_FLOOR)
             worst = max(worst, err)
             checked += 1
-    T.clear_tape()
     return CheckResult(name, worst, tol, checked)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the header value checks shared across the package."""
 
 
 class ShapeError(ValueError):
@@ -6,7 +6,7 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Backward requested on a tensor the tape cannot reach, or replayed twice."""
+    """Backward requested on a tensor with no recorded graph, or replayed twice."""
 
 
 class NumericError(ArithmeticError):
@@ -27,3 +27,25 @@ class FormatError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few samples to run a spectral operation."""
+
+
+def require_keys(obj, keys, what: str) -> None:
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise FormatError(f"{what} lacks {', '.join(missing)}")
+
+
+def is_count(v) -> bool:
+    """A non-negative JSON integer (true/false are not counts)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def is_shape(v) -> bool:
+    """A JSON list of counts."""
+    return isinstance(v, list) and all(map(is_count, v))
+
+
+def check_types(obj: dict, types, what: str) -> None:
+    for key, ok in types.items():
+        if key in obj and not ok(obj[key]):
+            raise FormatError(f"{what}: bad {key} {obj[key]!r}")

@@ -275,7 +275,7 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
     Abar/Bbar and the states exist one chunk at a time (``chunk`` tokens,
-    derived from the shape unless given). When the tape records, the only
+    derived from the shape unless given). When the op is recorded, the only
     array kept for the backward is h at the chunk starts,
     (ceil(L / chunk), B, N, D). The backward walks the chunks in
     reverse: it recomputes the chunk's ZOH, rebuilds its states from the

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_types, is_shape, require_keys
 
 __all__ = [
     "SynthConfig", "ClipRecord", "generate_clip", "write_dataset",
@@ -36,6 +36,15 @@ MOTION_FREQ_HZ = 0.2
 HR_BAND_BPM = (48.0, 144.0)
 
 
+# value checks for every meta.json key that reading a clip uses
+_HEADER_TYPES = {"dtype": lambda v: v == "<f4",
+                 "fs": lambda v: type(v) in (int, float) and v > 0,
+                 "frames_shape": lambda v: is_shape(v) and len(v) == 4,
+                 "label_shape": lambda v: is_shape(v) and len(v) == 1,
+                 "frames_crc32": lambda v: isinstance(v, str),
+                 "label_crc32": lambda v: isinstance(v, str)}
+
+
 @dataclass
 class SynthConfig:
     seed: int = 0
@@ -45,7 +54,6 @@ class SynthConfig:
     base_color: Tuple[float, float, float] = (0.70, 0.55, 0.45)
     pulse_amplitude: float = 0.02
     hr_start_bpm: float = 72.0
-    hr_end_bpm: Optional[float] = None  # None keeps the rate constant
     noise_sigma: float = 0.0
     motion_amplitude_px: float = 0.0
     skin_mask: float = 0.6  # elliptical region fraction of each half-extent
@@ -56,9 +64,8 @@ class SynthConfig:
             raise ConfigError(f"resolution {self.resolution} below 16x16")
         if self.pulse_amplitude < 0 or self.noise_sigma < 0 or self.motion_amplitude_px < 0:
             raise ConfigError("amplitudes must be >= 0")
-        for bpm in (self.hr_start_bpm, self.hr_end_bpm or self.hr_start_bpm):
-            if not HR_BAND_BPM[0] <= bpm <= HR_BAND_BPM[1]:
-                raise ConfigError(f"hr {bpm} outside band {HR_BAND_BPM}")
+        if not HR_BAND_BPM[0] <= self.hr_start_bpm <= HR_BAND_BPM[1]:
+            raise ConfigError(f"hr {self.hr_start_bpm} outside band {HR_BAND_BPM}")
         if not 0.0 < self.skin_mask <= 1.0:
             raise ConfigError("skin_mask fraction must be in (0, 1]")
 
@@ -81,14 +88,7 @@ class ClipRecord:
 
 
 def _pulse_waveform(cfg: SynthConfig, t: np.ndarray) -> np.ndarray:
-    f0 = cfg.hr_start_bpm / 60.0
-    if cfg.hr_end_bpm is None:
-        phase = 2.0 * np.pi * f0 * t
-    else:
-        f1 = cfg.hr_end_bpm / 60.0
-        # linear drift: phase is the integral of f(t) = f0 + (f1-f0) t / T
-        total = t[-1] if t[-1] > 0 else 1.0
-        phase = 2.0 * np.pi * (f0 * t + 0.5 * (f1 - f0) * t * t / total)
+    phase = 2.0 * np.pi * (cfg.hr_start_bpm / 60.0) * t
     return np.sin(phase) + SECOND_HARMONIC * np.sin(2.0 * phase)
 
 
@@ -124,10 +124,8 @@ def generate_clip(cfg: SynthConfig) -> ClipRecord:
         frames += rng.normal(0.0, cfg.noise_sigma, frames.shape)
     np.clip(frames, 0.0, 1.0, out=frames)
 
-    gt_mean_bpm = cfg.hr_start_bpm if cfg.hr_end_bpm is None \
-        else 0.5 * (cfg.hr_start_bpm + cfg.hr_end_bpm)
     meta = {"seed": cfg.seed, "config_hash": cfg.content_hash(),
-            "gt_mean_bpm": gt_mean_bpm}
+            "gt_mean_bpm": cfg.hr_start_bpm}
     return ClipRecord(frames=frames, label=pulse, fs=cfg.fs, meta=meta)
 
 
@@ -192,19 +190,14 @@ def read_dataset(root) -> List[ClipRecord]:
             meta = json.loads(meta_path.read_text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
-        for key in ("dtype", "fs", "frames_shape", "label_shape",
-                    "frames_crc32", "label_crc32"):
-            if key not in meta:
-                raise FormatError(f"{meta_path}: missing key '{key}'")
-        if meta["dtype"] != "<f4":
-            raise FormatError(f"{meta_path}: unsupported dtype {meta['dtype']}")
+        require_keys(meta, _HEADER_TYPES, f"{meta_path}: header")
+        check_types(meta, _HEADER_TYPES, f"{meta_path}: header")
         frames = _read_blob(clip_dir / "frames.f32", meta["frames_shape"],
                             meta["frames_crc32"])
         label = _read_blob(clip_dir / "label.f32", meta["label_shape"],
                            meta["label_crc32"])
         extra = {k: v for k, v in meta.items()
-                 if k not in {"format_version", "dtype", "fs", "frames_shape",
-                              "label_shape", "frames_crc32", "label_crc32"}}
+                 if k != "format_version" and k not in _HEADER_TYPES}
         records.append(ClipRecord(frames=frames, label=label,
                                   fs=float(meta["fs"]), meta=extra))
     return records

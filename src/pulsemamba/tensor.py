@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode autodiff.
+"""Dense float64 tensors with define-by-run reverse-mode autodiff.
 
 The operation set is exactly what the network, its loss and its checks
 use: 3D/1D convolutions, pooling, affine maps, norms (batch and layer
@@ -6,20 +6,22 @@ norm are front ends of one kernel), sum/mean, the pointwise ops they
 apply and a handful of shape movers. Computation is
 float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 
-Every recorded op appends one node to a module-level tape. ``backward``
-replays the tape in exact reverse execution order over the subgraph that
-reaches the loss; replaying the same node twice without a fresh forward is
-a ``GraphError``. Nodes do not refer to their outputs, so a graph holds no
-reference cycle and is freed by reference counting alone, and each node
-drops its inputs and backward rule as soon as ``backward`` has run it, so
-activations die while the backward runs, not after it. Binary
-elementwise ops accept equal shapes or a scalar operand only; anything
-fancier (bias adds, channel gates, norm affines) is a dedicated op with
-its own backward rule.
+Every recorded op hangs a node, numbered in execution order, off its
+output; nothing else holds it. ``backward`` runs the nodes reachable from
+the loss in decreasing number, which is reverse execution order; running
+a node twice without a fresh forward is a ``GraphError``. Nodes do not
+refer to their outputs, so a graph holds no reference cycle and dies with
+its last tensor by reference counting alone, and each node drops its
+inputs and backward rule once ``backward`` has run it, so activations die
+while the backward runs, not after it. Binary elementwise ops accept
+equal shapes or a scalar operand only; anything fancier (bias adds,
+channel gates, norm affines) is a dedicated op with its own backward rule.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +30,7 @@ from .errors import GraphError, NumericError, ShapeError
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
-    "clear_tape", "tape_size", "backward",
+    "tape_size", "backward",
     "add", "sub", "mul", "div", "scale", "neg",
     "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
     "linear", "conv3d", "conv1d_depthwise_causal",
@@ -39,7 +41,8 @@ __all__ = [
 ]
 
 _grad_enabled = True
-_TAPE: list["_Node"] = []
+_SEQ = itertools.count()
+_recorded = 0  # ops recorded since the last backward
 
 # Cache-resident working set of one block of float64 work: one state
 # block of the SSM scan, all block temporaries of SiLU and of the
@@ -48,7 +51,7 @@ BLOCK_BYTES = 1 << 20
 
 
 class no_grad:
-    """Context manager that suspends tape recording."""
+    """Context manager that suspends graph recording."""
 
     def __enter__(self):
         global _grad_enabled
@@ -65,27 +68,24 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
-def clear_tape() -> None:
-    """Drop all recorded nodes (call between training steps)."""
-    _TAPE.clear()
-
-
 def tape_size() -> int:
-    return len(_TAPE)
+    """Ops recorded since the last ``backward``: one training step's graph."""
+    return _recorded
 
 
 class _Node:
-    """One executed op: its input tensors and its backward rule. It holds
-    no reference to its output, which refers to it: that would be a
-    cycle."""
+    """One executed op: its input tensors, its backward rule and its
+    execution-order number. It holds no reference to its output, which
+    refers to it: that would be a cycle."""
 
-    __slots__ = ("name", "parents", "bwd", "used")
+    __slots__ = ("name", "parents", "bwd", "used", "seq")
 
     def __init__(self, name, parents, bwd):
         self.name = name
         self.parents = parents
         self.bwd = bwd
         self.used = False
+        self.seq = next(_SEQ)
 
 
 class Tensor:
@@ -95,7 +95,7 @@ class Tensor:
     reverse pass and always matches ``data``'s shape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -174,66 +174,59 @@ def _wrap(x) -> Tensor:
 
 def apply_op(name: str, out_data, parents: Sequence[Tensor],
              bwd: Callable) -> Tensor:
-    """Wrap ``out_data`` in a Tensor and record the op on the tape.
+    """Wrap ``out_data`` in a Tensor and record the op as its node.
 
     ``bwd(gout) -> list`` maps the output gradient to one gradient (or
     None) per parent. Recording is skipped when grads are globally off or
     no parent requires them. Used by this module and by the fused scan op.
     """
+    global _recorded
     out = Tensor(out_data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(name, list(parents), bwd)
-        _TAPE.append(out._node)
+        _recorded += 1
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Reverse pass from a scalar loss to every requires_grad leaf.
 
-    Walks the tape strictly in reverse execution order, restricted to the
-    nodes that can reach ``loss``. Nodes are single-use: a second backward
-    through the same forward is a GraphError. Each node drops its inputs
-    and backward rule as soon as it has run, so an activation is freed
-    once the last node that reads it has run and the caller holds it no
-    more, without waiting for ``clear_tape`` or the cyclic garbage
-    collector. Until a node has run, ``pending`` holds its output (the
-    loss, or an input of a node that has run), keyed by the node, so the
-    gradient gathered there still reaches the node.
+    Runs the nodes reachable from ``loss`` off a max-heap on their
+    numbers, so each node runs after every node that reads its output.
+    Nodes are single-use: a second backward through the same forward is a
+    GraphError. Each node drops its inputs and backward rule as soon as it
+    has run, so an activation is freed once the last node that reads it
+    has run and the caller holds it no more. Until a node has run,
+    ``pending`` holds its output (the loss, or an input of a node that has
+    run), keyed by the node, so the gradient gathered there still reaches
+    the node; a node is pushed when it first enters ``pending``.
     """
+    global _recorded
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     root = loss._node
     if root is None:
-        raise GraphError("loss is not connected to the tape (no recorded forward)")
+        raise GraphError("loss has no recorded graph (no recorded forward)")
     if root.used:
         raise GraphError("backward already ran for this forward pass")
-
-    reachable: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in reachable:
-            continue
-        reachable.add(id(node))
-        for p in node.parents:
-            if p._node is not None and id(p._node) not in reachable:
-                stack.append(p._node)
+    _recorded = 0
 
     loss._accumulate(np.ones_like(loss.data))
     pending = {root: loss}
-    for node in reversed(_TAPE):
-        if id(node) not in reachable:
-            continue
+    heap = [(-root.seq, root)]
+    while heap:
+        node = heapq.heappop(heap)[1]
         if node.used:
-            raise GraphError(f"tape node '{node.name}' already consumed by a previous backward")
+            raise GraphError(f"graph node '{node.name}' already consumed by a previous backward")
         node.used = True
         out = pending.pop(node)
         gins = node.bwd(out.grad if out.grad is not None
                         else np.zeros_like(out.data))
         for p, g in zip(node.parents, gins):
-            if p._node is not None:
+            if p._node is not None and p._node not in pending:
                 pending[p._node] = p
+                heapq.heappush(heap, (-p._node.seq, p._node))
             if g is None:
                 continue
             if p.requires_grad or p._node is not None:
@@ -786,7 +779,7 @@ def upsample_nearest_time(x: Tensor, factor: int = 2) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of one axis."""
+    """Contiguous slice of one axis, as a view of ``x``'s data."""
     axis = axis % x.ndim
     if start < 0 or start + length > x.shape[axis]:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside extent {x.shape[axis]}")
@@ -799,7 +792,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         gx[sl] = g
         return [gx]
 
-    return apply_op("narrow", x.data[sl].copy(), [x], bwd)
+    return apply_op("narrow", x.data[sl], [x], bwd)
 
 
 def channel_scale(x: Tensor, gate: Tensor) -> Tensor:

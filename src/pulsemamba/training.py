@@ -22,7 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import ModelConfig, PulseMambaNet
-from .errors import ConfigError, FormatError, NumericError
+from .errors import (ConfigError, FormatError, NumericError, check_types,
+                     is_count, is_shape, require_keys)
 from .module import Module
 from .signal import (MetricsReport, PulseTrace, compute_metrics,
                      diff_normalize, diff_normalize_label, estimate_hr,
@@ -176,29 +177,12 @@ def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
     return path
 
 
-def _require_keys(obj, keys, what: str) -> None:
-    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
-    if missing:
-        raise FormatError(f"{what} lacks {', '.join(missing)}")
-
-
-def _is_count(v) -> bool:
-    """A non-negative JSON integer (true/false are not counts)."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 # value checks for the meta.json keys that loading and resuming use
-_META_TYPES = {"format_version": _is_count, "epoch": _is_count,
-               "global_step": _is_count, "adam_t": _is_count,
+_META_TYPES = {"format_version": is_count, "epoch": is_count,
+               "global_step": is_count, "adam_t": is_count,
                "entries": lambda v: isinstance(v, list)}
-_ENTRY_TYPES = {"name": lambda v: isinstance(v, str), "offset": _is_count,
-                "shape": lambda v: isinstance(v, list) and all(map(_is_count, v))}
-
-
-def _check_types(obj: dict, types, what: str) -> None:
-    for key, ok in types.items():
-        if key in obj and not ok(obj[key]):
-            raise FormatError(f"{what}: bad {key} {obj[key]!r}")
+_ENTRY_TYPES = {"name": lambda v: isinstance(v, str), "offset": is_count,
+                "shape": is_shape}
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -212,16 +196,16 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
-    _require_keys(meta, _META_KEYS, f"{meta_path}: header")
-    _check_types(meta, _META_TYPES, f"{meta_path}: header")
+    require_keys(meta, _META_KEYS, f"{meta_path}: header")
+    check_types(meta, _META_TYPES, f"{meta_path}: header")
     if meta["format_version"] != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint version {meta['format_version']!r}, "
                           f"expected {CHECKPOINT_VERSION}")
     blob = (path / "state.bin").read_bytes()
     arrays = {}
     for i, entry in enumerate(meta["entries"]):
-        _require_keys(entry, _ENTRY_KEYS, f"{meta_path}: entry {i}")
-        _check_types(entry, _ENTRY_TYPES, f"{meta_path}: entry {i}")
+        require_keys(entry, _ENTRY_KEYS, f"{meta_path}: entry {i}")
+        check_types(entry, _ENTRY_TYPES, f"{meta_path}: entry {i}")
         size = int(np.prod(entry["shape"])) * 4 if entry["shape"] else 4
         raw = blob[entry["offset"]:entry["offset"] + size]
         if len(raw) != size:
@@ -317,7 +301,6 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
             x = Tensor(np.stack([f for f, _ in pairs]))
             y = Tensor(np.stack([l for _, l in pairs]))
             model.zero_grad()
-            T.clear_tape()
             loss = neg_pearson_loss(model(x), y)
             val = loss.item()
             if not math.isfinite(val):
@@ -330,7 +313,6 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
             global_step += 1
             if log_fn:
                 log_fn(f"epoch {epoch} step {global_step} loss {val:.4f}")
-        T.clear_tape()
         epoch_ckpt = out_dir / f"checkpoint_epoch_{epoch:03d}"
         save_checkpoint(epoch_ckpt, model, model_cfg, state, epoch + 1,
                         global_step)

@@ -1,16 +1,6 @@
 import numpy as np
 import pytest
 
-from pulsemamba import tensor as T
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    """Each test starts and ends with an empty tape."""
-    T.clear_tape()
-    yield
-    T.clear_tape()
-
 
 @pytest.fixture
 def rng():

@@ -164,7 +164,6 @@ def test_criterion_7_signal_pipeline_properties(rng):
         moved = neg_pearson_loss(Tensor(2.5 * x + 0.7),
                                  Tensor(0.4 * y - 1.1)).item()
         affine_worst = max(affine_worst, abs(val - moved))
-        T.clear_tape()
 
     # HR sweep over 50 frequencies
     sweep_worst = 0.0

@@ -1,5 +1,5 @@
-"""Reverse-pass behaviour: trivial gradients, tape error contract, and the
-finite-difference suite over every op."""
+"""Reverse-pass behaviour: trivial gradients, the graph's error and lifetime
+contract, and the finite-difference suite over every op."""
 
 import gc
 import weakref
@@ -81,7 +81,6 @@ def test_dead_graph_freed_without_cyclic_gc(rng):
         loss = T.reduce_sum(T.mul(hidden, hidden))
         del hidden
         T.backward(loss)
-        T.clear_tape()
         del loss
         assert probe() is None
     finally:
@@ -106,6 +105,44 @@ def test_backward_frees_activations_while_it_runs(rng):
     T.backward(loss)
     assert seen == [None]
     assert x.grad is not None
+
+
+def test_unbackwarded_graph_dies_with_its_tensors(rng):
+    x = T.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = T.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = T.silu(T.linear(x, w))
+        probe = weakref.ref(hidden.data)
+        loss = T.reduce_sum(T.mul(hidden, hidden))
+        del hidden, loss  # recorded, never backwarded
+        assert probe() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_tape_size_counts_ops_since_the_last_backward(rng):
+    x = T.tensor(rng.normal(size=(3,)), requires_grad=True)
+    T.backward(T.reduce_sum(x))
+    assert T.tape_size() == 0
+    loss = T.reduce_sum(T.mul(T.silu(x), x))
+    assert T.tape_size() == 3
+    T.backward(loss)
+    assert T.tape_size() == 0
+
+
+def test_narrow_is_a_view_with_the_slice_gradient(rng):
+    x = T.tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    part = T.narrow(x, -1, 2, 3)
+    assert np.shares_memory(part.data, x.data)
+    np.testing.assert_array_equal(part.data, x.data[..., 2:5])
+    weights = rng.normal(size=part.shape)
+    T.backward(T.reduce_sum(T.mul(part, T.tensor(weights))))
+    expected = np.zeros(x.shape)
+    expected[..., 2:5] = weights
+    np.testing.assert_array_equal(x.grad, expected)
 
 
 def test_no_grad_suppresses_recording(rng):

@@ -383,7 +383,6 @@ def test_network_not_scale_invariant_in_train_mode(rng):
     net = PulseMambaNet(cfg, seed=0).train()
     x = rng.normal(size=(2, 3, 8, 16, 16))
     y1 = net(Tensor(x)).data.copy()
-    T.clear_tape()
     y2 = net(Tensor(2.0 * x)).data
     assert np.abs(y1 - y2).max() > 1e-9
 
@@ -488,18 +487,23 @@ def test_stream_error_reaches_caller_and_worker_is_joined(
         assert np.array_equal(net(x).data, ref)
 
 
-def test_recording_forwards_record_the_same_tape(every_stage_concurrent):
+def _graph_op_names(out):
+    """Names of the nodes reachable from ``out``, in recording order."""
+    seen, stack = {}, [out._node]
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(p._node for p in node.parents)
+    return [node.name for node in sorted(seen.values(), key=lambda n: n.seq)]
+
+
+def test_recording_forwards_record_the_same_graph(every_stage_concurrent):
     cfg = ModelConfig(channels=8, blocks_per_stream=3, ca_ratio=4, state_dim=4)
     net = PulseMambaNet(cfg, seed=0).eval()
     x = Tensor(np.random.default_rng(5).normal(size=(1, 3, 8, 32, 32)))
-    tapes = []
-    for _ in range(2):
-        T.clear_tape()
-        net(x)
-        tapes.append([node.name for node in T._TAPE])
-    T.clear_tape()
-    sequential_forward(net, x)
-    assert tapes[0] == tapes[1] == [node.name for node in T._TAPE]
+    graphs = [_graph_op_names(net(x)) for _ in range(2)]
+    assert graphs[0] == graphs[1] == _graph_op_names(sequential_forward(net, x))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ and the resolved_config snapshot."""
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -78,6 +79,21 @@ def test_train_missing_data_dir_exits_3(tmp_path, capsys):
                     "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_IO
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("frames_shape", "ab"), ("fs", "x")],
+                         ids=["string_frames_shape", "string_fs"])
+def test_malformed_dataset_header_exits_3(key, value, tiny_dataset, tmp_path,
+                                          capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    meta_path = data / "clip_0000" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    code = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_IO
+    assert f"bad {key}" in capsys.readouterr().err
 
 
 TINY_MODEL = ["--set", "input_h=16", "--set", "input_w=16",

@@ -112,7 +112,6 @@ def test_neg_pearson_range_property(seed):
     y = r.normal(size=(1, 16))
     val = neg_pearson_loss(Tensor(x), Tensor(y)).item()
     assert -1e-9 <= val <= 2.0 + 1e-9
-    T.clear_tape()
 
 
 def test_neg_pearson_is_differentiable(rng):
