@@ -79,15 +79,13 @@ def gradcheck(name: str, build_loss: Callable[[], Tensor],
     differences.
 
     build_loss must rebuild the forward pass from the leaves' current data
-    (it is called repeatedly with perturbed entries).
+    (it is called repeatedly with perturbed entries). The perturbed
+    forwards run under ``no_grad``: they are never backwarded, so they
+    record no graph.
     """
-    def fresh_loss() -> Tensor:
-        for _, p in leaves:
-            p.grad = None
-        return build_loss()
-
-    loss = fresh_loss()
-    T.backward(loss)
+    for _, p in leaves:
+        p.grad = None
+    T.backward(build_loss())
     grads = [(p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
              for _, p in leaves]
 
@@ -97,7 +95,8 @@ def gradcheck(name: str, build_loss: Callable[[], Tensor],
         k = min(samples_per_leaf, p.size)
         idxs = rng.choice(p.size, size=k, replace=False)
         for i in idxs:
-            fd = central_diff(lambda: fresh_loss().item(), p.data, int(i), eps)
+            with T.no_grad():
+                fd = central_diff(lambda: build_loss().item(), p.data, int(i), eps)
             an = g.reshape(-1)[int(i)]
             err = abs(an - fd) / max(abs(an), abs(fd), REL_FLOOR)
             worst = max(worst, err)

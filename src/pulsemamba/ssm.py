@@ -292,8 +292,8 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     if np.any(delta.data <= 0.0):
         raise NumericError("selective_scan requires delta > 0 (softplus upstream)")
 
-    recording = T.is_grad_enabled() and any(
-        p.requires_grad for p in (u, delta, a, bmat, cmat))
+    parents = [u, delta, a, bmat, cmat]
+    recording = T._records(parents)
     chunk = chunk or _chunk_len(bsz, d, n)
     c = min(chunk, L)
     # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
@@ -358,7 +358,7 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
         return [_batch_major(gu), _batch_major(gdelta), ga.T, _batch_major(gb),
                 _batch_major(gc)]
 
-    return T.apply_op("selective_scan", y, [u, delta, a, bmat, cmat], bwd)
+    return T.apply_op("selective_scan", y, parents, bwd)
 
 
 def selective_scan(params: SSMParams, x) -> Tensor:

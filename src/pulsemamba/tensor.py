@@ -7,15 +7,20 @@ apply and a handful of shape movers. Computation is
 float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 
 Every recorded op hangs a node, numbered in execution order, off its
-output; nothing else holds it. ``backward`` runs the nodes reachable from
-the loss in decreasing number, which is reverse execution order; running
-a node twice without a fresh forward is a ``GraphError``. Nodes do not
-refer to their outputs, so a graph holds no reference cycle and dies with
-its last tensor by reference counting alone, and each node drops its
-inputs and backward rule once ``backward`` has run it, so activations die
-while the backward runs, not after it. Binary elementwise ops accept
-equal shapes or a scalar operand only; anything fancier (bias adds,
-channel gates, norm affines) is a dedicated op with its own backward rule.
+output; nothing else holds it. A node links to its parents' nodes (or to
+a leaf that needs a gradient), never to their tensors, and its backward
+rule captures only the arrays and shapes it reads: ``relu`` keeps a bool
+mask, ``maxpool3d`` a small-int index of each window's max. So an
+activation no rule reads dies as soon as the forward drops it.
+``backward`` runs the nodes reachable from the loss in decreasing number,
+which is reverse execution order; running a node twice without a fresh
+forward is a ``GraphError``. Nodes do not refer to their outputs, so a
+graph holds no reference cycle and dies with its last tensor by reference
+counting alone, and each node drops its links and backward rule once
+``backward`` has run it, so what a rule read dies while the backward
+runs, not after it. Binary elementwise ops accept equal shapes or a
+scalar operand only; anything fancier (bias adds, channel gates, norm
+affines) is a dedicated op with its own backward rule.
 """
 
 from __future__ import annotations
@@ -74,16 +79,23 @@ def tape_size() -> int:
 
 
 class _Node:
-    """One executed op: its input tensors, its backward rule and its
-    execution-order number. It holds no reference to its output, which
-    refers to it: that would be a cycle."""
+    """One executed op: one link per input, its backward rule, its output
+    shape and its execution-order number.
 
-    __slots__ = ("name", "parents", "bwd", "used", "seq")
+    An input's link is the input's own node, the input itself if it is a
+    leaf that requires grad, or None; so the graph holds no intermediate
+    tensor. It holds no reference to its output, which refers to it: that
+    would be a cycle.
+    """
 
-    def __init__(self, name, parents, bwd):
+    __slots__ = ("name", "inputs", "bwd", "shape", "used", "seq")
+
+    def __init__(self, name, parents, bwd, shape):
         self.name = name
-        self.parents = parents
+        self.inputs = [p._node if p._node is not None
+                       else (p if p.requires_grad else None) for p in parents]
         self.bwd = bwd
+        self.shape = shape
         self.used = False
         self.seq = next(_SEQ)
 
@@ -120,10 +132,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        self.grad = _summed(self.grad, g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -166,10 +175,25 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
+def _summed(acc: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """Gradient sum: a copy of the first contribution, ``+=`` after it."""
+    if acc is None:
+        return np.array(g, dtype=np.float64)
+    acc += g
+    return acc
+
+
 def _wrap(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
+
+
+def _records(parents: Iterable[Tensor]) -> bool:
+    """Whether an op on ``parents`` is recorded: grads are on and some
+    parent requires them. An op that keeps extra state for its backward
+    makes it only when this holds."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def apply_op(name: str, out_data, parents: Sequence[Tensor],
@@ -177,14 +201,15 @@ def apply_op(name: str, out_data, parents: Sequence[Tensor],
     """Wrap ``out_data`` in a Tensor and record the op as its node.
 
     ``bwd(gout) -> list`` maps the output gradient to one gradient (or
-    None) per parent. Recording is skipped when grads are globally off or
-    no parent requires them. Used by this module and by the fused scan op.
+    None) per parent; it must capture arrays and shapes, not ``parents``,
+    so that the graph pins no tensor. Recording is skipped unless
+    ``_records(parents)``. Used by this module and by the fused scan op.
     """
     global _recorded
     out = Tensor(out_data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
-        out._node = _Node(name, list(parents), bwd)
+        out._node = _Node(name, parents, bwd, out.data.shape)
         _recorded += 1
     return out
 
@@ -195,12 +220,12 @@ def backward(loss: Tensor) -> None:
     Runs the nodes reachable from ``loss`` off a max-heap on their
     numbers, so each node runs after every node that reads its output.
     Nodes are single-use: a second backward through the same forward is a
-    GraphError. Each node drops its inputs and backward rule as soon as it
-    has run, so an activation is freed once the last node that reads it
-    has run and the caller holds it no more. Until a node has run,
-    ``pending`` holds its output (the loss, or an input of a node that has
-    run), keyed by the node, so the gradient gathered there still reaches
-    the node; a node is pushed when it first enters ``pending``.
+    GraphError. Each node drops its links and backward rule as soon as it
+    has run, so what the rule read is freed once the caller holds it no
+    more. Until a node has run, ``pending`` gathers its output gradient
+    (None while nothing has arrived), keyed by the node and summed as
+    ``Tensor.grad`` is; a node is pushed when it first enters ``pending``.
+    Leaves accumulate into ``Tensor.grad``.
     """
     global _recorded
     if loss.size != 1:
@@ -213,29 +238,26 @@ def backward(loss: Tensor) -> None:
     _recorded = 0
 
     loss._accumulate(np.ones_like(loss.data))
-    pending = {root: loss}
+    pending = {root: loss.grad}
     heap = [(-root.seq, root)]
     while heap:
         node = heapq.heappop(heap)[1]
         if node.used:
             raise GraphError(f"graph node '{node.name}' already consumed by a previous backward")
         node.used = True
-        out = pending.pop(node)
-        gins = node.bwd(out.grad if out.grad is not None
-                        else np.zeros_like(out.data))
-        for p, g in zip(node.parents, gins):
-            if p._node is not None and p._node not in pending:
-                pending[p._node] = p
-                heapq.heappush(heap, (-p._node.seq, p._node))
-            if g is None:
-                continue
-            if p.requires_grad or p._node is not None:
-                p._accumulate(g)
+        gout = pending.pop(node)
+        gins = node.bwd(gout if gout is not None else np.zeros(node.shape))
+        for src, g in zip(node.inputs, gins):
+            if isinstance(src, _Node):
+                if src not in pending:
+                    pending[src] = None
+                    heapq.heappush(heap, (-src.seq, src))
+                if g is not None:
+                    pending[src] = _summed(pending[src], g)
+            elif src is not None and g is not None:
+                src._accumulate(g)
         node.bwd = None
-        node.parents = ()
-        # intermediate grads are not needed once propagated
-        if out is not loss:
-            out.grad = None
+        node.inputs = ()
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -262,31 +284,35 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
+    sa, sb = a.shape, b.shape
     return apply_op("add", a.data + b.data, [a, b],
-                    lambda g: [_reduce_to(g, a.shape), _reduce_to(g, b.shape)])
+                    lambda g: [_reduce_to(g, sa), _reduce_to(g, sb)])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
+    sa, sb = a.shape, b.shape
     return apply_op("sub", a.data - b.data, [a, b],
-                    lambda g: [_reduce_to(g, a.shape), _reduce_to(-g, b.shape)])
+                    lambda g: [_reduce_to(g, sa), _reduce_to(-g, sb)])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
-    return apply_op("mul", a.data * b.data, [a, b],
-                    lambda g: [_reduce_to(g * b.data, a.shape),
-                               _reduce_to(g * a.data, b.shape)])
+    ad, bd = a.data, b.data
+    return apply_op("mul", ad * bd, [a, b],
+                    lambda g: [_reduce_to(g * bd, ad.shape),
+                               _reduce_to(g * ad, bd.shape)])
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "div")
+    ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
+        out = ad / bd
     _check_finite(out, "div")
     return apply_op("div", out, [a, b],
-                    lambda g: [_reduce_to(g / b.data, a.shape),
-                               _reduce_to(-g * a.data / (b.data * b.data), b.shape)])
+                    lambda g: [_reduce_to(g / bd, ad.shape),
+                               _reduce_to(-g * ad / (bd * bd), bd.shape)])
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -312,8 +338,9 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    return apply_op("relu", np.maximum(x.data, 0.0), [x],
-                    lambda g: [g * (x.data > 0.0)])
+    # the backward reads only the sign of the input (a BN output): keep that
+    mask = x.data > 0.0 if _records([x]) else None
+    return apply_op("relu", np.maximum(x.data, 0.0), [x], lambda g: [g * mask])
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -324,8 +351,9 @@ def sigmoid(x: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     # cache-sized blocks keep the sigmoid's ~8 temporaries out of memory;
     # the backward recomputes the sigmoid
-    xf = np.ascontiguousarray(x.data).reshape(-1)
-    out = np.empty(x.shape)
+    xd = x.data
+    xf = np.ascontiguousarray(xd).reshape(-1)
+    out = np.empty(xd.shape)
     of = out.reshape(-1)
     step = BLOCK_BYTES // (8 * 8)
     for i in range(0, xf.size, step):
@@ -333,15 +361,16 @@ def silu(x: Tensor) -> Tensor:
         np.multiply(blk, _sigmoid_np(blk), out=of[i:i + step])
 
     def bwd(g):
-        s = _sigmoid_np(x.data)
-        return [g * (s * (1.0 + x.data * (1.0 - s)))]
+        s = _sigmoid_np(xd)
+        return [g * (s * (1.0 + xd * (1.0 - s)))]
 
     return apply_op("silu", out, [x], bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, x.data)
-    return apply_op("softplus", out, [x], lambda g: [g * _sigmoid_np(x.data)])
+    xd = x.data
+    return apply_op("softplus", np.logaddexp(0.0, xd), [x],
+                    lambda g: [g * _sigmoid_np(xd)])
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
@@ -365,9 +394,10 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if w.ndim != 2 or w.shape[1] != din:
         raise ShapeError(f"linear: x last extent {din} vs weight {w.shape}")
     dout = w.shape[0]
+    xshape, wd, has_bias = x.shape, w.data, bias is not None
     # one 2-D GEMM over all leading axes, not one per leading index
     x2 = x.data.reshape(-1, din)
-    out = (x2 @ w.data.T).reshape(x.shape[:-1] + (dout,))
+    out = (x2 @ wd.T).reshape(xshape[:-1] + (dout,))
     parents = [x, w]
     if bias is not None:
         if bias.shape != (dout,):
@@ -377,9 +407,9 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, dout)
-        gx = (g2 @ w.data).reshape(x.shape)
+        gx = (g2 @ wd).reshape(xshape)
         gw = g2.T @ x2
-        if bias is None:
+        if not has_bias:
             return [gx, gw]
         return [gx, gw, g2.sum(axis=0)]
 
@@ -432,11 +462,12 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             raise ShapeError("conv3d: bias must be (Cout,)")
         out += bias.data[None, :, None, None, None]
         parents.append(bias)
+    has_bias, xd, need_gx = bias is not None, x.data, x.requires_grad
 
     def bwd(g):
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+        xp = np.pad(xd, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
         # an input that needs no gradient (the network's frames) gets none
-        gxp = np.zeros_like(xp) if x.requires_grad else None
+        gxp = np.zeros_like(xp) if need_gx else None
         gw2 = np.zeros((cout, cin * kt * kh * kw), dtype=np.float64)
         cols = np.empty((b, cin, kt * kh * kw, ho * wo), dtype=np.float64)
         for ot in range(to):
@@ -447,9 +478,9 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             if gxp is not None:
                 gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
                 _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)
-        gw = gw2.reshape(w.shape)
+        gw = gw2.reshape(cout, cin, kt, kh, kw)
         gx = None if gxp is None else gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
-        if bias is None:
+        if not has_bias:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3, 4))]
 
@@ -496,6 +527,7 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None)
         if bias.shape != (d,):
             raise ShapeError("depthwise conv1d: bias must be (D,)")
         parents.append(bias)
+    has_bias, xd, wd = bias is not None, x.data, w.data
     out = np.empty(x.shape)
     rows = max(1, BLOCK_BYTES // (3 * 8 * b * d))  # x, tap and out blocks
     tap = np.empty((b, min(rows, L), d))
@@ -511,21 +543,21 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None)
             if lo >= r1:
                 continue
             n = r1 - lo
-            np.multiply(x.data[:, lo - (K - 1 - k):r1 - (K - 1 - k)],
-                        w.data[:, k], out=tap[:, :n])
+            np.multiply(xd[:, lo - (K - 1 - k):r1 - (K - 1 - k)],
+                        wd[:, k], out=tap[:, :n])
             blk[:, lo - r0:] += tap[:, :n]
         if bias is not None:
             blk += bias.data
 
     def bwd(g):
-        xp = np.pad(x.data, ((0, 0), (K - 1, 0), (0, 0)))
+        xp = np.pad(xd, ((0, 0), (K - 1, 0), (0, 0)))
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        gw = np.zeros_like(wd)
         for k in range(K):
-            gxp[:, k:k + L, :] += g * w.data[:, k]
+            gxp[:, k:k + L, :] += g * wd[:, k]
             gw[:, k] = np.einsum("bld,bld->d", g, xp[:, k:k + L, :])
         gx = gxp[:, K - 1:, :]
-        if bias is None:
+        if not has_bias:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 1))]
 
@@ -547,10 +579,11 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     t_out = t_full - 2 * padding
     if t_out < 1:
         raise ShapeError("conv_transpose1d: output length would be < 1")
+    xd, wd, has_bias = x.data, w.data, bias is not None
     full = np.zeros((b, cout, t_full), dtype=np.float64)
     for k in range(K):
         full[:, :, k:k + stride * (t - 1) + 1:stride] += np.einsum(
-            "io,bit->bot", w.data[:, :, k], x.data, optimize=True)
+            "io,bit->bot", wd[:, :, k], xd, optimize=True)
     out = full[:, :, padding:padding + t_out]
     parents = [x, w]
     if bias is not None:
@@ -562,13 +595,13 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     def bwd(g):
         gfull = np.zeros((b, cout, t_full), dtype=np.float64)
         gfull[:, :, padding:padding + t_out] = g
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
+        gx = np.zeros_like(xd)
+        gw = np.zeros_like(wd)
         for k in range(K):
             gsl = gfull[:, :, k:k + stride * (t - 1) + 1:stride]
-            gx += np.einsum("io,bot->bit", w.data[:, :, k], gsl, optimize=True)
-            gw[:, :, k] = np.einsum("bit,bot->io", x.data, gsl, optimize=True)
-        if bias is None:
+            gx += np.einsum("io,bot->bit", wd[:, :, k], gsl, optimize=True)
+            gw[:, :, k] = np.einsum("bit,bot->io", xd, gsl, optimize=True)
+        if not has_bias:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2))]
 
@@ -581,7 +614,8 @@ def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
     The output is folded with ``np.maximum`` over the window offsets, so a
     NaN anywhere in a window makes that output NaN (and its gradient 0).
     Ties route gradient to the earliest window offset (fixed scan order),
-    keeping backward deterministic.
+    keeping backward deterministic. The recorded op keeps, per output, the
+    index of that offset (-1 for a NaN window), not the input.
     """
     if x.ndim != 5:
         raise ShapeError("maxpool3d expects (B, C, T, H, W)")
@@ -602,15 +636,23 @@ def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
     out = x.data[windows[0]].copy()
     for win in windows[1:]:
         np.maximum(out, x.data[win], out=out)
+    first = None  # per output: the first offset holding its max, or -1
+    if _records([x]):
+        first = np.full(out.shape, -1, dtype=np.min_scalar_type(-len(windows)))
+        hit, step = np.empty(out.shape, dtype=bool), np.empty_like(first)
+        # last offset to first, first = i where hit, so the lowest hit
+        # wins; the integer sums are exact (modulo the dtype's range)
+        for i in reversed(range(len(windows))):
+            np.equal(x.data[windows[i]], out, out=hit)
+            np.subtract(i, first, out=step)
+            step *= hit
+            first += step
+    xshape = x.shape
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        unrouted = np.ones(out.shape, dtype=bool)
-        for win in windows:
-            hit = np.equal(x.data[win], out)
-            hit &= unrouted
-            gx[win] += np.where(hit, g, 0.0)
-            unrouted &= ~hit
+        gx = np.zeros(xshape)
+        for i, win in enumerate(windows):
+            gx[win] += np.where(first == i, g, 0.0)
         return [gx]
 
     return apply_op("maxpool3d", out, [x], bwd)
@@ -680,18 +722,19 @@ def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     pshape = tuple(c if i == axis else 1 for i in range(x.ndim))
     param_axes = tuple(i for i in range(x.ndim) if i != axis)
     inv = 1.0 / np.sqrt(var + eps)
-    out = np.subtract(x.data, mean)
+    xd, gam = x.data, gamma.data.reshape(pshape)
+    out = np.subtract(xd, mean)
     out *= inv
-    out *= gamma.data.reshape(pshape)
+    out *= gam
     out += beta.data.reshape(pshape)
 
     def bwd(g):
-        xhat = np.subtract(x.data, mean)
+        xhat = np.subtract(xd, mean)
         xhat *= inv
         gg = (g * xhat).sum(axis=param_axes)
         # summed in C order whatever g's layout, as the seed's layer norm did
         gb = np.ascontiguousarray(g).sum(axis=param_axes)
-        gscaled = g * gamma.data.reshape(pshape)
+        gscaled = g * gam
         if batch_stats:
             m1 = gscaled.mean(axis=stat_axes, keepdims=True)
             m2 = (gscaled * xhat).mean(axis=stat_axes, keepdims=True)
@@ -717,10 +760,11 @@ def _norm_axes(axes, ndim):
 def reduce_sum(x: Tensor, axes=None) -> Tensor:
     axes = _norm_axes(axes, x.ndim)
     out = x.data.sum(axis=axes)
+    xshape = x.shape
 
     def bwd(g):
         ge = np.expand_dims(g, axes) if g.ndim else g
-        return [np.broadcast_to(ge, x.shape).copy()]
+        return [np.broadcast_to(ge, xshape).copy()]
 
     return apply_op("sum", out, [x], bwd)
 
@@ -729,10 +773,11 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
     axes = _norm_axes(axes, x.ndim)
     n = int(np.prod([x.shape[a] for a in axes]))
     out = x.data.mean(axis=axes)
+    xshape = x.shape
 
     def bwd(g):
         ge = np.expand_dims(g, axes) if g.ndim else g
-        return [np.broadcast_to(ge, x.shape) / n]
+        return [np.broadcast_to(ge, xshape) / n]
 
     return apply_op("mean", out, [x], bwd)
 
@@ -741,9 +786,9 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
 # shape movers
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, xshape = tuple(shape), x.shape
     return apply_op("reshape", x.data.reshape(shape), [x],
-                    lambda g: [g.reshape(x.shape)])
+                    lambda g: [g.reshape(xshape)])
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -785,10 +830,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside extent {x.shape[axis]}")
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
+    sl, xshape = tuple(sl), x.shape
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(xshape)
         gx[sl] = g
         return [gx]
 
@@ -800,11 +845,12 @@ def channel_scale(x: Tensor, gate: Tensor) -> Tensor:
     if gate.ndim != 2 or x.shape[:2] != gate.shape:
         raise ShapeError(f"channel_scale: x {x.shape} vs gate {gate.shape}")
     gshape = gate.shape + (1,) * (x.ndim - 2)
-    out = x.data * gate.data.reshape(gshape)
+    xd, gd = x.data, gate.data.reshape(gshape)
+    out = xd * gd
 
     def bwd(g):
-        gx = g * gate.data.reshape(gshape)
-        gg = (g * x.data).sum(axis=tuple(range(2, x.ndim)))
+        gx = g * gd
+        gg = (g * xd).sum(axis=tuple(range(2, xd.ndim)))
         return [gx, gg]
 
     return apply_op("channel_scale", out, [x, gate], bwd)

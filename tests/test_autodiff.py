@@ -133,6 +133,14 @@ def test_tape_size_counts_ops_since_the_last_backward(rng):
     assert T.tape_size() == 0
 
 
+def test_gradcheck_leaves_no_recorded_graph(rng):
+    x = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    result = checks.gradcheck("silu", lambda: T.reduce_sum(T.silu(x)),
+                              [("x", x)], rng)
+    assert result.passed, result.line()
+    assert T.tape_size() == 0  # the finite-difference forwards record nothing
+
+
 def test_narrow_is_a_view_with_the_slice_gradient(rng):
     x = T.tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
     part = T.narrow(x, -1, 2, 3)

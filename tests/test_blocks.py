@@ -3,8 +3,10 @@ block/stem/lateral/head shape algebra, full-network contracts and the
 analytic profile."""
 
 import copy
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pulsemamba.blocks import (ChannelAttention, LateralConnection,
                                TemporalDifferenceMambaBlock)
 from pulsemamba.errors import CapacityError, ConfigError, ShapeError
 from pulsemamba.profiling import conv3d_params, profile_model
+from pulsemamba.signal import neg_pearson_loss
 from pulsemamba.tensor import Tensor
 
 
@@ -487,15 +490,20 @@ def test_stream_error_reaches_caller_and_worker_is_joined(
         assert np.array_equal(net(x).data, ref)
 
 
-def _graph_op_names(out):
-    """Names of the nodes reachable from ``out``, in recording order."""
+def _graph_nodes(out):
+    """The nodes reachable from ``out``, in recording order."""
     seen, stack = {}, [out._node]
     while stack:
         node = stack.pop()
-        if node is not None and id(node) not in seen:
+        if isinstance(node, T._Node) and id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(p._node for p in node.parents)
-    return [node.name for node in sorted(seen.values(), key=lambda n: n.seq)]
+            stack.extend(node.inputs)  # parent nodes, leaves or None
+    return sorted(seen.values(), key=lambda n: n.seq)
+
+
+def _graph_op_names(out):
+    """Names of the nodes reachable from ``out``, in recording order."""
+    return [node.name for node in _graph_nodes(out)]
 
 
 def test_recording_forwards_record_the_same_graph(every_stage_concurrent):
@@ -504,6 +512,77 @@ def test_recording_forwards_record_the_same_graph(every_stage_concurrent):
     x = Tensor(np.random.default_rng(5).normal(size=(1, 3, 8, 32, 32)))
     graphs = [_graph_op_names(net(x)) for _ in range(2)]
     assert graphs[0] == graphs[1] == _graph_op_names(sequential_forward(net, x))
+
+
+def _holds_graph_tensor(obj) -> bool:
+    """Whether ``obj`` reaches a non-leaf Tensor through containers and
+    closure cells."""
+    if isinstance(obj, Tensor):
+        return obj._node is not None
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_graph_tensor(o) for o in obj)
+    cells = getattr(obj, "__closure__", None) or ()
+    return any(_holds_graph_tensor(c.cell_contents) for c in cells)
+
+
+def _toy_training_loss(seed=6):
+    cfg = ModelConfig(channels=8, blocks_per_stream=2, ca_ratio=4, state_dim=4)
+    net = PulseMambaNet(cfg, seed=0).train()
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(2, 3, 8, 16, 16)))
+    y = Tensor(rng.normal(size=(2, 8)))
+    return net, lambda: neg_pearson_loss(net(x), y)
+
+
+def test_recorded_graph_holds_no_intermediate_tensor():
+    _, build = _toy_training_loss()
+    nodes = _graph_nodes(build())
+    assert {"batch_norm", "relu", "maxpool3d", "selective_scan"} <= {
+        n.name for n in nodes}
+    pinned = sorted({n.name for n in nodes
+                     if _holds_graph_tensor(n.bwd) or _holds_graph_tensor(n.inputs)})
+    assert pinned == []
+
+
+def test_activations_no_rule_reads_die_in_the_forward(monkeypatch):
+    """A BN output (read by ReLU through a mask) and a ReLU output that
+    feeds a max-pool or a transpose are freed once the forward has
+    consumed them, and the backward's gradients do not change."""
+    net, build = _toy_training_loss()
+    probes = {"batch_norm": [], "relu": []}
+
+    def step():
+        for p in net.parameters():
+            p.grad = None
+        loss = build()
+        alive = sum(r() is not None for refs in probes.values() for r in refs)
+        T.backward(loss)
+        return alive, loss.data, [p.grad for p in net.parameters()]
+
+    def probing(real, fed_by):
+        def call(x, *args):
+            if x._node is not None and x._node.name == fed_by:
+                probes[fed_by].append(weakref.ref(x.data))
+            return real(x, *args)
+        return call
+
+    _, loss_ref, grads_ref = step()
+    for op, fed_by in (("relu", "batch_norm"), ("maxpool3d", "relu"),
+                       ("transpose", "relu")):
+        monkeypatch.setattr(T, op, probing(getattr(T, op), fed_by))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        alive, loss, grads = step()
+    finally:
+        if was_enabled:
+            gc.enable()
+    # 9 BN outputs (stem 3, downsample 2, blocks 4); 6 ReLU outputs
+    # (2 pooled in the stem, 4 transposed in the blocks)
+    assert [len(probes[k]) for k in ("batch_norm", "relu")] == [9, 6]
+    assert alive == 0
+    assert np.array_equal(loss, loss_ref)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
 
 
 # ---------------------------------------------------------------------------
