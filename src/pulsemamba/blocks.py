@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,8 +37,6 @@ __all__ = [
     "TemporalDifferenceMambaBlock", "Stem", "TemporalDownsample",
     "LateralConnection", "PredictorHead", "PulseMambaNet",
 ]
-
-DEFAULT_SEQ_BUDGET = 1 << 24  # flattened L*C elements per sample
 
 # runs the slow stream's stages; its thread starts on the first submit
 _SLOW_STREAM = ThreadPoolExecutor(max_workers=1,
@@ -69,17 +67,13 @@ def _both_streams(slow_stage, slow: Tensor, fast_stage, fast: Tensor):
     return slow_out, fast_out
 
 
-def _default_stem(channels: int) -> Tuple[int, int, int]:
-    return (max(channels // 4, 4), max(3 * channels // 8, 6), channels)
-
-
 @dataclass
 class ModelConfig:
     """Hyperparameters of the full network.
 
     ``channels`` is the slow-stream width C; the fast stream runs at C/2.
-    Stem intermediate widths and head width default to fractions of C so
-    toy configurations scale down consistently.
+    Stem intermediate widths and head width are fractions of C so toy
+    configurations scale down consistently.
     """
 
     channels: int = 64
@@ -88,14 +82,12 @@ class ModelConfig:
     expand: int = 2
     theta: float = 0.5
     ca_ratio: int = 8
-    conv_kernel: int = 4
-    stem_channels: Optional[Tuple[int, int, int]] = None
-    head_channels: Optional[int] = None
-    seq_budget: int = DEFAULT_SEQ_BUDGET
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
+        if self.channels < 2 or min(self.ca_ratio, self.state_dim, self.expand) < 1:
+            raise ConfigError("need channels >= 2 and ca_ratio, state_dim, expand >= 1")
         if self.channels % 2 != 0:
             raise ConfigError("channels must be even (fast stream runs at C/2)")
         if self.channels % self.ca_ratio != 0:
@@ -104,26 +96,27 @@ class ModelConfig:
             raise ConfigError("fast channels incompatible with ca_ratio")
         if self.blocks_per_stream < 1:
             raise ConfigError("need at least one block per stream")
-        if self.stem_channels is None:
-            self.stem_channels = _default_stem(self.channels)
-        self.stem_channels = tuple(self.stem_channels)
-        if len(self.stem_channels) != 3 or self.stem_channels[-1] != self.channels:
-            raise ConfigError("stem_channels must be 3 widths ending at `channels`")
-        if self.head_channels is None:
-            self.head_channels = max(3 * self.channels // 4, 4)
+
+    @property
+    def stem_channels(self) -> Tuple[int, int, int]:
+        c = self.channels
+        return (max(c // 4, 4), max(3 * c // 8, 6), c)
+
+    @property
+    def head_channels(self) -> int:
+        return max(3 * self.channels // 4, 4)
 
     @property
     def fast_channels(self) -> int:
         return self.channels // 2
 
-    def spatial_divisor(self) -> int:
-        # two stem halvings plus one per block except the last
-        return 4 * (1 << (self.blocks_per_stream - 1))
-
     def validate_input(self, t: int, h: int, w: int) -> None:
+        if min(t, h, w) < 1:
+            raise ConfigError(f"input extents must be positive, got {t}x{h}x{w}")
         if t % 4 != 0:
             raise ConfigError(f"T={t} must be divisible by 4")
-        div = self.spatial_divisor()
+        # two stem halvings plus one per block except the last
+        div = 4 * (1 << (self.blocks_per_stream - 1))
         if h % div != 0 or w % div != 0:
             raise ConfigError(f"H={h}, W={w} must be divisible by {div}")
 
@@ -242,14 +235,14 @@ class TemporalDifferenceMambaBlock(Module):
     """
 
     def __init__(self, c: int, state_dim: int = 16, expand: int = 2,
-                 theta: float = 0.5, ca_ratio: int = 8, conv_kernel: int = 4,
-                 seq_budget: int = DEFAULT_SEQ_BUDGET,
+                 theta: float = 0.5, ca_ratio: int = 8,
+                 seq_budget: int = 1 << 24,  # flattened L*C per sample
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.tdc = TemporalDifferenceConv3d(c, c, theta=theta, rng=rng)
         self.bn = BatchNorm3d(c)
-        self.mamba = MambaLayer(c, state_dim, expand, conv_kernel, rng=rng)
+        self.mamba = MambaLayer(c, state_dim, expand, rng=rng)
         self.post_ln = LayerNorm(c)
         self.ca = ChannelAttention(c, min(ca_ratio, c), rng=rng)
         self.seq_budget = seq_budget
@@ -385,9 +378,7 @@ class PulseMambaNet(Module):
         self.down_slow = TemporalDownsample(c, c, 4, rng=rng)
         self.down_fast = TemporalDownsample(c, cf, 2, rng=rng)
         block_args = dict(state_dim=config.state_dim, expand=config.expand,
-                          theta=config.theta, ca_ratio=config.ca_ratio,
-                          conv_kernel=config.conv_kernel,
-                          seq_budget=config.seq_budget)
+                          theta=config.theta, ca_ratio=config.ca_ratio)
         nb = config.blocks_per_stream
         self.blocks_slow = [TemporalDifferenceMambaBlock(c, rng=rng, **block_args)
                             for _ in range(nb)]
@@ -396,7 +387,7 @@ class PulseMambaNet(Module):
         self.laterals = [LateralConnection(cf, rng=rng) for _ in range(nb - 1)]
         self.head = PredictorHead(c, cf, config.head_channels, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 5 or x.shape[1] != 3:
             raise ShapeError(f"expected (B, 3, T, H, W), got {x.shape}")
         _, _, t, h, w = x.shape
@@ -411,6 +402,3 @@ class PulseMambaNet(Module):
                 fast = T.maxpool3d(fast, (1, 2, 2))
                 slow = T.add(slow, self.laterals[i](fast))
         return self.head(slow, fast)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)

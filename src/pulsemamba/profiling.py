@@ -58,7 +58,7 @@ def _bn_params(c: int) -> int:
     return 2 * c
 
 
-def _mamba_params(c: int, state_dim: int, expand: int, conv_kernel: int) -> int:
+def _mamba_params(c: int, state_dim: int, expand: int) -> int:
     d = expand * c
     r = max(1, math.ceil(c / 16))
     per_dir = d * state_dim          # a_log
@@ -66,17 +66,16 @@ def _mamba_params(c: int, state_dim: int, expand: int, conv_kernel: int) -> int:
     per_dir += r * d + d * r + d     # delta down/up + bias
     shared = 2 * c                   # pre-LN
     shared += 2 * d * c              # in projection (x and z)
-    shared += d * conv_kernel + d    # depthwise conv + bias
+    shared += d * 4 + d              # depthwise conv (kernel 4) + bias
     shared += c * d                  # out projection
     return shared + 2 * per_dir
 
 
-def _mamba_macs(c: int, state_dim: int, expand: int, conv_kernel: int,
-                seq_len: int) -> int:
+def _mamba_macs(c: int, state_dim: int, expand: int, seq_len: int) -> int:
     d = expand * c
     r = max(1, math.ceil(c / 16))
     macs = seq_len * c * 2 * d                       # in projection
-    macs += 2 * seq_len * d * conv_kernel            # conv1d, both directions
+    macs += 2 * seq_len * d * 4                      # conv1d, both directions
     macs += 2 * 2 * seq_len * d * state_dim          # B and C projections
     macs += 2 * 2 * seq_len * d * r                  # delta projections
     macs += 2 * 7 * seq_len * d * state_dim          # discretize + recurrence
@@ -97,7 +96,7 @@ def _ca_macs(c: int, ratio: int, positions: int) -> int:
 
 def _block_params(c: int, cfg: ModelConfig) -> int:
     p = conv3d_params(c, c, (3, 3, 3)) + _bn_params(c)       # TDC + BN
-    p += _mamba_params(c, cfg.state_dim, cfg.expand, cfg.conv_kernel)
+    p += _mamba_params(c, cfg.state_dim, cfg.expand)
     p += 2 * c                                               # post-LN
     p += _ca_params(c, min(cfg.ca_ratio, c))
     return p
@@ -106,7 +105,7 @@ def _block_params(c: int, cfg: ModelConfig) -> int:
 def _block_macs(c: int, cfg: ModelConfig, t: int, h: int, w: int) -> int:
     pos = t * h * w
     m = conv3d_macs(c, c, (3, 3, 3), pos)                    # TDC, folded
-    m += _mamba_macs(c, cfg.state_dim, cfg.expand, cfg.conv_kernel, pos)
+    m += _mamba_macs(c, cfg.state_dim, cfg.expand, pos)
     m += _ca_macs(c, min(cfg.ca_ratio, c), pos)
     return m
 

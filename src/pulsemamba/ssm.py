@@ -377,7 +377,7 @@ def selective_scan(params: SSMParams, x) -> Tensor:
     cmat = T.linear(xt, params.w_c, params.c_bias)
     delta = T.softplus(T.linear(T.linear(xt, params.w_dt_down),
                                 params.w_dt_up, params.dt_bias))
-    a = T.neg(T.exp(params.a_log))
+    a = T.scale(T.exp(params.a_log), -1.0)
     y = selective_scan_op(xt, delta, a, bmat, cmat)
     if squeeze:
         y = T.reshape(y, y.shape[1:])
@@ -471,7 +471,7 @@ class MambaLayer(Module):
             y = T.flip(y, axis=1)
         return y
 
-    def forward(self, h: Tensor) -> Tensor:
+    def __call__(self, h: Tensor) -> Tensor:
         """h: (B, L, C) -> (B, L, C); the residual add is the caller's."""
         x, z = self._inner_sequences(h)
         y_fwd = self._direction(x, self.ssm_fwd, backward_dir=False)
@@ -479,6 +479,3 @@ class MambaLayer(Module):
         gate = T.silu(z)
         combined = T.add(T.mul(y_fwd, gate), T.mul(y_bwd, gate))
         return T.linear(combined, self.w_out)
-
-    def __call__(self, h: Tensor) -> Tensor:
-        return self.forward(h)

@@ -1,10 +1,12 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
 The operation set is exactly what the network, its loss and its checks
-use: 3D/1D convolutions, pooling, affine maps, norms (batch and layer
-norm are front ends of one kernel), sum/mean, the pointwise ops they
-apply and a handful of shape movers. Computation is
-float64 throughout; float32 appears only at checkpoint/dataset boundaries.
+use: 3D/1D convolutions (one gather-plus-GEMM kernel: an input gradient
+is a transposed conv, itself a stride-1 conv with the flipped kernel),
+pooling, affine maps, norms (batch and layer norm are front ends of one
+kernel), sum/mean, the pointwise ops they apply and a handful of shape
+movers. Computation is float64 throughout; float32 appears only at
+checkpoint/dataset boundaries.
 
 Every recorded op hangs a node, numbered in execution order, off its
 output; nothing else holds it. A node links to its parents' nodes (or to
@@ -36,7 +38,7 @@ from .errors import GraphError, NumericError, ShapeError
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
     "tape_size", "backward",
-    "add", "sub", "mul", "div", "scale", "neg",
+    "add", "sub", "mul", "div", "scale",
     "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
     "linear", "conv3d", "conv1d_depthwise_causal",
     "conv_transpose1d", "maxpool3d", "batch_norm", "layer_norm",
@@ -103,8 +105,8 @@ class _Node:
 class Tensor:
     """A float64 array with optional gradient tracking.
 
-    ``data`` is row-major float64. ``grad`` is lazily allocated by the
-    reverse pass and always matches ``data``'s shape.
+    ``data`` is float64, possibly a strided view (``narrow``, ``flip``).
+    ``grad`` is lazily allocated by the reverse pass and matches its shape.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -137,31 +139,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars are accepted per the scalar-broadcast rule
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
@@ -181,12 +158,6 @@ def _summed(acc: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
         return np.array(g, dtype=np.float64)
     acc += g
     return acc
-
-
-def _wrap(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _records(parents: Iterable[Tensor]) -> bool:
@@ -320,10 +291,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return apply_op("scale", x.data * c, [x], lambda g: [g * c])
 
 
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # unary elementwise
 
@@ -374,7 +341,8 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
-    return apply_op("flip", np.flip(x.data, axis=axis).copy(), [x],
+    """Reverse one axis, as a view of ``x``'s data."""
+    return apply_op("flip", np.flip(x.data, axis=axis), [x],
                     lambda g: [np.flip(g, axis=axis)])
 
 
@@ -428,58 +396,35 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     """Zero-padded 3D cross-correlation.
 
     x: (B, Cin, T, H, W), w: (Cout, Cin, kt, kh, kw). Output extents follow
-    floor((S + 2p - k) / stride) + 1 per axis. Columns are gathered one
-    output-t slice at a time (never a full im2col buffer) and contracted
-    with a single GEMM per slice. The recorded op keeps neither the
-    padded input nor the columns: backward re-pads ``x``, regathers the
-    columns, and forms no input gradient for an ``x`` that needs none.
+    floor((S + 2p - k) / stride) + 1 per axis. One kernel runs the forward,
+    both gradients and ``conv_transpose1d``: ``_conv``'s column gather
+    plus one GEMM per output-t slice. The input gradient is a transposed
+    conv, run as ``_conv`` of the output gradient on the stride-1 grid
+    with the flipped kernel. The recorded op keeps neither the padded input
+    nor the columns, and forms no input gradient for an ``x`` that needs none.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError("conv3d expects 5-D input and weight")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv3d: Cin mismatch {x.shape[1]} vs {w.shape[1]}")
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    if min(st, sh, sw) < 1:
+    if min(stride) < 1:
         raise ShapeError("conv3d: stride components must be >= 1")
-    b, cin, t, h, wd = x.shape
-    cout, _, kt, kh, kw = w.shape
-    to = _conv_out_len(t, kt, st, pt)
-    ho = _conv_out_len(h, kh, sh, ph)
-    wo = _conv_out_len(wd, kw, sw, pw)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    w2 = w.data.reshape(cout, cin * kt * kh * kw)
-    out = np.empty((b, cout, to, ho, wo), dtype=np.float64)
-    cols = np.empty((b, cin, kt * kh * kw, ho * wo), dtype=np.float64)
-    for ot in range(to):
-        _gather_cols(xp, cols, ot * st, kt, kh, kw, sh, sw, ho, wo)
-        np.matmul(w2, cols.reshape(b, -1, ho * wo),
-                  out=out[:, :, ot].reshape(b, cout, ho * wo))
-
+    for n, k, s, p in zip(x.shape[2:], w.shape[2:], stride, padding):
+        _conv_out_len(n, k, s, p)
+    pads = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
+    out = _conv(np.pad(x.data, pads), w.data, stride)
     parents = [x, w]
     if bias is not None:
-        if bias.shape != (cout,):
+        if bias.shape != (w.shape[0],):
             raise ShapeError("conv3d: bias must be (Cout,)")
         out += bias.data[None, :, None, None, None]
         parents.append(bias)
-    has_bias, xd, need_gx = bias is not None, x.data, x.requires_grad
+    has_bias, xd, wd, need_gx = bias is not None, x.data, w.data, x.requires_grad
 
     def bwd(g):
-        xp = np.pad(xd, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+        gw = _conv_weight_grad(np.pad(xd, pads), g, wd.shape[2:], stride)
         # an input that needs no gradient (the network's frames) gets none
-        gxp = np.zeros_like(xp) if need_gx else None
-        gw2 = np.zeros((cout, cin * kt * kh * kw), dtype=np.float64)
-        cols = np.empty((b, cin, kt * kh * kw, ho * wo), dtype=np.float64)
-        for ot in range(to):
-            _gather_cols(xp, cols, ot * st, kt, kh, kw, sh, sw, ho, wo)
-            g_slice = g[:, :, ot].reshape(b, cout, ho * wo)
-            for bi in range(b):
-                gw2 += g_slice[bi] @ cols[bi].reshape(-1, ho * wo).T
-            if gxp is not None:
-                gcols = np.matmul(w2.T, g_slice).reshape(b, cin, kt * kh * kw, ho, wo)
-                _scatter_cols(gxp, gcols, ot * st, kt, kh, kw, sh, sw, ho, wo)
-        gw = gw2.reshape(cout, cin, kt, kh, kw)
-        gx = None if gxp is None else gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
+        gx = _conv_input_grad(g, wd, stride, padding, xd.shape[2:]) if need_gx else None
         if not has_bias:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3, 4))]
@@ -487,29 +432,65 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     return apply_op("conv3d", out, parents, bwd)
 
 
-def _gather_cols(xp, cols, it0, kt, kh, kw, sh, sw, ho, wo):
-    """Fill cols (B, Cin, kt*kh*kw, ho*wo) from one output-t slice of xp,
-    one copy per tap into a (B, Cin, taps, ho, wo) view of cols."""
-    dst = cols.reshape(cols.shape[:3] + (ho, wo))
-    idx = 0
-    for i in range(kt):
-        plane = xp[:, :, it0 + i]
-        for j in range(kh):
-            for k in range(kw):
-                dst[:, :, idx] = plane[:, :, j:j + sh * (ho - 1) + 1:sh,
-                                       k:k + sw * (wo - 1) + 1:sw]
-                idx += 1
+def _gather_cols(xp, dst, it0, kernel, sh, sw):
+    """Fill dst, a (B, Cin, taps, ho, wo) view, with the columns of the
+    output-t slice that starts at plane ``it0`` of xp: one copy per tap."""
+    ho, wo = dst.shape[3:]
+    for idx, (i, j, k) in enumerate(itertools.product(*map(range, kernel))):
+        dst[:, :, idx] = xp[:, :, it0 + i, j:j + sh * (ho - 1) + 1:sh,
+                            k:k + sw * (wo - 1) + 1:sw]
 
 
-def _scatter_cols(gxp, gcols, it0, kt, kh, kw, sh, sw, ho, wo):
-    """Accumulate column gradients back into the padded input gradient."""
-    idx = 0
-    for i in range(kt):
-        for j in range(kh):
-            for k in range(kw):
-                gxp[:, :, it0 + i, j:j + sh * (ho - 1) + 1:sh,
-                    k:k + sw * (wo - 1) + 1:sw] += gcols[:, :, idx]
-                idx += 1
+def _conv(xp, w, stride):
+    """Valid cross-correlation of a padded (B, Cin, T, H, W) input with
+    w (Cout, Cin, kt, kh, kw): columns are gathered one output-t slice at
+    a time (never a full im2col buffer), and one GEMM contracts each."""
+    (b, cin), (cout, _, *kernel) = xp.shape[:2], w.shape
+    to, ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
+    w2 = w.reshape(cout, -1)
+    out = np.empty((b, cout, to, ho, wo))
+    cols = np.empty((b, cin, w2.shape[1] // cin, ho, wo))
+    for ot in range(to):
+        _gather_cols(xp, cols, ot * stride[0], kernel, *stride[1:])
+        np.matmul(w2, cols.reshape(b, -1, ho * wo),
+                  out=out[:, :, ot].reshape(b, cout, ho * wo))
+    return out
+
+
+def _conv_weight_grad(xp, g, kernel, stride):
+    """Gradient of ``_conv(xp, w, stride)`` in w for output gradient g:
+    per output-t slice, the columns of all samples side by side,
+    (Cin*taps, B*ho*wo), and one GEMM with that slice of g."""
+    (b, cin), (cout, to, ho, wo) = xp.shape[:2], g.shape[1:]
+    gt = g.transpose(1, 2, 0, 3, 4).reshape(cout, to, -1)
+    cols = np.empty((cin, int(np.prod(kernel)), b, ho, wo))
+    gw = np.zeros((cout, cin * cols.shape[1]))
+    for ot in range(to):
+        _gather_cols(xp, cols.transpose(2, 0, 1, 3, 4), ot * stride[0], kernel,
+                     *stride[1:])
+        gw += gt[:, ot] @ cols.reshape(gw.shape[1], -1).T
+    return gw.reshape((cout, cin) + tuple(kernel))
+
+
+def _conv_input_grad(g, w, stride, padding, size):
+    """Gradient of ``_conv(pad(x), w, stride)`` in x of extents ``size``.
+
+    The transposed conv as a stride-1 one: g goes onto the stride-1 grid
+    (zeros between samples along a strided axis), padded by k-1-p per
+    side, and ``_conv`` runs it with the kernel flipped and Cin and Cout
+    swapped. Where p > k-1 it pads less, down to the full correlation,
+    and crops the extra rows.
+    """
+    spread, crop, ext = [], [], []
+    for n, o, k, s, p in zip(size, g.shape[2:], w.shape[2:], stride, padding):
+        lo, hi = k - 1 - p, n + p - (o - 1) * s - 1  # lo + grid + hi = n + k - 1
+        spread.append(slice(max(lo, 0), max(lo, 0) + (o - 1) * s + 1, s))
+        crop.append(slice(max(-lo, 0), max(-lo, 0) + n))
+        ext.append(max(lo, 0) + (o - 1) * s + 1 + max(hi, 0))
+    gp = np.zeros(g.shape[:2] + tuple(ext))
+    gp[(..., *spread)] = g
+    gx = _conv(gp, w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1], (1, 1, 1))
+    return gx[(..., *crop)]
 
 
 def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -569,22 +550,20 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     """Temporal transposed conv: x (B, Cin, T), w (Cin, Cout, K).
 
     Output length (T-1)*stride - 2*padding + K; with K=4, s=2, p=1 this is
-    exactly 2T.
+    exactly 2T. The output is the input gradient of the conv from Cout to
+    Cin channels with kernel w, stride and padding, for output gradient x;
+    so it runs on conv3d's kernel (with H = W = 1), and its backward is
+    that conv (for x) and the conv's weight gradient (for w).
     """
     if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"conv_transpose1d: x {x.shape} vs w {w.shape}")
-    b, cin, t = x.shape
-    _, cout, K = w.shape
-    t_full = (t - 1) * stride + K
-    t_out = t_full - 2 * padding
+    t, (_, cout, K) = x.shape[2], w.shape
+    t_out = (t - 1) * stride - 2 * padding + K
     if t_out < 1:
         raise ShapeError("conv_transpose1d: output length would be < 1")
-    xd, wd, has_bias = x.data, w.data, bias is not None
-    full = np.zeros((b, cout, t_full), dtype=np.float64)
-    for k in range(K):
-        full[:, :, k:k + stride * (t - 1) + 1:stride] += np.einsum(
-            "io,bit->bot", wd[:, :, k], xd, optimize=True)
-    out = full[:, :, padding:padding + t_out]
+    xd, wd = x.data[..., None, None], w.data[..., None, None]
+    strides, has_bias = (stride, 1, 1), bias is not None
+    out = _conv_input_grad(xd, wd, strides, (padding, 0, 0), (t_out, 1, 1))[..., 0, 0]
     parents = [x, w]
     if bias is not None:
         if bias.shape != (cout,):
@@ -593,14 +572,9 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         parents.append(bias)
 
     def bwd(g):
-        gfull = np.zeros((b, cout, t_full), dtype=np.float64)
-        gfull[:, :, padding:padding + t_out] = g
-        gx = np.zeros_like(xd)
-        gw = np.zeros_like(wd)
-        for k in range(K):
-            gsl = gfull[:, :, k:k + stride * (t - 1) + 1:stride]
-            gx += np.einsum("io,bot->bit", wd[:, :, k], gsl, optimize=True)
-            gw[:, :, k] = np.einsum("bit,bot->io", xd, gsl, optimize=True)
+        gp = np.pad(g, ((0, 0), (0, 0), (padding, padding)))[..., None, None]
+        gx = _conv(gp, wd, strides)[..., 0, 0]
+        gw = _conv_weight_grad(gp, xd, (K, 1, 1), strides)[..., 0, 0]
         if not has_bias:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2))]

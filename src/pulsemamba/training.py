@@ -38,7 +38,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # meta.json keys that loading, resuming and evaluating read
 _META_KEYS = ("format_version", "config_hash", "model_config", "epoch",
               "global_step", "entries")
@@ -383,9 +383,8 @@ def evaluate_checkpoint(ckpt_path, data_dir, out_dir=None,
     """
     meta, arrays = load_checkpoint(ckpt_path)
     try:
-        model_cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                   for k, v in meta["model_config"].items()})
-    except (AttributeError, TypeError) as exc:
+        model_cfg = ModelConfig(**meta["model_config"])
+    except (TypeError, ConfigError) as exc:
         raise FormatError(f"{ckpt_path}: bad model_config ({exc})") from exc
     if config_hash(model_cfg) != meta["config_hash"]:
         raise ConfigError("checkpoint config hash does not match its stored config")

@@ -188,6 +188,12 @@ def _set_header(key, value):
     return corrupt
 
 
+def _set_model_config(key, value):
+    def corrupt(meta):
+        meta["model_config"][key] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,subcommand,what", [
     (_unknown_config_key, "eval", "not_a_field"),
     (_unpaired_moment, "train", "adam_v:"),
@@ -199,10 +205,14 @@ def _set_header(key, value):
     (_set_header("global_step", 1.5), "train", "bad global_step"),
     (_set_header("adam_t", "x"), "train", "bad adam_t"),
     (_set_header("format_version", True), "eval", "bad format_version"),
+    (_set_header("format_version", 1), "eval", "version 1"),
+    (_set_model_config("theta", 5), "eval", "theta"),
+    (_set_model_config("channels", 0), "eval", "channels"),
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
         "string_offset", "string_shape", "entries_not_a_list",
         "string_epoch", "float_global_step", "string_adam_t",
-        "boolean_format_version"])
+        "boolean_format_version", "old_format_version", "stored_theta_5",
+        "stored_channels_0"])
 def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
                                               tiny_dataset, tmp_path, capsys):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
@@ -255,6 +265,16 @@ def test_verify_commands_write_nothing_without_out(tmp_path, monkeypatch):
 def test_profile_bad_input_exits_2(tmp_path):
     assert run_cli(["profile", "--input", "128by128",
                     "--out", str(tmp_path)]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("args,what", [
+    (["--set", "channels=0"], "channels"),
+    (["--set", "ca_ratio=0"], "ca_ratio"),
+    (["--input=-16x-16x-16"], "positive"),
+], ids=["channels_0", "ca_ratio_0", "negative_input"])
+def test_profile_bad_model_or_input_exits_2(args, what, capsys):
+    assert run_cli(["profile"] + args) == cli.EXIT_USAGE
+    assert what in capsys.readouterr().err
 
 
 def test_scancheck_passes(capsys, tmp_path):

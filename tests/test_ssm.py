@@ -327,6 +327,25 @@ def test_mamba_layer_time_reversal_equivariance(rng):
     np.testing.assert_allclose(y_rev, y[:, ::-1], rtol=1e-12, atol=1e-12)
 
 
+def test_mamba_layer_gradients_with_flip_view_equal_a_copying_flip(rng, monkeypatch):
+    layer = MambaLayer(6, state_dim=8, rng=rng)
+    x = rng.normal(size=(2, 40, 6))
+    g = rng.normal(size=x.shape)
+
+    def grads():
+        layer.zero_grad()
+        xs = Tensor(x, requires_grad=True)
+        T.backward(T.reduce_sum(T.mul(layer(xs), Tensor(g))))
+        return [xs.grad] + [p.grad for p in layer.parameters()]
+
+    viewed = grads()
+    monkeypatch.setattr(T, "flip", lambda t, axis: T.apply_op(
+        "flip", np.flip(t.data, axis).copy(), [t], lambda gy: [np.flip(gy, axis)]))
+    copied = grads()
+    for a, b in zip(viewed, copied):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_mamba_layer_shape_contract(rng):
     layer = MambaLayer(8, state_dim=16, expand=2, rng=rng)
     x = rng.normal(size=(2, 16, 8))

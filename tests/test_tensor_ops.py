@@ -125,6 +125,65 @@ def test_conv3d_oracle_randomized_shapes(rng):
         assert np.abs(ours - ref).max() / scale <= 1e-12
 
 
+def _adjoint_errors(op, x, w, **kw):
+    """Relative gaps of <g, op(x, w)> = <gx, x> = <gw, w> for a random g:
+    the conv is linear in each operand, so its gradients are its adjoints."""
+    xs, ws = T.tensor(x, requires_grad=True), T.tensor(w, requires_grad=True)
+    out = op(xs, ws, **kw)
+    g = np.random.default_rng(x.size).normal(size=out.shape)
+    T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+    ref = float(np.sum(g * out.data))
+    scale = max(np.sum(np.abs(g * out.data)), 1e-300)
+    return (abs(float(np.sum(xs.grad * x)) - ref) / scale,
+            abs(float(np.sum(ws.grad * w)) - ref) / scale)
+
+
+def test_conv3d_gradients_are_adjoints_randomized_shapes(rng):
+    """The randomized-shape draw, with padding up to k so that the input
+    gradient also runs its crop path (p > k - 1)."""
+    for _ in range(100):
+        cin = int(rng.integers(1, 4))
+        cout = int(rng.integers(1, 4))
+        kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
+        st_ = tuple(int(rng.integers(1, 3)) for _ in range(3))
+        pad = tuple(int(rng.integers(0, k + 1)) for k in kernel)
+        thw = tuple(int(rng.integers(k, k + 4)) for k in kernel)
+        x = rng.normal(size=(int(rng.integers(1, 3)), cin) + thw)
+        w = rng.normal(size=(cout, cin) + kernel)
+        assert max(_adjoint_errors(T.conv3d, x, w, stride=st_, padding=pad)) <= 1e-12
+
+
+def conv_transpose1d_oracle(x, w, stride, pad):
+    """The definition: input step t adds x[t] * w[:, :, k] at output
+    t * stride + k - pad."""
+    b, cin, t = x.shape
+    _, cout, K = w.shape
+    out = np.zeros((b, cout, (t - 1) * stride - 2 * pad + K))
+    for bb in range(b):
+        for ci in range(cin):
+            for co in range(cout):
+                for ti in range(t):
+                    for k in range(K):
+                        o = ti * stride + k - pad
+                        if 0 <= o < out.shape[2]:
+                            out[bb, co, o] += x[bb, ci, ti] * w[ci, co, k]
+    return out
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_conv_transpose1d_matches_loop_oracle_and_adjoint(K, rng):
+    for s in (1, 2, 3):
+        for p in (0, 1, 2):
+            x = rng.normal(size=(2, 3, 5))
+            w = rng.normal(size=(3, 2, K))
+            ours = T.conv_transpose1d(T.tensor(x), T.tensor(w), stride=s, padding=p).data
+            ref = conv_transpose1d_oracle(x, w, s, p)
+            assert ours.shape == ref.shape
+            assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+            errs = _adjoint_errors(T.conv_transpose1d, x, w, stride=s, padding=p)
+            assert max(errs) <= 1e-12
+
+
 def test_recorded_conv3d_keeps_no_padded_input(rng):
     x = T.tensor(rng.normal(size=(1, 4, 16, 32, 32)), requires_grad=True)
     w = T.tensor(rng.normal(size=(4, 4, 3, 3, 3)), requires_grad=True)
@@ -150,9 +209,9 @@ def test_conv3d_forms_no_input_gradient_for_constant_input(rng, monkeypatch):
     x = rng.normal(size=(2, 3, 4, 6, 6))
     w = rng.normal(size=(4, 3, 1, 3, 3))
     calls = []
-    scatter = T._scatter_cols
-    monkeypatch.setattr(T, "_scatter_cols",
-                        lambda *a: calls.append(a) or scatter(*a))
+    input_grad = T._conv_input_grad
+    monkeypatch.setattr(T, "_conv_input_grad",
+                        lambda *a: calls.append(a) or input_grad(*a))
 
     def w_grad(x_needs_grad):
         xs = T.tensor(x, requires_grad=x_needs_grad)
@@ -369,6 +428,13 @@ def test_silu_blocks_bit_equal_to_seed_formula(rng, monkeypatch):
     monkeypatch.setattr(T, "BLOCK_BYTES", 8 * 8 * 7)  # 7-element blocks
     x = rng.normal(0.0, 8.0, (3, 10, 2))
     assert _bits_equal(T.silu(T.tensor(x)).data, x * _seed_sigmoid(x))
+
+
+def test_flip_is_a_view(rng):
+    x = T.tensor(rng.normal(size=(2, 5, 3)))
+    y = T.flip(x, 1)
+    assert np.shares_memory(y.data, x.data)
+    np.testing.assert_array_equal(y.data, x.data[:, ::-1])
 
 
 def test_flip_is_involution(rng):
