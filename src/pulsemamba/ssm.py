@@ -280,7 +280,8 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     (ceil(L / chunk), B, N, D). The backward walks the chunks in
     reverse: it recomputes the chunk's ZOH, rebuilds its states from the
     start state exactly as the forward made them, runs the recurrence in
-    reverse time for dL/dh and forms every input gradient from them.
+    reverse time for dL/dh and forms every input gradient from them. Its
+    temporaries share one buffer of 5 chunk blocks, reused per chunk.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"selective_scan: u {u.shape} vs delta {delta.shape}")
@@ -320,7 +321,8 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
         gb = np.empty((L, bsz, n), dtype=np.float64)
         gc = np.empty_like(gb)
         ga = np.zeros_like(av)
-        buf = np.empty((3, c + 1, bsz, n, d), dtype=np.float64)  # abar, growth, h
+        # abar, growth, h (q once gc has read h), gh, bu
+        buf = np.empty((5, c + 1, bsz, n, d), dtype=np.float64)
         carry = np.zeros((bsz, n, d), dtype=np.float64)  # abar_e * dL/dh_e
         for k in reversed(range(len(starts))):
             s, e = k * chunk, min(k * chunk + chunk, L)
@@ -333,7 +335,7 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
             h[1:] *= ut[sl, :, None, :]
             _scan_core(abar, h[1:], h[0])
             # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
-            gh = ct[sl, :, :, None] * gyt[sl, :, None, :]
+            gh = np.multiply(ct[sl, :, :, None], gyt[sl, :, None, :], out=buf[3, :e - s])
             gh[-1] += carry
             _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
             np.multiply(abar[0], gh[0], out=carry)
@@ -342,9 +344,9 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
             gg = np.multiply(gh, growth, out=growth)
             np.matmul(bt[sl, :, None, :], gg, out=gu[sl, :, None, :])
             np.matmul(gg, ut[sl, :, :, None], out=gb[sl, :, :, None])
-            bu = bt[sl, :, :, None] * ut[sl, :, None, :]
+            bu = np.multiply(bt[sl, :, :, None], ut[sl, :, None, :], out=buf[4, :e - s])
             # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
-            q = av * h[:-1]
+            q = np.multiply(av, h[:-1], out=h[:-1])
             q += bu
             q *= gh
             q *= abar

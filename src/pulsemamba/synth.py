@@ -8,7 +8,9 @@ function of the seed.
 
 On disk, a clip is a directory holding ``meta.json`` (shape, dtype tag,
 fs, seed, checksums) plus ``frames.f32`` and ``label.f32`` as raw
-little-endian float32 arrays in row-major order.
+little-endian float32 arrays in row-major order. A read clip keeps its
+frames at that stored float32 precision, half the memory of float64;
+``chunk_and_resize`` hands the network float64 chunks, which is exact.
 """
 
 from __future__ import annotations
@@ -76,8 +78,11 @@ class SynthConfig:
 
 @dataclass
 class ClipRecord:
-    frames: np.ndarray  # (3, T, H, W) in [0, 1]
-    label: np.ndarray   # (T,)
+    """A clip: frames (3, T, H, W) in [0, 1], float32 as ``read_dataset``
+    reads them and float64 otherwise, and a float64 label (T,)."""
+
+    frames: np.ndarray
+    label: np.ndarray
     fs: float
     meta: dict = field(default_factory=dict)
 
@@ -139,15 +144,16 @@ def _write_blob(path: Path, arr: np.ndarray) -> str:
 
 
 def _read_blob(path: Path, shape, checksum: str) -> np.ndarray:
+    """The file as a writable float32 array of ``shape``, read once."""
     if not path.exists():
         raise FormatError(f"missing tensor file {path}")
-    blob = path.read_bytes()
+    arr = np.fromfile(path, dtype="<f4")
     expected = int(np.prod(shape)) * 4
-    if len(blob) != expected:
-        raise FormatError(f"{path}: {len(blob)} bytes, expected {expected}")
-    if f"{zlib.crc32(blob):08x}" != checksum:
+    if arr.nbytes != expected:
+        raise FormatError(f"{path}: {arr.nbytes} bytes, expected {expected}")
+    if f"{zlib.crc32(arr):08x}" != checksum:
         raise FormatError(f"{path}: checksum mismatch")
-    return np.frombuffer(blob, dtype="<f4").reshape(shape).astype(np.float64)
+    return arr.reshape(shape)
 
 
 def write_dataset(root, records: List[ClipRecord]) -> List[Path]:
@@ -177,7 +183,11 @@ def write_dataset(root, records: List[ClipRecord]) -> List[Path]:
 
 
 def read_dataset(root) -> List[ClipRecord]:
-    """Load every clip directory under root; empty directory, empty list."""
+    """Load every clip directory under root; empty directory, empty list.
+
+    Frames stay at their stored float32 precision (writable, C-contiguous);
+    labels are float64.
+    """
     root = Path(root)
     if not root.exists():
         raise FormatError(f"dataset directory {root} does not exist")
@@ -195,7 +205,7 @@ def read_dataset(root) -> List[ClipRecord]:
         frames = _read_blob(clip_dir / "frames.f32", meta["frames_shape"],
                             meta["frames_crc32"])
         label = _read_blob(clip_dir / "label.f32", meta["label_shape"],
-                           meta["label_crc32"])
+                           meta["label_crc32"]).astype(np.float64)
         extra = {k: v for k, v in meta.items()
                  if k != "format_version" and k not in _HEADER_TYPES}
         records.append(ClipRecord(frames=frames, label=label,
@@ -207,11 +217,12 @@ def read_dataset(root) -> List[ClipRecord]:
 # chunking / resizing
 
 def bilinear_resize(frames: np.ndarray, out_hw: Tuple[int, int]) -> np.ndarray:
-    """Bilinear spatial resize of (..., H, W) with aligned corners."""
+    """Bilinear spatial resize of (..., H, W) with aligned corners, into a
+    new float64 array: bit for bit that of ``frames.astype(np.float64)``."""
     *lead, h, w = frames.shape
     oh, ow = out_hw
     if (h, w) == (oh, ow):
-        return frames.copy()
+        return frames.astype(np.float64)
     ys = np.linspace(0.0, h - 1.0, oh)
     xs = np.linspace(0.0, w - 1.0, ow)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
@@ -233,6 +244,7 @@ def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
     ``train`` samples one random window (seeded rng); ``eval`` tiles
     non-overlapping windows and drops the tail. Labels are sliced to the
     same window. Clips shorter than chunk_len are skipped with a warning.
+    Chunk frames are float64 (see ``bilinear_resize``).
     """
     n = record.frames.shape[1]
     if n < chunk_len:

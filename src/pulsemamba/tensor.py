@@ -20,9 +20,12 @@ forward is a ``GraphError``. Nodes do not refer to their outputs, so a
 graph holds no reference cycle and dies with its last tensor by reference
 counting alone, and each node drops its links and backward rule once
 ``backward`` has run it, so what a rule read dies while the backward
-runs, not after it. Binary elementwise ops accept equal shapes or a
-scalar operand only; anything fancier (bias adds, channel gates, norm
-affines) is a dedicated op with its own backward rule.
+runs, not after it. A node whose output has one consumer gets the array
+that consumer's rule returned, as is, with no copy; several contributions
+are summed into a fresh array, and no rule writes into its ``g``. Binary
+elementwise ops accept equal shapes or a scalar operand only; anything
+fancier (bias adds, channel gates, norm affines) is a dedicated op with
+its own backward rule.
 """
 
 from __future__ import annotations
@@ -134,7 +137,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
-        self.grad = _summed(self.grad, g)
+        # a leaf owns its gradient: never an array a rule returned
+        self.grad = np.array(g, dtype=np.float64) if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -153,11 +157,11 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
 
 
 def _summed(acc: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
-    """Gradient sum: a copy of the first contribution, ``+=`` after it."""
-    if acc is None:
-        return np.array(g, dtype=np.float64)
-    acc += g
-    return acc
+    """Gradient sum of a node's output: the first contribution as is, each
+    later one summed into a fresh array, never ``+=``. A rule may return
+    an array it shares: ``add`` hands one ``g`` to both parents, and
+    ``reshape``, ``flip``, ``transpose`` and ``concat`` return views."""
+    return g if acc is None else acc + g
 
 
 def _records(parents: Iterable[Tensor]) -> bool:
@@ -173,7 +177,8 @@ def apply_op(name: str, out_data, parents: Sequence[Tensor],
 
     ``bwd(gout) -> list`` maps the output gradient to one gradient (or
     None) per parent; it must capture arrays and shapes, not ``parents``,
-    so that the graph pins no tensor. Recording is skipped unless
+    so that the graph pins no tensor, and must not write into ``gout``,
+    which may be an array another rule returned. Recording is skipped unless
     ``_records(parents)``. Used by this module and by the fused scan op.
     """
     global _recorded
@@ -194,9 +199,10 @@ def backward(loss: Tensor) -> None:
     GraphError. Each node drops its links and backward rule as soon as it
     has run, so what the rule read is freed once the caller holds it no
     more. Until a node has run, ``pending`` gathers its output gradient
-    (None while nothing has arrived), keyed by the node and summed as
-    ``Tensor.grad`` is; a node is pushed when it first enters ``pending``.
-    Leaves accumulate into ``Tensor.grad``.
+    (None while nothing has arrived), keyed by the node and summed by
+    ``_summed``: the first contribution as is, later ones into a fresh
+    array. A node is pushed when it first enters ``pending``. Leaves
+    accumulate into ``Tensor.grad``, which they own.
     """
     global _recorded
     if loss.size != 1:
@@ -687,7 +693,9 @@ def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     ``batch_stats`` they are statistics of ``x`` itself and the backward
     differentiates through them. The output is the only full-size array
     the forward makes: it is normalized in place, and the backward
-    recomputes the normalized input from ``x``.
+    recomputes the normalized input from ``x``. The backward makes 3
+    full-size arrays: x-hat, a product buffer and gscaled, which becomes
+    the input gradient in place, op for op as a fresh array per op would.
     """
     c = x.shape[axis]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -705,16 +713,19 @@ def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     def bwd(g):
         xhat = np.subtract(xd, mean)
         xhat *= inv
-        gg = (g * xhat).sum(axis=param_axes)
+        prod = g * xhat  # reused for gscaled * xhat
+        gg = prod.sum(axis=param_axes)
         # summed in C order whatever g's layout, as the seed's layer norm did
         gb = np.ascontiguousarray(g).sum(axis=param_axes)
-        gscaled = g * gam
+        gx = g * gam  # gscaled, turned into gx in place
         if batch_stats:
-            m1 = gscaled.mean(axis=stat_axes, keepdims=True)
-            m2 = (gscaled * xhat).mean(axis=stat_axes, keepdims=True)
-            gx = inv * (gscaled - m1 - xhat * m2)
-        else:
-            gx = gscaled * inv
+            m1 = gx.mean(axis=stat_axes, keepdims=True)
+            m2 = np.multiply(gx, xhat, out=prod).mean(axis=stat_axes, keepdims=True)
+            # inv * (gscaled - m1 - xhat * m2), op for op
+            gx -= m1
+            xhat *= m2
+            gx -= xhat
+        gx *= inv
         return [gx, gg, gb]
 
     return apply_op(name, out, [x, gamma, beta], bwd)

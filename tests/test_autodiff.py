@@ -123,6 +123,68 @@ def test_unbackwarded_graph_dies_with_its_tensors(rng):
             gc.enable()
 
 
+def _watch_rules(loss):
+    """Wrap every rule in loss's graph: per node, the gradient its rule
+    received, the arrays it returned and copies of them."""
+    log, stack = {}, [loss._node]
+    while stack:
+        node = stack.pop()
+        if node in log:
+            continue
+        log[node] = {}
+
+        def bwd(g, rule=node.bwd, entry=log[node]):
+            gins = rule(g)
+            entry.update(received=g, returned=[a for a in gins if a is not None])
+            entry["copies"] = [a.copy() for a in entry["returned"]]
+            return gins
+
+        node.bwd = bwd
+        stack.extend(p for p in node.inputs if isinstance(p, T._Node))
+    return log
+
+
+def test_backward_passes_sole_contributions_as_is_and_sums_the_rest_fresh():
+    # x -> double -> ident -> {reshape, flip, triple}; add(triple, triple)
+    x = T.tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+
+    def op(name, a, c):
+        """a * c with a hand-written rule; c = 1 hands g back itself."""
+        return T.apply_op(name, a.data * c, [a],
+                          lambda g: [g if c == 1 else g * c])
+
+    double = op("double", x, 2.0)       # one consumer: ident
+    ident = op("ident", double, 1.0)    # three: reshape, flip, triple
+    triple = op("triple", ident, 3.0)   # both operands of one add
+    r, f = T.reshape(ident, (3, 2)), T.flip(ident, 1)
+    twice = T.add(triple, triple)
+    w1, w2, w3 = (np.arange(6.0).reshape(s) + k for s, k in
+                  (((3, 2), 1), ((2, 3), 7), ((2, 3), 13)))
+    terms = [T.reduce_sum(T.mul(t, T.tensor(w))) for t, w in
+             ((r, w1), (f, w2), (twice, w3))]
+    loss = T.add(T.add(terms[0], terms[1]), terms[2])
+    nodes = {t: t._node for t in (double, ident, triple, r, f, twice)}
+    log = _watch_rules(loss)
+    T.backward(loss)
+
+    g_ident = w1.reshape(2, 3) + w2[:, ::-1] + 3.0 * 2.0 * w3
+    np.testing.assert_array_equal(x.grad, 2.0 * g_ident)
+    np.testing.assert_array_equal(log[nodes[ident]]["received"], g_ident)
+    np.testing.assert_array_equal(log[nodes[triple]]["received"], 2.0 * w3)
+    for entry in log.values():
+        for arr, before in zip(entry["returned"], entry["copies"]):
+            np.testing.assert_array_equal(arr, before)
+    # a sole contribution reaches the parent's rule as the same object
+    assert log[nodes[double]]["received"] is log[nodes[ident]]["returned"][0]
+    # several are summed into an array no consumer returned
+    for t in (ident, triple):
+        assert all(log[nodes[t]]["received"] is not a for n, e in log.items()
+                   if n is not nodes[t] for a in e["returned"])
+    # a leaf owns its gradient
+    returned = [a for e in log.values() for a in e["returned"]]
+    assert not any(np.shares_memory(x.grad, a) for a in returned)
+
+
 def test_tape_size_counts_ops_since_the_last_backward(rng):
     x = T.tensor(rng.normal(size=(3,)), requires_grad=True)
     T.backward(T.reduce_sum(x))

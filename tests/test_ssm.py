@@ -284,6 +284,28 @@ def test_recorded_scan_keeps_only_chunk_start_states(rng):
     assert u.grad is not None and np.isfinite(u.grad).all()
 
 
+def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng):
+    bsz, L, d, n, chunk = 1, 1024, 64, 16, 64
+    u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
+    delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)), requires_grad=True)
+    a = Tensor(-np.tile(np.arange(1.0, n + 1.0), (d, 1)), requires_grad=True)
+    bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n)), requires_grad=True)
+                  for _ in range(2))
+    y = ssm.selective_scan_op(u, delta, a, bmat, cmat, chunk=chunk)
+    gy = rng.normal(size=y.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = y._node.bwd(gy)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    block = chunk * bsz * n * d * 8
+    # abar, growth, the states (then q), gh and b * u: 5 blocks of chunk + 1
+    assert peak - sum(g.nbytes for g in grads) <= 5.5 * block
+
+
 # ---------------------------------------------------------------------------
 # full Mamba layer
 

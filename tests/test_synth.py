@@ -112,6 +112,35 @@ def test_truncated_tensor_file_is_format_error(tmp_path):
         read_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("damage", ["flip_byte", "drop_three_bytes"])
+def test_read_frames_stay_float32_and_chunk_bitwise_as_float64(damage, tmp_path):
+    clip = generate_clip(small_cfg(noise_sigma=0.01))
+    write_dataset(tmp_path / "ds", [clip])
+    (rec,) = read_dataset(tmp_path / "ds")
+    assert rec.frames.dtype == np.float32 and rec.label.dtype == np.float64
+    assert rec.frames.flags.writeable and rec.frames.flags.c_contiguous
+    np.testing.assert_array_equal(rec.frames, clip.frames.astype(np.float32))
+    wide = ClipRecord(frames=rec.frames.astype(np.float64), label=rec.label,
+                      fs=rec.fs, meta=rec.meta)
+    for hw in ((24, 24), (16, 16)):  # the same-size branch, then a resize
+        got, ref = (chunk_and_resize(r, 32, hw, mode="eval") for r in (rec, wide))
+        assert len(got) == len(ref) > 1
+        for a, b in zip(got, ref):
+            assert a.frames.dtype == np.float64 and a.label.dtype == np.float64
+            assert a.frames.tobytes() == b.frames.tobytes()
+            assert a.label.tobytes() == b.label.tobytes()
+
+    blob_path = tmp_path / "ds" / "clip_0000" / "frames.f32"
+    raw = bytearray(blob_path.read_bytes())
+    if damage == "flip_byte":
+        raw[len(raw) // 2] ^= 0x01
+    else:
+        del raw[-3:]
+    blob_path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="frames.f32"):
+        read_dataset(tmp_path / "ds")
+
+
 def test_checksum_mismatch_is_format_error(tmp_path):
     write_dataset(tmp_path / "ds", [generate_clip(small_cfg())])
     blob_path = tmp_path / "ds" / "clip_0000" / "label.f32"

@@ -399,6 +399,74 @@ def test_layer_norm_matches_seed_formula(transposed, rng):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _one_array_per_op_norm_rule(g, x, mean, inv, gam, param_axes, stat_axes,
+                                batch_stats):
+    """The norm backward with a fresh array per op (about five full-size
+    temporaries): the oracle the in-place rule must equal bit for bit."""
+    xhat = np.subtract(x, mean)
+    xhat *= inv
+    gg = (g * xhat).sum(axis=param_axes)
+    gb = np.ascontiguousarray(g).sum(axis=param_axes)
+    gscaled = g * gam
+    if batch_stats:
+        m1 = gscaled.mean(axis=stat_axes, keepdims=True)
+        m2 = (gscaled * xhat).mean(axis=stat_axes, keepdims=True)
+        gx = inv * (gscaled - m1 - xhat * m2)
+    else:
+        gx = gscaled * inv
+    return [gx, gg, gb]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("case", ["batch_train", "batch_eval", "layer"])
+def test_norm_backward_bit_equal_to_one_array_per_op(case, transposed, rng):
+    shape = (3, 5, 6) if case == "layer" else (3, 4, 2, 3, 5)
+    axis = len(shape) - 1 if case == "layer" else 1
+    c = shape[axis]
+    pshape = tuple(c if i == axis else 1 for i in range(len(shape)))
+    param_axes = tuple(i for i in range(len(shape)) if i != axis)
+    x = rng.normal(0.0, 3.0, shape)
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+    # transposed: the upstream gradient is a non-contiguous view
+    g = rng.normal(size=shape[::-1]).T if transposed else rng.normal(size=shape)
+    stat_axes = (axis,) if case == "layer" else param_axes
+    if case == "batch_eval":
+        mean, var = rm.reshape(pshape), rv.reshape(pshape)
+    else:
+        mean = x.mean(axis=stat_axes, keepdims=True)
+        var = x.var(axis=stat_axes, keepdims=True)
+    xs, gs, bs = (T.tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    if case == "layer":
+        out = T.layer_norm(xs, gs, bs)
+    else:
+        out = T.batch_norm(xs, gs, bs, rm.copy(), rv.copy(), case == "batch_train")
+    got = out._node.bwd(g)
+    ref = _one_array_per_op_norm_rule(g, x, mean, 1.0 / np.sqrt(var + 1e-5),
+                                      gamma.reshape(pshape), param_axes,
+                                      stat_axes, case != "batch_eval")
+    for a, b in zip(got, ref):
+        assert _bits_equal(a, b)
+
+
+def test_batch_norm_backward_peaks_at_three_full_size_arrays(rng):
+    x = T.tensor(rng.normal(size=(2, 16, 8, 32, 32)), requires_grad=True)
+    gamma, beta = (T.tensor(rng.normal(size=16), requires_grad=True)
+                   for _ in range(2))
+    out = T.batch_norm(x, gamma, beta, np.zeros(16), np.ones(16), training=True)
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out._node.bwd(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # x-hat, g * x-hat (then gscaled * x-hat), and gscaled, which becomes gx
+    assert peak <= 3.1 * x.data.nbytes
+
+
 def _seed_conv1d(x, w, bias):
     # the single-pass formula: 0, then each tap in k order, then the bias
     L, K = x.shape[1], w.shape[1]
