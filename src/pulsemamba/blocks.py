@@ -253,8 +253,9 @@ class TemporalDifferenceMambaBlock(Module):
         if seq_len * c > self.seq_budget:
             raise CapacityError(
                 f"flattened sequence {seq_len}x{c} exceeds budget {self.seq_budget}")
-        f = T.relu(self.bn(self.tdc(x)))
-        h_k = T.reshape(T.transpose(f, (0, 2, 3, 4, 1)), (b, seq_len, c))
+        # the conv features die here; h_k views their token-major copy
+        f = T.transpose(T.relu(self.bn(self.tdc(x))), (0, 2, 3, 4, 1))
+        h_k = T.reshape(f, (b, seq_len, c))
         h_next = T.add(self.mamba(h_k), h_k)
         g = T.transpose(T.reshape(self.post_ln(h_next), (b, t, h, w, c)),
                         (0, 4, 1, 2, 3))
@@ -392,8 +393,9 @@ class PulseMambaNet(Module):
             raise ShapeError(f"expected (B, 3, T, H, W), got {x.shape}")
         _, _, t, h, w = x.shape
         self.config.validate_input(t, h, w)
-        feats = self.stem(x)
-        slow, fast = _both_streams(self.down_slow, feats, self.down_fast, feats)
+        # no name keeps the stem output once the downsamples have read it
+        slow = fast = self.stem(x)
+        slow, fast = _both_streams(self.down_slow, slow, self.down_fast, fast)
         last = self.config.blocks_per_stream - 1
         for i, (bs, bf) in enumerate(zip(self.blocks_slow, self.blocks_fast)):
             slow, fast = _both_streams(bs, slow, bf, fast)

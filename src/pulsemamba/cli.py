@@ -122,20 +122,21 @@ def cmd_synth(args) -> int:
                           args.set, SYNTH_KEYS)
     write_resolved(args.out, cfg, {"subcommand": "synth"})
     rng = np.random.default_rng(cfg["seed"])
-    records = []
-    for i in range(cfg["num_clips"]):
-        hr = float(rng.uniform(cfg["hr_min_bpm"], cfg["hr_max_bpm"]))
-        clip_cfg = SynthConfig(
-            seed=cfg["seed"] * 100003 + i, fs=cfg["fs"],
-            duration_s=cfg["duration_s"],
-            resolution=(cfg["height"], cfg["width"]),
-            base_color=(cfg["base_r"], cfg["base_g"], cfg["base_b"]),
-            pulse_amplitude=cfg["pulse_amplitude"], hr_start_bpm=hr,
-            noise_sigma=cfg["noise_sigma"],
-            motion_amplitude_px=cfg["motion_amplitude_px"],
-            skin_mask=cfg["skin_mask"])
-        records.append(generate_clip(clip_cfg))
-    paths = write_dataset(args.out, records)
+
+    def clips():  # rendered one at a time, as write_dataset takes them
+        for i in range(cfg["num_clips"]):
+            hr = float(rng.uniform(cfg["hr_min_bpm"], cfg["hr_max_bpm"]))
+            yield generate_clip(SynthConfig(
+                seed=cfg["seed"] * 100003 + i, fs=cfg["fs"],
+                duration_s=cfg["duration_s"],
+                resolution=(cfg["height"], cfg["width"]),
+                base_color=(cfg["base_r"], cfg["base_g"], cfg["base_b"]),
+                pulse_amplitude=cfg["pulse_amplitude"], hr_start_bpm=hr,
+                noise_sigma=cfg["noise_sigma"],
+                motion_amplitude_px=cfg["motion_amplitude_px"],
+                skin_mask=cfg["skin_mask"]))
+
+    paths = write_dataset(args.out, clips())
     print(f"wrote {len(paths)} clips to {args.out}")
     return EXIT_OK
 

@@ -130,7 +130,8 @@ def _chunked_scan(discretize, c_seq, x, chunk: int, starts=None):
     L, bsz, d = x.shape
     states = np.zeros((min(chunk, L) + 1, bsz, c_seq.shape[2], d),
                       dtype=np.float64)
-    yt = np.empty((L, bsz, d), dtype=np.float64)
+    y = np.empty((bsz, L, d), dtype=np.float64)
+    yt = np.swapaxes(y, 0, 1)
     for k, s in enumerate(range(0, L, chunk)):
         e = min(s + chunk, L)
         h = states[:e - s + 1]
@@ -142,13 +143,7 @@ def _chunked_scan(discretize, c_seq, x, chunk: int, starts=None):
         _readout(c_seq[s:e], h[1:], yt[s:e])
         _check_state(yt[s:e], s)
         states[0] = h[-1]
-    return _batch_major(yt), states[0]
-
-
-def _batch_major(a: np.ndarray) -> np.ndarray:
-    """Contiguous (B, L, ...) copy of a time-major (L, B, ...) array (a
-    view when B = 1)."""
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+    return y, states[0]
 
 
 def _check_state(y: np.ndarray, offset: int):
@@ -316,10 +311,12 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     def bwd(gy):
         gyt = np.swapaxes(gy, 0, 1)
-        gu = np.empty((L, bsz, d), dtype=np.float64)
+        # returned batch-major, (B, L, .), written through time-major views
+        gu = np.empty((bsz, L, d), dtype=np.float64)
         gdelta = np.empty_like(gu)
-        gb = np.empty((L, bsz, n), dtype=np.float64)
+        gb = np.empty((bsz, L, n), dtype=np.float64)
         gc = np.empty_like(gb)
+        gut, gdt, gbt, gct = (np.swapaxes(g, 0, 1) for g in (gu, gdelta, gb, gc))
         ga = np.zeros_like(av)
         # abar, growth, h (q once gc has read h), gh, bu
         buf = np.empty((5, c + 1, bsz, n, d), dtype=np.float64)
@@ -339,26 +336,25 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
             gh[-1] += carry
             _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
             np.multiply(abar[0], gh[0], out=carry)
-            np.matmul(h[1:], gyt[sl, :, :, None], out=gc[sl, :, :, None])
+            np.matmul(h[1:], gyt[sl, :, :, None], out=gct[sl, :, :, None])
             # drive = growth * b * u
             gg = np.multiply(gh, growth, out=growth)
-            np.matmul(bt[sl, :, None, :], gg, out=gu[sl, :, None, :])
-            np.matmul(gg, ut[sl, :, :, None], out=gb[sl, :, :, None])
+            np.matmul(bt[sl, :, None, :], gg, out=gut[sl, :, None, :])
+            np.matmul(gg, ut[sl, :, :, None], out=gbt[sl, :, :, None])
             bu = np.multiply(bt[sl, :, :, None], ut[sl, :, None, :], out=buf[4, :e - s])
             # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
             q = np.multiply(av, h[:-1], out=h[:-1])
             q += bu
             q *= gh
             q *= abar
-            q.sum(axis=2, out=gdelta[sl])
+            q.sum(axis=2, out=gdt[sl])
             # dL/da = (delta * q - gg * b * u) / a, divided after the loop
             q *= dt[sl, :, None, :]
             gg *= bu
             q -= gg
             ga += q.sum(axis=(0, 1))
         ga /= av
-        return [_batch_major(gu), _batch_major(gdelta), ga.T, _batch_major(gb),
-                _batch_major(gc)]
+        return [gu, gdelta, ga.T, gb, gc]
 
     return T.apply_op("selective_scan", y, parents, bwd)
 

@@ -8,8 +8,10 @@ function of the seed.
 
 On disk, a clip is a directory holding ``meta.json`` (shape, dtype tag,
 fs, seed, checksums) plus ``frames.f32`` and ``label.f32`` as raw
-little-endian float32 arrays in row-major order. A read clip keeps its
-frames at that stored float32 precision, half the memory of float64;
+little-endian float32 arrays in row-major order. Clips are float32 at
+every stage, half the memory of float64: ``generate_clip`` returns its
+frames at the stored precision, and ``read_dataset`` maps each frames file
+copy-on-write, so only the frames a chunk reads are ever resident.
 ``chunk_and_resize`` hands the network float64 chunks, which is exact.
 """
 
@@ -21,7 +23,7 @@ import warnings
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +38,7 @@ CHANNEL_MIX = (0.5, 1.0, 0.3)  # R, G, B pulse weights; green dominates
 SECOND_HARMONIC = 0.3
 MOTION_FREQ_HZ = 0.2
 HR_BAND_BPM = (48.0, 144.0)
+CRC_BLOCK = 1 << 20  # bytes per read when checksumming a file
 
 
 # value checks for every meta.json key that reading a clip uses
@@ -78,8 +81,9 @@ class SynthConfig:
 
 @dataclass
 class ClipRecord:
-    """A clip: frames (3, T, H, W) in [0, 1], float32 as ``read_dataset``
-    reads them and float64 otherwise, and a float64 label (T,)."""
+    """A clip: float32 frames (3, T, H, W) in [0, 1] and a float64 label
+    (T,). A read clip's frames are a copy-on-write map of its file; a
+    chunk's frames are float64 (see ``chunk_and_resize``)."""
 
     frames: np.ndarray
     label: np.ndarray
@@ -105,7 +109,11 @@ def _ellipse_mask(h: int, w: int, frac: float, dy: float, dx: float) -> np.ndarr
 
 
 def generate_clip(cfg: SynthConfig) -> ClipRecord:
-    """Render one synthetic clip; same seed, same bits."""
+    """Render one synthetic clip; same seed, same bits.
+
+    Rendered in float64, returned at the stored float32 precision: the
+    frames are those ``read_dataset`` gives back after ``write_dataset``.
+    """
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.resolution
     n = int(round(cfg.duration_s * cfg.fs))
@@ -131,33 +139,53 @@ def generate_clip(cfg: SynthConfig) -> ClipRecord:
 
     meta = {"seed": cfg.seed, "config_hash": cfg.content_hash(),
             "gt_mean_bpm": cfg.hr_start_bpm}
-    return ClipRecord(frames=frames, label=pulse, fs=cfg.fs, meta=meta)
+    return ClipRecord(frames=frames.astype(np.float32), label=pulse,
+                      fs=cfg.fs, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # on-disk format
 
 def _write_blob(path: Path, arr: np.ndarray) -> str:
-    blob = arr.astype("<f4").tobytes()
-    path.write_bytes(blob)
+    blob = arr.astype("<f4", copy=False).tobytes()
+    # a new file replaces the old one rather than truncating it: clips read
+    # before may still map the old file, and a map past a file's end faults
+    tmp = path.with_suffix(".tmp")
+    tmp.write_bytes(blob)
+    tmp.replace(path)
     return f"{zlib.crc32(blob):08x}"
 
 
 def _read_blob(path: Path, shape, checksum: str) -> np.ndarray:
-    """The file as a writable float32 array of ``shape``, read once."""
+    """The file as a writable float32 array of ``shape``, mapped
+    copy-on-write: pages are read when first used and writes stay private.
+
+    Size and checksum are checked first, through one reused buffer of at
+    most ``CRC_BLOCK`` bytes, so checking pages nothing into the map.
+    """
     if not path.exists():
         raise FormatError(f"missing tensor file {path}")
-    arr = np.fromfile(path, dtype="<f4")
     expected = int(np.prod(shape)) * 4
-    if arr.nbytes != expected:
-        raise FormatError(f"{path}: {arr.nbytes} bytes, expected {expected}")
-    if f"{zlib.crc32(arr):08x}" != checksum:
+    size = path.stat().st_size
+    if size != expected:
+        raise FormatError(f"{path}: {size} bytes, expected {expected}")
+    crc, buf = 0, memoryview(bytearray(min(expected, CRC_BLOCK)))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            crc = zlib.crc32(buf[:n], crc)
+    if f"{crc:08x}" != checksum:
         raise FormatError(f"{path}: checksum mismatch")
-    return arr.reshape(shape)
+    if expected == 0:  # an empty file cannot be mapped
+        return np.zeros(shape, dtype="<f4")
+    return np.memmap(path, dtype="<f4", mode="c", shape=tuple(shape))
 
 
-def write_dataset(root, records: List[ClipRecord]) -> List[Path]:
-    """One directory per clip: meta.json + frames.f32 + label.f32."""
+def write_dataset(root, records: Iterable[ClipRecord]) -> List[Path]:
+    """One directory per clip: meta.json + frames.f32 + label.f32.
+
+    ``records`` may be any iterable, e.g. a generator that renders one
+    clip at a time.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -185,8 +213,9 @@ def write_dataset(root, records: List[ClipRecord]) -> List[Path]:
 def read_dataset(root) -> List[ClipRecord]:
     """Load every clip directory under root; empty directory, empty list.
 
-    Frames stay at their stored float32 precision (writable, C-contiguous);
-    labels are float64.
+    Frames stay at their stored float32 precision as writable,
+    C-contiguous copy-on-write maps of their files, so a clip's pages are
+    read only when a chunk uses them; labels are read into float64.
     """
     root = Path(root)
     if not root.exists():
@@ -204,8 +233,8 @@ def read_dataset(root) -> List[ClipRecord]:
         check_types(meta, _HEADER_TYPES, f"{meta_path}: header")
         frames = _read_blob(clip_dir / "frames.f32", meta["frames_shape"],
                             meta["frames_crc32"])
-        label = _read_blob(clip_dir / "label.f32", meta["label_shape"],
-                           meta["label_crc32"]).astype(np.float64)
+        label = np.array(_read_blob(clip_dir / "label.f32", meta["label_shape"],
+                                    meta["label_crc32"]), dtype=np.float64)
         extra = {k: v for k, v in meta.items()
                  if k != "format_version" and k not in _HEADER_TYPES}
         records.append(ClipRecord(frames=frames, label=label,
@@ -222,7 +251,7 @@ def bilinear_resize(frames: np.ndarray, out_hw: Tuple[int, int]) -> np.ndarray:
     *lead, h, w = frames.shape
     oh, ow = out_hw
     if (h, w) == (oh, ow):
-        return frames.astype(np.float64)
+        return np.array(frames, dtype=np.float64)
     ys = np.linspace(0.0, h - 1.0, oh)
     xs = np.linspace(0.0, w - 1.0, ow)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)

@@ -5,12 +5,18 @@ seed alone (every epoch draws the same ones), and parameters, Adam
 moments and BN buffers are round-tripped through float32 at every epoch
 checkpoint, so resuming from any epoch reproduces the uninterrupted run
 bit for bit.
+
+Memory: the data path holds only the frames in use. Read clips stay
+mapped from disk (see ``synth.read_dataset``), training cuts a batch's
+windows only when that batch runs, and evaluation predicts a clip's
+chunks in groups of at most ``EVAL_BATCH_ELEMS`` input elements.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import zlib
@@ -43,6 +49,9 @@ CHECKPOINT_VERSION = 2
 _META_KEYS = ("format_version", "config_hash", "model_config", "epoch",
               "global_step", "entries")
 _ENTRY_KEYS = ("name", "shape", "offset", "crc32")
+# input elements per evaluation forward: one paper-scale (3, 128, 128, 128)
+# chunk, whose forward alone peaks near 0.7 GB
+EVAL_BATCH_ELEMS = 3 * 128 ** 3
 
 
 @dataclass
@@ -256,8 +265,9 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
 
     Per epoch: seeded shuffle, one random chunk per clip, NegPearson on
     diff-normalized signals, Adam update, checkpoint save plus float32
-    round-trip. loss_log rows are (epoch, step, loss), also written to
-    ``loss_log.csv``.
+    round-trip. Windows are drawn from the epoch's rng in clip order, but
+    each batch's chunks are cut only when that batch runs. loss_log rows
+    are (epoch, step, loss), also written to ``loss_log.csv``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,14 +299,12 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
         # batches, so lr=0 keeps the loss constant and resuming reproduces
         # the uninterrupted run
         rng = np.random.default_rng(train_cfg.seed)
-        order = rng.permutation(len(records))
-        chunks = []
-        for idx in order:
-            got = chunk_and_resize(records[idx], train_cfg.chunk_len,
-                                   train_cfg.input_hw, mode="train", rng=rng)
-            chunks.extend(got)
-        for s in range(0, len(chunks), train_cfg.batch_size):
-            batch = chunks[s:s + train_cfg.batch_size]
+        # lazy: the permutation is drawn now, each window when it is cut
+        windows = (chunk for idx in rng.permutation(len(records))
+                   for chunk in chunk_and_resize(
+                       records[idx], train_cfg.chunk_len, train_cfg.input_hw,
+                       mode="train", rng=rng))
+        while batch := list(itertools.islice(windows, train_cfg.batch_size)):
             pairs = [prepare_chunk(ch) for ch in batch]
             x = Tensor(np.stack([f for f, _ in pairs]))
             y = Tensor(np.stack([l for _, l in pairs]))
@@ -351,8 +359,11 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
                      input_hw: Tuple[int, int]):
     """Chunked inference over whole clips.
 
-    Returns (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id
-    to its stitched (predicted, target) diff-domain signals.
+    A clip's chunks are normalized and predicted in consecutive groups of
+    at most ``EVAL_BATCH_ELEMS`` input elements (at least one chunk), so
+    the forward's memory does not grow with clip length. Returns
+    (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id to its
+    stitched (predicted, target) diff-domain signals.
     """
     if isinstance(model_or_fn, Module):
         model_or_fn.eval()
@@ -362,9 +373,16 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
         chunks = chunk_and_resize(rec, chunk_len, input_hw, mode="eval")
         if not chunks:
             continue
-        frames, labels = (np.stack(a) for a in zip(*map(prepare_chunk, chunks)))
+        per = max(1, EVAL_BATCH_ELEMS // chunks[0].frames.size)
+        preds, labels = [], []
+        for s in range(0, len(chunks), per):
+            frames, label = (np.stack(a) for a in
+                             zip(*map(prepare_chunk, chunks[s:s + per])))
+            preds.append(_predict_signal(model_or_fn, frames))
+            labels.append(label)
+        labels = np.concatenate(labels)
         target = _stitch(labels)
-        pred = _stitch(_predict_signal(model_or_fn, frames).reshape(labels.shape))
+        pred = _stitch(np.concatenate(preds).reshape(labels.shape))
         cid = f"clip_{i:04d}"
         clip_ids.append(cid)
         pred_hrs.append(estimate_hr(PulseTrace(pred, rec.fs)))

@@ -585,6 +585,54 @@ def test_activations_no_rule_reads_die_in_the_forward(monkeypatch):
     assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
 
 
+def test_no_grad_forward_frees_stem_and_conv_features_before_the_mamba_layers(
+        monkeypatch):
+    """Under no_grad nothing records them: the stem output and each
+    block's conv features (its ReLU output) die before any Mamba layer
+    runs, and the output stays bitwise."""
+    net = PulseMambaNet(ModelConfig(channels=16, blocks_per_stream=2,
+                                    ca_ratio=4), seed=0).eval()
+    x = Tensor(np.random.default_rng(4).normal(size=(1, 3, 16, 16, 16)))
+    with T.no_grad():
+        ref = net(x).data
+    probes, alive, in_block = [], [], []
+    real_stem, real_relu = blocks.Stem.__call__, T.relu
+    real_block = blocks.TemporalDifferenceMambaBlock.__call__
+    real_mamba = blocks.MambaLayer.__call__
+
+    def stem(self, x):
+        out = real_stem(self, x)
+        probes.append(weakref.ref(out.data))
+        return out
+
+    def block(self, x):
+        in_block.append(self)
+        try:
+            return real_block(self, x)
+        finally:
+            in_block.pop()
+
+    def relu(x):
+        out = real_relu(x)
+        if in_block:
+            probes.append(weakref.ref(out.data))
+        return out
+
+    def mamba(self, h):
+        alive.append(sum(r() is not None for r in probes))
+        return real_mamba(self, h)
+
+    monkeypatch.setattr(blocks.Stem, "__call__", stem)
+    monkeypatch.setattr(blocks.TemporalDifferenceMambaBlock, "__call__", block)
+    monkeypatch.setattr(T, "relu", relu)
+    monkeypatch.setattr(blocks.MambaLayer, "__call__", mamba)
+    with T.no_grad():
+        out = net(x).data
+    assert len(alive) == 4 and len(probes) >= 5
+    assert alive == [0, 0, 0, 0]
+    assert np.array_equal(out, ref)
+
+
 # ---------------------------------------------------------------------------
 # profile
 

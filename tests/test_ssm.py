@@ -284,8 +284,10 @@ def test_recorded_scan_keeps_only_chunk_start_states(rng):
     assert u.grad is not None and np.isfinite(u.grad).all()
 
 
-def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng):
-    bsz, L, d, n, chunk = 1, 1024, 64, 16, 64
+def _backward_peak_in_token_rows(rng, bsz, chunk):
+    """The scan rule's tracemalloc peak above its returned gradients, in
+    (B, N, D) token rows, at L = 1024, D = 64, N = 16."""
+    L, d, n = 1024, 64, 16
     u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
     delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)), requires_grad=True)
     a = Tensor(-np.tile(np.arange(1.0, n + 1.0), (d, 1)), requires_grad=True)
@@ -301,9 +303,21 @@ def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    block = chunk * bsz * n * d * 8
+    return (peak - sum(g.nbytes for g in grads)) / (bsz * n * d * 8)
+
+
+def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng):
     # abar, growth, the states (then q), gh and b * u: 5 blocks of chunk + 1
-    assert peak - sum(g.nbytes for g in grads) <= 5.5 * block
+    chunk = 64
+    assert _backward_peak_in_token_rows(rng, bsz=1, chunk=chunk) <= 5.5 * chunk
+
+
+def test_scan_backward_returns_batch_major_gradients_without_copies(rng):
+    # the gradients are written batch-major in place, so no time-major
+    # originals sit next to them; at chunk 16 the buffer's extra row per
+    # block counts, so blocks are measured as chunk + 1 rows
+    chunk = 16
+    assert _backward_peak_in_token_rows(rng, bsz=4, chunk=chunk) <= 5.5 * (chunk + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Synthetic clip generation, dataset round-trips and chunking."""
 
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from pulsemamba import synth
 from pulsemamba.errors import ConfigError, FormatError
 from pulsemamba.signal import PulseTrace, diff_normalize, estimate_hr, pearson
 from pulsemamba.synth import (ClipRecord, SynthConfig, bilinear_resize,
@@ -23,6 +26,15 @@ def test_generate_clip_determinism():
     b = generate_clip(small_cfg())
     assert np.array_equal(a.frames, b.frames)
     assert np.array_equal(a.label, b.label)
+
+
+def test_generate_clip_returns_its_stored_float32_frames():
+    clip = generate_clip(SynthConfig(seed=7, duration_s=1.0, resolution=(16, 16),
+                                     hr_start_bpm=80.0, noise_sigma=0.01,
+                                     motion_amplitude_px=1.0))
+    assert clip.frames.dtype == np.float32 and clip.label.dtype == np.float64
+    # the checksum of the frames when they were rendered and kept in float64
+    assert f"{zlib.crc32(clip.frames.tobytes()):08x}" == "55eacf48"
 
 
 def test_distinct_seeds_distinct_frames():
@@ -102,6 +114,68 @@ def test_dataset_write_is_byte_stable(tmp_path):
     for name in ("meta.json", "frames.f32", "label.f32"):
         assert (tmp_path / "a" / "clip_0000" / name).read_bytes() == \
                (tmp_path / "b" / "clip_0000" / name).read_bytes()
+
+
+def test_write_dataset_streams_a_generator_byte_identically(tmp_path):
+    cfgs = [small_cfg(seed=i, noise_sigma=0.01) for i in range(3)]
+    write_dataset(tmp_path / "list", [generate_clip(c) for c in cfgs])
+    write_dataset(tmp_path / "gen", (generate_clip(c) for c in cfgs))
+    for i in range(3):
+        for name in ("meta.json", "frames.f32", "label.f32"):
+            a, b = (tmp_path / d / f"clip_{i:04d}" / name for d in ("list", "gen"))
+            assert a.read_bytes() == b.read_bytes()
+
+
+def test_read_dataset_maps_frames_instead_of_loading_them(tmp_path):
+    # 3 clips of 2.07 MB frames; checksumming reads through one block
+    write_dataset(tmp_path / "ds", [
+        generate_clip(small_cfg(seed=i, duration_s=10.0)) for i in range(3)])
+    size = sum(f.stat().st_size for f in (tmp_path / "ds").rglob("*.f32"))
+    assert size > 6e6
+    tracemalloc.start()
+    try:
+        records = read_dataset(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < synth.CRC_BLOCK + 100_000
+    assert all(isinstance(r.frames, np.memmap) for r in records)
+
+
+def test_rewriting_a_dataset_leaves_clips_read_from_it_intact(tmp_path):
+    clip = generate_clip(small_cfg(duration_s=4.0))
+    write_dataset(tmp_path / "ds", [clip])
+    (rec,) = read_dataset(tmp_path / "ds")
+    write_dataset(tmp_path / "ds", [generate_clip(small_cfg(duration_s=2.0))])
+    np.testing.assert_array_equal(rec.frames, clip.frames)
+    assert [p.name for p in (tmp_path / "ds" / "clip_0000").iterdir()
+            if p.suffix == ".tmp"] == []
+
+
+def test_empty_clip_reads_back_without_a_map(tmp_path):
+    empty = ClipRecord(frames=np.zeros((3, 0, 16, 16), np.float32),
+                       label=np.zeros(0), fs=30.0)
+    write_dataset(tmp_path / "ds", [empty])
+    (rec,) = read_dataset(tmp_path / "ds")
+    assert rec.frames.shape == (3, 0, 16, 16) and rec.label.shape == (0,)
+
+
+@pytest.mark.parametrize("damage", ["flip_byte", "truncate", "grow_4_bytes"])
+def test_damaged_frames_file_is_format_error(damage, tmp_path):
+    # frames of 1.4 blocks: the flipped byte is in the second block
+    write_dataset(tmp_path / "ds", [generate_clip(small_cfg(duration_s=7.0))])
+    blob_path = tmp_path / "ds" / "clip_0000" / "frames.f32"
+    raw = bytearray(blob_path.read_bytes())
+    assert synth.CRC_BLOCK < len(raw) < 2 * synth.CRC_BLOCK
+    if damage == "flip_byte":
+        raw[-5] ^= 0x01
+    elif damage == "truncate":
+        del raw[-4:]
+    else:
+        raw += bytes(4)
+    blob_path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="frames.f32"):
+        read_dataset(tmp_path / "ds")
 
 
 def test_truncated_tensor_file_is_format_error(tmp_path):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from pulsemamba import tensor as T
+from pulsemamba import training
 from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba.errors import ConfigError, FormatError, NumericError
 from pulsemamba.signal import PulseTrace, estimate_hr
-from pulsemamba.synth import SynthConfig, generate_clip, write_dataset
+from pulsemamba.synth import (SynthConfig, chunk_and_resize, generate_clip,
+                              read_dataset, write_dataset)
 from pulsemamba.tensor import Tensor
 from pulsemamba.training import (AdamState, TrainConfig, adam_step,
                                  config_hash, evaluate_checkpoint,
@@ -152,6 +154,47 @@ def test_single_clip_overfit(tmp_path):
     _, log = train_loop(cfg, tmp_path / "data", tcfg, tmp_path / "run")
     assert len(log) == 200
     assert log[-1][2] < 0.1, f"final loss {log[-1][2]}"
+
+
+def test_train_loop_cuts_each_batchs_windows_when_it_runs(tmp_path, monkeypatch):
+    # 7 clips, one too short for a window: 6 windows, batches of 4 and 2
+    make_dataset(tmp_path / "data", 6, duration_s=4.0)
+    write_dataset(tmp_path / "short", [generate_clip(SynthConfig(
+        seed=99, duration_s=1.0, resolution=(24, 24)))])
+    (tmp_path / "short" / "clip_0000").rename(tmp_path / "data" / "clip_0006")
+    tcfg = toy_train_cfg(epochs=2, batch_size=4)
+    # the oracle: every epoch's windows cut up front, as one list
+    records = read_dataset(tmp_path / "data")
+    rng = np.random.default_rng(tcfg.seed)
+    expected = []
+    with pytest.warns(RuntimeWarning):
+        for idx in rng.permutation(len(records)):
+            expected += [(c.meta["seed"], c.meta["window_start"])
+                         for c in chunk_and_resize(records[idx], tcfg.chunk_len,
+                                                   tcfg.input_hw, mode="train",
+                                                   rng=rng)]
+    assert len(expected) == 6
+
+    cut, per_forward = [], []
+    real_chunk, real_loss = training.chunk_and_resize, training.neg_pearson_loss
+
+    def counting_chunk(*args, **kwargs):
+        got = real_chunk(*args, **kwargs)
+        cut.extend((c.meta["seed"], c.meta["window_start"]) for c in got)
+        return got
+
+    def counting_loss(pred, target):
+        per_forward.append(len(cut) - sum(per_forward))
+        return real_loss(pred, target)
+
+    monkeypatch.setattr(training, "chunk_and_resize", counting_chunk)
+    monkeypatch.setattr(training, "neg_pearson_loss", counting_loss)
+    with pytest.warns(RuntimeWarning):
+        train_loop(ModelConfig(**TOY_MODEL), tmp_path / "data", tcfg,
+                   tmp_path / "run")
+    assert cut == 2 * expected
+    # each loss sees the chunks cut since the previous one: its own batch
+    assert per_forward == [4, 2, 4, 2]
 
 
 def test_empty_dataset_raises_format_error(tmp_path):
@@ -308,6 +351,25 @@ def test_evaluate_records_keeps_the_clips_time_axis(tmp_path):
     for rec, pred_hr, gt_hr in zip(records, pred_hrs, gt_hrs):
         assert gt_hr == pred_hr
         assert abs(gt_hr - rec.meta["gt_mean_bpm"]) <= 1.0
+
+
+def test_evaluate_records_predicts_in_capped_batches(tmp_path, monkeypatch):
+    records = make_dataset(tmp_path / "data", 2, seed0=60, duration_s=6.0)
+    model = PulseMambaNet(ModelConfig(**TOY_MODEL), seed=2)
+    whole = evaluate_records(model, records, 32, (16, 16))[3]
+    seen = []
+
+    def model_fn(frames):
+        seen.append(len(frames))
+        with T.no_grad():
+            return model(Tensor(frames)).data
+
+    monkeypatch.setattr(training, "EVAL_BATCH_ELEMS", 3 * 32 * 16 * 16)
+    capped = evaluate_records(model_fn, records, 32, (16, 16))[3]
+    assert seen == [1] * 10  # 180 frames: 5 chunks per clip
+    for cid, (pred, target) in whole.items():
+        np.testing.assert_allclose(capped[cid][0], pred, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(capped[cid][1], target)
 
 
 def test_evaluate_checkpoint_end_to_end(tmp_path):
