@@ -10,9 +10,10 @@ On disk, a clip is a directory holding ``meta.json`` (shape, dtype tag,
 fs, seed, checksums) plus ``frames.f32`` and ``label.f32`` as raw
 little-endian float32 arrays in row-major order. Clips are float32 at
 every stage, half the memory of float64: ``generate_clip`` returns its
-frames at the stored precision, and ``read_dataset`` maps each frames file
-copy-on-write, so only the frames a chunk reads are ever resident.
-``chunk_and_resize`` hands the network float64 chunks, which is exact.
+frames at the stored precision, and ``read_dataset`` leaves them in their
+files (see ``StoredClip``), so ``chunk_and_resize`` reads only the frames
+of the windows it cuts. It hands the network float64 chunks, which is
+exact.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, check_types, is_shape, require_keys
 
 __all__ = [
-    "SynthConfig", "ClipRecord", "generate_clip", "write_dataset",
+    "SynthConfig", "ClipRecord", "StoredClip", "generate_clip", "write_dataset",
     "read_dataset", "chunk_and_resize", "bilinear_resize",
 ]
 
@@ -82,8 +83,8 @@ class SynthConfig:
 @dataclass
 class ClipRecord:
     """A clip: float32 frames (3, T, H, W) in [0, 1] and a float64 label
-    (T,). A read clip's frames are a copy-on-write map of its file; a
-    chunk's frames are float64 (see ``chunk_and_resize``)."""
+    (T,). A chunk's frames are float64 (see ``chunk_and_resize``); a read
+    clip is a ``StoredClip``."""
 
     frames: np.ndarray
     label: np.ndarray
@@ -94,6 +95,53 @@ class ClipRecord:
         if self.frames.shape[1] != self.label.shape[0]:
             raise FormatError(
                 f"label length {self.label.shape[0]} != frame count {self.frames.shape[1]}")
+
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Frames [start, stop) of every channel, (3, stop - start, H, W)."""
+        return self.frames[:, start:stop]
+
+
+class StoredClip(ClipRecord):
+    """A clip read by ``read_dataset``: its frames stay in their file.
+
+    ``window`` reads just frames [start, stop) of each channel into a new
+    writable float32 array, and checks every frame against the CRC it had
+    when the whole file's checksum passed (``_frame_crcs``), so the bytes
+    used are the bytes checked: a file changed, cut short or removed since
+    raises FormatError.
+    ``frames`` reads the whole file that way on each access. No file stays
+    open between reads. The label is held in memory.
+    """
+
+    def __init__(self, path: Path, shape, frame_crcs: np.ndarray,
+                 label: np.ndarray, fs: float, meta: dict):
+        self.path, self.frames_shape = path, tuple(shape)
+        self.frame_crcs = frame_crcs
+        self.label, self.fs, self.meta = label, fs, meta
+        if self.frames_shape[1] != label.shape[0]:
+            raise FormatError(
+                f"label length {label.shape[0]} != frame count {self.frames_shape[1]}")
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.window(0, self.frames_shape[1])
+
+    def window(self, start: int, stop: int) -> np.ndarray:
+        c, t, h, w = self.frames_shape
+        out = np.empty((c, stop - start, h, w), dtype="<f4")
+        try:
+            with open(self.path, "rb") as fh:
+                for ch, frames in enumerate(out):
+                    first = ch * t + start
+                    fh.seek(first * h * w * 4)
+                    n = fh.readinto(frames)
+                    want = self.frame_crcs[first:first + len(frames) + 1].tolist()
+                    if n != frames.nbytes or want[1:] != [
+                            zlib.crc32(f, crc) for f, crc in zip(frames, want)]:
+                        raise FormatError(f"{self.path}: changed since it was read")
+        except OSError as exc:
+            raise FormatError(f"{self.path}: unreadable ({exc})") from exc
+        return out
 
 
 def _pulse_waveform(cfg: SynthConfig, t: np.ndarray) -> np.ndarray:
@@ -148,36 +196,44 @@ def generate_clip(cfg: SynthConfig) -> ClipRecord:
 
 def _write_blob(path: Path, arr: np.ndarray) -> str:
     blob = arr.astype("<f4", copy=False).tobytes()
-    # a new file replaces the old one rather than truncating it: clips read
-    # before may still map the old file, and a map past a file's end faults
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(blob)
-    tmp.replace(path)
+    path.write_bytes(blob)
     return f"{zlib.crc32(blob):08x}"
 
 
-def _read_blob(path: Path, shape, checksum: str) -> np.ndarray:
-    """The file as a writable float32 array of ``shape``, mapped
-    copy-on-write: pages are read when first used and writes stay private.
-
-    Size and checksum are checked first, through one reused buffer of at
-    most ``CRC_BLOCK`` bytes, so checking pages nothing into the map.
-    """
+def _check_size(path: Path, shape) -> int:
     if not path.exists():
         raise FormatError(f"missing tensor file {path}")
     expected = int(np.prod(shape)) * 4
     size = path.stat().st_size
     if size != expected:
         raise FormatError(f"{path}: {size} bytes, expected {expected}")
-    crc, buf = 0, memoryview(bytearray(min(expected, CRC_BLOCK)))
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            crc = zlib.crc32(buf[:n], crc)
-    if f"{crc:08x}" != checksum:
+    return expected
+
+
+def _read_blob(path: Path, shape, checksum: str) -> np.ndarray:
+    """The file as a writable float32 array of ``shape``, read once."""
+    _check_size(path, shape)
+    arr = np.fromfile(path, dtype="<f4")
+    if f"{zlib.crc32(arr):08x}" != checksum:
         raise FormatError(f"{path}: checksum mismatch")
-    if expected == 0:  # an empty file cannot be mapped
-        return np.zeros(shape, dtype="<f4")
-    return np.memmap(path, dtype="<f4", mode="c", shape=tuple(shape))
+    return arr.reshape(shape)
+
+
+def _frame_crcs(path: Path, shape, checksum: str) -> np.ndarray:
+    """The running CRC32 of a (C, T, H, W) file at each (H, W) frame
+    boundary, (C * T + 1,), once its size and checksum (the last entry)
+    pass: frame i's bytes give ``crc32(frame, crcs[i]) == crcs[i + 1]``.
+    One pass, a frame at a time, through a buffer of ``CRC_BLOCK`` bytes."""
+    _check_size(path, shape)
+    c, t, h, w = shape
+    crcs = [0]
+    with open(path, "rb", buffering=CRC_BLOCK) as fh:
+        for _ in range(c * t):
+            crcs.append(zlib.crc32(fh.read(h * w * 4), crcs[-1]))
+        grown = bool(fh.read(1))
+    if grown or f"{crcs[-1]:08x}" != checksum:
+        raise FormatError(f"{path}: checksum mismatch")
+    return np.array(crcs, dtype=np.uint32)
 
 
 def write_dataset(root, records: Iterable[ClipRecord]) -> List[Path]:
@@ -213,9 +269,9 @@ def write_dataset(root, records: Iterable[ClipRecord]) -> List[Path]:
 def read_dataset(root) -> List[ClipRecord]:
     """Load every clip directory under root; empty directory, empty list.
 
-    Frames stay at their stored float32 precision as writable,
-    C-contiguous copy-on-write maps of their files, so a clip's pages are
-    read only when a chunk uses them; labels are read into float64.
+    Each clip is a ``StoredClip``: its frames file is checked here, then
+    left on disk and read (float32, checked again) one window at a time;
+    labels are read into float64.
     """
     root = Path(root)
     if not root.exists():
@@ -231,14 +287,15 @@ def read_dataset(root) -> List[ClipRecord]:
             raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
         require_keys(meta, _HEADER_TYPES, f"{meta_path}: header")
         check_types(meta, _HEADER_TYPES, f"{meta_path}: header")
-        frames = _read_blob(clip_dir / "frames.f32", meta["frames_shape"],
-                            meta["frames_crc32"])
-        label = np.array(_read_blob(clip_dir / "label.f32", meta["label_shape"],
-                                    meta["label_crc32"]), dtype=np.float64)
+        frames_path = clip_dir / "frames.f32"
+        crcs = _frame_crcs(frames_path, meta["frames_shape"],
+                           meta["frames_crc32"])
+        label = _read_blob(clip_dir / "label.f32", meta["label_shape"],
+                           meta["label_crc32"]).astype(np.float64)
         extra = {k: v for k, v in meta.items()
                  if k != "format_version" and k not in _HEADER_TYPES}
-        records.append(ClipRecord(frames=frames, label=label,
-                                  fs=float(meta["fs"]), meta=extra))
+        records.append(StoredClip(frames_path, meta["frames_shape"], crcs,
+                                  label, float(meta["fs"]), extra))
     return records
 
 
@@ -251,7 +308,7 @@ def bilinear_resize(frames: np.ndarray, out_hw: Tuple[int, int]) -> np.ndarray:
     *lead, h, w = frames.shape
     oh, ow = out_hw
     if (h, w) == (oh, ow):
-        return np.array(frames, dtype=np.float64)
+        return frames.astype(np.float64)
     ys = np.linspace(0.0, h - 1.0, oh)
     xs = np.linspace(0.0, w - 1.0, ow)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
@@ -273,9 +330,10 @@ def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
     ``train`` samples one random window (seeded rng); ``eval`` tiles
     non-overlapping windows and drops the tail. Labels are sliced to the
     same window. Clips shorter than chunk_len are skipped with a warning.
-    Chunk frames are float64 (see ``bilinear_resize``).
+    Only the windows' frames are read (``ClipRecord.window``); chunk frames
+    are float64 (see ``bilinear_resize``).
     """
-    n = record.frames.shape[1]
+    n = record.label.shape[0]
     if n < chunk_len:
         warnings.warn(f"clip of {n} frames shorter than chunk {chunk_len}, skipping",
                       RuntimeWarning, stacklevel=2)
@@ -289,7 +347,7 @@ def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
         raise ConfigError(f"mode must be train or eval, got {mode!r}")
     chunks = []
     for s in starts:
-        frames = bilinear_resize(record.frames[:, s:s + chunk_len], out_hw)
+        frames = bilinear_resize(record.window(s, s + chunk_len), out_hw)
         label = record.label[s:s + chunk_len].copy()
         meta = dict(record.meta, window_start=s)
         chunks.append(ClipRecord(frames=frames, label=label, fs=record.fs,

@@ -6,10 +6,10 @@ moments and BN buffers are round-tripped through float32 at every epoch
 checkpoint, so resuming from any epoch reproduces the uninterrupted run
 bit for bit.
 
-Memory: the data path holds only the frames in use. Read clips stay
-mapped from disk (see ``synth.read_dataset``), training cuts a batch's
-windows only when that batch runs, and evaluation predicts a clip's
-chunks in groups of at most ``EVAL_BATCH_ELEMS`` input elements.
+Memory: training holds only the frames in use. Read clips keep their
+frames on disk and ``chunk_and_resize`` reads just a window's frames (see
+``synth.read_dataset``), and training cuts a batch's windows only when
+that batch runs.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ CHECKPOINT_VERSION = 2
 _META_KEYS = ("format_version", "config_hash", "model_config", "epoch",
               "global_step", "entries")
 _ENTRY_KEYS = ("name", "shape", "offset", "crc32")
-# input elements per evaluation forward: one paper-scale (3, 128, 128, 128)
-# chunk, whose forward alone peaks near 0.7 GB
-EVAL_BATCH_ELEMS = 3 * 128 ** 3
 
 
 @dataclass
@@ -359,11 +356,8 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
                      input_hw: Tuple[int, int]):
     """Chunked inference over whole clips.
 
-    A clip's chunks are normalized and predicted in consecutive groups of
-    at most ``EVAL_BATCH_ELEMS`` input elements (at least one chunk), so
-    the forward's memory does not grow with clip length. Returns
-    (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id to its
-    stitched (predicted, target) diff-domain signals.
+    Returns (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id
+    to its stitched (predicted, target) diff-domain signals.
     """
     if isinstance(model_or_fn, Module):
         model_or_fn.eval()
@@ -373,16 +367,9 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
         chunks = chunk_and_resize(rec, chunk_len, input_hw, mode="eval")
         if not chunks:
             continue
-        per = max(1, EVAL_BATCH_ELEMS // chunks[0].frames.size)
-        preds, labels = [], []
-        for s in range(0, len(chunks), per):
-            frames, label = (np.stack(a) for a in
-                             zip(*map(prepare_chunk, chunks[s:s + per])))
-            preds.append(_predict_signal(model_or_fn, frames))
-            labels.append(label)
-        labels = np.concatenate(labels)
+        frames, labels = (np.stack(a) for a in zip(*map(prepare_chunk, chunks)))
         target = _stitch(labels)
-        pred = _stitch(np.concatenate(preds).reshape(labels.shape))
+        pred = _stitch(_predict_signal(model_or_fn, frames).reshape(labels.shape))
         cid = f"clip_{i:04d}"
         clip_ids.append(cid)
         pred_hrs.append(estimate_hr(PulseTrace(pred, rec.fs)))

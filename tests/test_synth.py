@@ -1,6 +1,9 @@
 """Synthetic clip generation, dataset round-trips and chunking."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import zlib
 
@@ -10,9 +13,9 @@ import pytest
 from pulsemamba import synth
 from pulsemamba.errors import ConfigError, FormatError
 from pulsemamba.signal import PulseTrace, diff_normalize, estimate_hr, pearson
-from pulsemamba.synth import (ClipRecord, SynthConfig, bilinear_resize,
-                              chunk_and_resize, generate_clip, read_dataset,
-                              write_dataset)
+from pulsemamba.synth import (ClipRecord, StoredClip, SynthConfig,
+                              bilinear_resize, chunk_and_resize, generate_clip,
+                              read_dataset, write_dataset)
 
 
 def small_cfg(**kw):
@@ -126,33 +129,78 @@ def test_write_dataset_streams_a_generator_byte_identically(tmp_path):
             assert a.read_bytes() == b.read_bytes()
 
 
-def test_read_dataset_maps_frames_instead_of_loading_them(tmp_path):
+def test_read_dataset_leaves_frames_on_disk(tmp_path):
     # 3 clips of 2.07 MB frames; checksumming reads through one block
-    write_dataset(tmp_path / "ds", [
-        generate_clip(small_cfg(seed=i, duration_s=10.0)) for i in range(3)])
+    clip = generate_clip(small_cfg(duration_s=10.0))
+    write_dataset(tmp_path / "ds", [clip] * 3)
     size = sum(f.stat().st_size for f in (tmp_path / "ds").rglob("*.f32"))
     assert size > 6e6
     tracemalloc.start()
     try:
         records = read_dataset(tmp_path / "ds")
-        peak = tracemalloc.get_traced_memory()[1]
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        window = records[1].window(100, 132)
+        window_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < synth.CRC_BLOCK + 100_000
-    assert all(isinstance(r.frames, np.memmap) for r in records)
+    assert read_peak < synth.CRC_BLOCK + 100_000
+    assert all(isinstance(r, StoredClip) for r in records)
+    # a window costs its own frames: 3 x 32 x 24 x 24 float32 = 221 kB
+    assert window_peak < window.nbytes + 50_000
+    assert window.flags.writeable and window.dtype == np.float32
+    np.testing.assert_array_equal(window, clip.frames[:, 100:132])
 
 
-def test_rewriting_a_dataset_leaves_clips_read_from_it_intact(tmp_path):
-    clip = generate_clip(small_cfg(duration_s=4.0))
+@pytest.mark.parametrize("damage", ["flip_byte", "truncate", "remove"])
+def test_stored_clip_checks_each_window_against_the_read_file(damage, tmp_path):
+    clip = generate_clip(small_cfg(noise_sigma=0.01))  # 120 frames
     write_dataset(tmp_path / "ds", [clip])
     (rec,) = read_dataset(tmp_path / "ds")
-    write_dataset(tmp_path / "ds", [generate_clip(small_cfg(duration_s=2.0))])
-    np.testing.assert_array_equal(rec.frames, clip.frames)
-    assert [p.name for p in (tmp_path / "ds" / "clip_0000").iterdir()
-            if p.suffix == ".tmp"] == []
+    blob_path = tmp_path / "ds" / "clip_0000" / "frames.f32"
+    frame = 24 * 24 * 4
+    if damage == "flip_byte":  # channel 1, frame 10, in place
+        with open(blob_path, "r+b") as fh:
+            fh.seek((120 + 10) * frame + 7)
+            byte = fh.read(1)[0]
+            fh.seek(-1, 1)
+            fh.write(bytes([byte ^ 0x01]))
+        np.testing.assert_array_equal(rec.window(0, 10), clip.frames[:, :10])
+        np.testing.assert_array_equal(rec.window(11, 40), clip.frames[:, 11:40])
+    elif damage == "truncate":
+        with open(blob_path, "r+b") as fh:
+            fh.truncate(3 * 120 * frame // 2)
+    else:
+        blob_path.unlink()
+    with pytest.raises(FormatError, match="frames.f32"):
+        rec.window(5, 15 if damage == "flip_byte" else 120)
+    with pytest.raises(FormatError, match="frames.f32"):
+        chunk_and_resize(rec, 32, (16, 16), mode="eval")
 
 
-def test_empty_clip_reads_back_without_a_map(tmp_path):
+def test_read_dataset_keeps_no_file_open(tmp_path):
+    # more clips than the child's descriptor limit: each must be closed
+    code = """if True:
+        import resource, sys
+        import numpy as np
+        from pulsemamba.synth import ClipRecord, chunk_and_resize, read_dataset, write_dataset
+        root = sys.argv[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+        clips = (ClipRecord(np.full((3, 4, 16, 16), i / 100, np.float32), np.zeros(4), 30.0)
+                 for i in range(100))
+        write_dataset(root, clips)
+        records = read_dataset(root)
+        chunks = [c for r in records for c in chunk_and_resize(r, 4, (16, 16))]
+        assert len(chunks) == 100 and chunks[99].frames[0, 0, 0, 0] == np.float32(0.99)
+        print("ok")
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ds")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr[-2000:]
+
+
+def test_empty_clip_reads_back(tmp_path):
     empty = ClipRecord(frames=np.zeros((3, 0, 16, 16), np.float32),
                        label=np.zeros(0), fs=30.0)
     write_dataset(tmp_path / "ds", [empty])

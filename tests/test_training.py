@@ -353,25 +353,6 @@ def test_evaluate_records_keeps_the_clips_time_axis(tmp_path):
         assert abs(gt_hr - rec.meta["gt_mean_bpm"]) <= 1.0
 
 
-def test_evaluate_records_predicts_in_capped_batches(tmp_path, monkeypatch):
-    records = make_dataset(tmp_path / "data", 2, seed0=60, duration_s=6.0)
-    model = PulseMambaNet(ModelConfig(**TOY_MODEL), seed=2)
-    whole = evaluate_records(model, records, 32, (16, 16))[3]
-    seen = []
-
-    def model_fn(frames):
-        seen.append(len(frames))
-        with T.no_grad():
-            return model(Tensor(frames)).data
-
-    monkeypatch.setattr(training, "EVAL_BATCH_ELEMS", 3 * 32 * 16 * 16)
-    capped = evaluate_records(model_fn, records, 32, (16, 16))[3]
-    assert seen == [1] * 10  # 180 frames: 5 chunks per clip
-    for cid, (pred, target) in whole.items():
-        np.testing.assert_allclose(capped[cid][0], pred, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(capped[cid][1], target)
-
-
 def test_evaluate_checkpoint_end_to_end(tmp_path):
     make_dataset(tmp_path / "data", 3, seed0=40, duration_s=4.0)
     cfg = ModelConfig(**TOY_MODEL)
