@@ -4,6 +4,7 @@ analytic profile."""
 
 import copy
 import gc
+import hashlib
 import threading
 import time
 import weakref
@@ -638,6 +639,28 @@ def test_no_grad_forward_frees_stem_and_conv_features_before_the_mamba_layers(
 
 def test_single_conv_param_count():
     assert conv3d_params(8, 3, (3, 3, 3), bias=False) == 648
+
+
+# (config, input THW) -> (params, MACs, sha256 prefix of repr(rows))
+PINNED_PROFILES = [
+    (dict(), (128, 128, 128), 682469, 42703660800, "789043a0473578e0"),
+    (dict(), (32, 64, 64), 682469, 2669204736, "50779c8a705a701e"),
+    (dict(channels=32, blocks_per_stream=2), (32, 16, 16),
+     131421, 46714240, "a44e0906fbd52dae"),
+    (dict(channels=16, blocks_per_stream=2, ca_ratio=4), (8, 16, 16),
+     38413, 3611808, "6558f17506dc2bd4"),
+    (dict(channels=8, blocks_per_stream=3, ca_ratio=4, state_dim=4),
+     (8, 16, 16), 13906, 1873608, "76562b1907ce2f20"),
+    (dict(channels=16, blocks_per_stream=2, ca_ratio=4, expand=3, state_dim=5),
+     (8, 16, 16), 35965, 3284128, "ff337df1efda7297"),
+]
+
+
+@pytest.mark.parametrize("kwargs, thw, params, macs, digest", PINNED_PROFILES)
+def test_profile_rows_are_pinned(kwargs, thw, params, macs, digest):
+    report = profile_model(ModelConfig(**kwargs), thw)
+    assert (report.param_count, report.mac_count) == (params, macs)
+    assert hashlib.sha256(repr(report.rows).encode()).hexdigest()[:16] == digest
 
 
 def test_profile_matches_instantiated_model():
