@@ -46,6 +46,11 @@ _SLOW_STREAM = ThreadPoolExecutor(max_workers=1,
 # cores: stages of 2e3-3e4 elements ran from 2 % faster to 12 % slower on
 # two threads; block stages of 1.3e5 elements and up gained 7-28 %.
 _CONCURRENT_MIN_ELEMS = 1 << 17
+# the spatial halving after the stem's first and last convs and after
+# every block but the last
+POOL = (1, 2, 2)
+# cap on a block's flattened sequence, L*C per sample
+SEQ_BUDGET = 1 << 24
 
 
 def _both_streams(slow_stage, slow: Tensor, fast_stage, fast: Tensor):
@@ -122,73 +127,65 @@ class ModelConfig:
 
 
 class Conv3d(Module):
+    """Bias-free 3D conv (every conv of the network feeds a norm)."""
+
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1, 1),
-                 padding=(0, 0, 0), bias: bool = True,
-                 rng: Optional[np.random.Generator] = None):
+                 padding=(0, 0, 0), rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         kt, kh, kw = kernel
         fan_in = cin * kt * kh * kw
         self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in),
                                         (cout, cin, kt, kh, kw)), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout), requires_grad=True) if bias else None
         self.stride = tuple(stride)
         self.padding = tuple(padding)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv3d(x, self.weight, self.bias, self.stride, self.padding)
+        return T.conv3d(x, self.weight, self.stride, self.padding)
 
 
 class BatchNorm3d(Module):
-    """Channel batch norm with running statistics (momentum 0.1, eps 1e-5)."""
+    """Channel batch norm with running statistics (``T.BN_MOMENTUM``,
+    ``T.NORM_EPS``)."""
 
-    def __init__(self, c: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, c: int):
         super().__init__()
         self.gamma = Tensor(np.ones(c), requires_grad=True)
         self.beta = Tensor(np.zeros(c), requires_grad=True)
         self.running_mean = np.zeros(c)
         self.running_var = np.ones(c)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, self.training, self.momentum,
-                            self.eps)
+                            self.running_var, self.training)
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         super().__init__()
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class TemporalDifferenceConv3d(Conv3d):
-    """3D conv minus theta times a centre-tap temporal-difference term.
+    """3x3x3 conv minus theta times a centre-tap temporal-difference term.
 
     output = conv3d(x, W) - theta * x(p0) * S, with S[o, c] the sum of W
     over the two adjacent-time planes. The term is linear in W, so it is
     folded into the kernel (theta * S off the centre tap, by one constant
-    (taps, taps) map on the flattened kernel) and one conv runs; theta = 0
-    is the vanilla conv bit for bit. Time extent 3 and odd spatial
-    extents; stride 1 and padding keep extents unchanged.
+    (27, 27) map on the flattened kernel) and one conv runs; theta = 0
+    is the vanilla conv bit for bit. Stride 1 and padding 1 keep extents
+    unchanged.
     """
 
-    def __init__(self, cin: int, cout: int, kernel=(3, 3, 3), theta: float = 0.5,
-                 bias: bool = False, rng: Optional[np.random.Generator] = None):
+    def __init__(self, cin: int, cout: int, theta: float = 0.5,
+                 rng: Optional[np.random.Generator] = None):
         if not 0.0 <= theta <= 1.0:
             raise ConfigError(f"theta must be in [0, 1], got {theta}")
-        kt, kh, kw = kernel
-        if kt != 3 or kh % 2 == 0 or kw % 2 == 0:
-            raise ConfigError("temporal-difference kernel needs time extent 3 "
-                              "and odd spatial extents")
-        super().__init__(cin, cout, kernel, padding=(1, kh // 2, kw // 2),
-                         bias=bias, rng=rng)
+        super().__init__(cin, cout, (3, 3, 3), padding=(1, 1, 1), rng=rng)
         self.theta = theta
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -199,8 +196,8 @@ class TemporalDifferenceConv3d(Conv3d):
         centre[:plane] = -self.theta
         centre[2 * plane:] = -self.theta
         w = T.linear(T.reshape(self.weight, (cout * cin, kt * plane)), Tensor(fold))
-        return T.conv3d(x, T.reshape(w, self.weight.shape), self.bias,
-                        self.stride, self.padding)
+        return T.conv3d(x, T.reshape(w, self.weight.shape), self.stride,
+                        self.padding)
 
 
 class ChannelAttention(Module):
@@ -231,12 +228,11 @@ class TemporalDifferenceMambaBlock(Module):
     """TDC -> BN -> ReLU -> flatten -> (Bi-Mamba + residual) -> LN -> CA.
 
     Input and output are both (B, C, T, H, W). The flattened sequence
-    length L*C is capped by ``seq_budget`` per sample.
+    length L*C is capped by ``SEQ_BUDGET`` per sample.
     """
 
     def __init__(self, c: int, state_dim: int = 16, expand: int = 2,
                  theta: float = 0.5, ca_ratio: int = 8,
-                 seq_budget: int = 1 << 24,  # flattened L*C per sample
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -245,14 +241,13 @@ class TemporalDifferenceMambaBlock(Module):
         self.mamba = MambaLayer(c, state_dim, expand, rng=rng)
         self.post_ln = LayerNorm(c)
         self.ca = ChannelAttention(c, min(ca_ratio, c), rng=rng)
-        self.seq_budget = seq_budget
 
     def __call__(self, x: Tensor) -> Tensor:
         b, c, t, h, w = x.shape
         seq_len = t * h * w
-        if seq_len * c > self.seq_budget:
+        if seq_len * c > SEQ_BUDGET:
             raise CapacityError(
-                f"flattened sequence {seq_len}x{c} exceeds budget {self.seq_budget}")
+                f"flattened sequence {seq_len}x{c} exceeds budget {SEQ_BUDGET}")
         # the conv features die here; h_k views their token-major copy
         f = T.transpose(T.relu(self.bn(self.tdc(x))), (0, 2, 3, 4, 1))
         h_k = T.reshape(f, (b, seq_len, c))
@@ -279,18 +274,18 @@ class Stem(Module):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         s1, s2, s3 = widths
-        self.conv1 = Conv3d(3, s1, (1, 5, 5), padding=(0, 2, 2), bias=False, rng=rng)
+        self.conv1 = Conv3d(3, s1, (1, 5, 5), padding=(0, 2, 2), rng=rng)
         self.bn1 = BatchNorm3d(s1)
-        self.conv2 = Conv3d(s1, s2, (3, 3, 3), padding=(1, 1, 1), bias=False, rng=rng)
+        self.conv2 = Conv3d(s1, s2, (3, 3, 3), padding=(1, 1, 1), rng=rng)
         self.bn2 = BatchNorm3d(s2)
-        self.conv3 = Conv3d(s2, s3, (3, 3, 3), padding=(1, 1, 1), bias=False, rng=rng)
+        self.conv3 = Conv3d(s2, s3, (3, 3, 3), padding=(1, 1, 1), rng=rng)
         self.bn3 = BatchNorm3d(s3)
 
     def _halving_stage(self, conv: Conv3d, bn: BatchNorm3d, x: Tensor) -> Tensor:
         x = conv(x)
         if T.is_grad_enabled() or bn.training or (bn.gamma.data < 0).any():
-            return T.maxpool3d(T.relu(bn(x)), (1, 2, 2))
-        return T.relu(bn(T.maxpool3d(x, (1, 2, 2))))
+            return T.maxpool3d(T.relu(bn(x)), POOL)
+        return T.relu(bn(T.maxpool3d(x, POOL)))
 
     def __call__(self, x: Tensor) -> Tensor:
         x = self._halving_stage(self.conv1, self.bn1, x)
@@ -305,7 +300,7 @@ class TemporalDownsample(Module):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.conv = Conv3d(cin, cout, (3, 1, 1), stride=(stride_t, 1, 1),
-                           padding=(1, 0, 0), bias=False, rng=rng)
+                           padding=(1, 0, 0), rng=rng)
         self.bn = BatchNorm3d(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -322,7 +317,7 @@ class LateralConnection(Module):
     def __init__(self, c_fast: int, rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.conv = Conv3d(c_fast, 2 * c_fast, (3, 1, 1), stride=(2, 1, 1),
-                           padding=(1, 0, 0), bias=False, rng=rng)
+                           padding=(1, 0, 0), rng=rng)
 
     def __call__(self, fast: Tensor) -> Tensor:
         return self.conv(fast)
@@ -400,7 +395,7 @@ class PulseMambaNet(Module):
         for i, (bs, bf) in enumerate(zip(self.blocks_slow, self.blocks_fast)):
             slow, fast = _both_streams(bs, slow, bf, fast)
             if i < last:
-                slow = T.maxpool3d(slow, (1, 2, 2))
-                fast = T.maxpool3d(fast, (1, 2, 2))
+                slow = T.maxpool3d(slow, POOL)
+                fast = T.maxpool3d(fast, POOL)
                 slow = T.add(slow, self.laterals[i](fast))
         return self.head(slow, fast)

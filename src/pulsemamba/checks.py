@@ -156,10 +156,9 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
 
     xc = leaf((2, 2, 5, 4, 4))
     wc = leaf((3, 2, 3, 3, 3))
-    bc = leaf((3,))
     run("conv3d", lambda: _weighted_sum(
-        T.conv3d(xc, wc, bc, (1, 1, 1), (1, 1, 1))),
-        [("x", xc), ("w", wc), ("b", bc)])
+        T.conv3d(xc, wc, (1, 1, 1), (1, 1, 1))),
+        [("x", xc), ("w", wc)])
     ws = leaf((2, 2, 3, 1, 1))
     run("conv3d_strided", lambda: _weighted_sum(
         T.conv3d(xc, ws, stride=(2, 1, 1), padding=(1, 0, 0))),

@@ -40,6 +40,12 @@ __all__ = [
     "MambaLayer",
 ]
 
+# range of the initial step size softplus(dt_bias), and the width of the
+# Mamba layer's causal depthwise conv
+DT_MIN, DT_MAX = 1e-3, 1e-1
+CONV_KERNEL = 4
+
+
 def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
     """ZOH factors (abar, growth) with growth = expm1(delta*a) / a.
 
@@ -236,8 +242,7 @@ class SSMParams(Module):
     """
 
     def __init__(self, d_inner: int, state_dim: int, dt_rank: int,
-                 rng: np.random.Generator, dt_min: float = 1e-3,
-                 dt_max: float = 1e-1):
+                 rng: np.random.Generator):
         super().__init__()
         # a_{d,n} = -(n+1), standard diagonal-real initialization
         self.a_log = Tensor(np.log(np.tile(np.arange(1.0, state_dim + 1.0),
@@ -248,8 +253,8 @@ class SSMParams(Module):
         self.w_dt_down = Tensor(rng.normal(0.0, scale, (dt_rank, d_inner)), requires_grad=True)
         bound = 1.0 / math.sqrt(dt_rank)
         self.w_dt_up = Tensor(rng.uniform(-bound, bound, (d_inner, dt_rank)), requires_grad=True)
-        # softplus(dt_bias) log-uniform in [dt_min, dt_max]
-        dt = np.exp(rng.uniform(math.log(dt_min), math.log(dt_max), d_inner))
+        # softplus(dt_bias) log-uniform in [DT_MIN, DT_MAX]
+        dt = np.exp(rng.uniform(math.log(DT_MIN), math.log(DT_MAX), d_inner))
         self.dt_bias = Tensor(np.log(np.expm1(dt)), requires_grad=True)
         self.b_bias: Optional[Tensor] = None
         self.c_bias: Optional[Tensor] = None
@@ -432,7 +437,7 @@ class MambaLayer(Module):
     """
 
     def __init__(self, c_model: int, state_dim: int = 16, expand: int = 2,
-                 conv_kernel: int = 4, rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         d_inner = expand * c_model
@@ -444,8 +449,8 @@ class MambaLayer(Module):
         self.ln_beta = Tensor(np.zeros(c_model), requires_grad=True)
         self.w_in = Tensor(rng.normal(0.0, 1.0 / math.sqrt(c_model),
                                       (2 * d_inner, c_model)), requires_grad=True)
-        bound = 1.0 / math.sqrt(conv_kernel)
-        self.conv_w = Tensor(rng.uniform(-bound, bound, (d_inner, conv_kernel)),
+        bound = 1.0 / math.sqrt(CONV_KERNEL)
+        self.conv_w = Tensor(rng.uniform(-bound, bound, (d_inner, CONV_KERNEL)),
                              requires_grad=True)
         self.conv_b = Tensor(np.zeros(d_inner), requires_grad=True)
         self.ssm_fwd = SSMParams(d_inner, state_dim, dt_rank, rng)

@@ -59,6 +59,11 @@ _recorded = 0  # ops recorded since the last backward
 # depthwise causal conv.
 BLOCK_BYTES = 1 << 20
 
+# batch norm's running-statistic update rate, and the variance floor of
+# both norms
+BN_MOMENTUM = 0.1
+NORM_EPS = 1e-5
+
 
 class no_grad:
     """Context manager that suspends graph recording."""
@@ -397,9 +402,8 @@ def _conv_out_len(size: int, k: int, stride: int, pad: int) -> int:
     return n
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """Zero-padded 3D cross-correlation.
+def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
+    """Zero-padded 3D cross-correlation, without bias.
 
     x: (B, Cin, T, H, W), w: (Cout, Cin, kt, kh, kw). Output extents follow
     floor((S + 2p - k) / stride) + 1 per axis. One kernel runs the forward,
@@ -419,23 +423,15 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         _conv_out_len(n, k, s, p)
     pads = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
     out = _conv(np.pad(x.data, pads), w.data, stride)
-    parents = [x, w]
-    if bias is not None:
-        if bias.shape != (w.shape[0],):
-            raise ShapeError("conv3d: bias must be (Cout,)")
-        out += bias.data[None, :, None, None, None]
-        parents.append(bias)
-    has_bias, xd, wd, need_gx = bias is not None, x.data, w.data, x.requires_grad
+    xd, wd, need_gx = x.data, w.data, x.requires_grad
 
     def bwd(g):
         gw = _conv_weight_grad(np.pad(xd, pads), g, wd.shape[2:], stride)
         # an input that needs no gradient (the network's frames) gets none
         gx = _conv_input_grad(g, wd, stride, padding, xd.shape[2:]) if need_gx else None
-        if not has_bias:
-            return [gx, gw]
-        return [gx, gw, g.sum(axis=(0, 2, 3, 4))]
+        return [gx, gw]
 
-    return apply_op("conv3d", out, parents, bwd)
+    return apply_op("conv3d", out, [x, w], bwd)
 
 
 def _gather_cols(xp, dst, it0, kernel, sh, sw):
@@ -499,22 +495,21 @@ def _conv_input_grad(g, w, stride, padding, size):
     return gx[(..., *crop)]
 
 
-def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Per-channel causal 1D conv: x (B, L, D), w (D, K), left pad K-1.
+def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel causal 1D conv: x (B, L, D), w (D, K), bias (D,), left
+    pad K-1.
 
-    y[b, l, d] = sum_k w[d, k] * x[b, l + k - (K-1), d], zeros before t=0,
-    so sequences shorter than K are handled by the padding, never an error.
+    y[b, l, d] = sum_k w[d, k] * x[b, l + k - (K-1), d] + bias[d], zeros
+    before t=0, so sequences shorter than K are handled by the padding,
+    never an error.
     """
     if x.ndim != 3 or w.ndim != 2 or x.shape[2] != w.shape[0]:
         raise ShapeError(f"depthwise conv1d: x {x.shape} vs w {w.shape}")
     b, L, d = x.shape
     K = w.shape[1]
-    parents = [x, w]
-    if bias is not None:
-        if bias.shape != (d,):
-            raise ShapeError("depthwise conv1d: bias must be (D,)")
-        parents.append(bias)
-    has_bias, xd, wd = bias is not None, x.data, w.data
+    if bias.shape != (d,):
+        raise ShapeError("depthwise conv1d: bias must be (D,)")
+    xd, wd = x.data, w.data
     out = np.empty(x.shape)
     rows = max(1, BLOCK_BYTES // (3 * 8 * b * d))  # x, tap and out blocks
     tap = np.empty((b, min(rows, L), d))
@@ -533,8 +528,7 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None)
             np.multiply(xd[:, lo - (K - 1 - k):r1 - (K - 1 - k)],
                         wd[:, k], out=tap[:, :n])
             blk[:, lo - r0:] += tap[:, :n]
-        if bias is not None:
-            blk += bias.data
+        blk += bias.data
 
     def bwd(g):
         xp = np.pad(xd, ((0, 0), (K - 1, 0), (0, 0)))
@@ -543,17 +537,15 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Optional[Tensor] = None)
         for k in range(K):
             gxp[:, k:k + L, :] += g * wd[:, k]
             gw[:, k] = np.einsum("bld,bld->d", g, xp[:, k:k + L, :])
-        gx = gxp[:, K - 1:, :]
-        if not has_bias:
-            return [gx, gw]
-        return [gx, gw, g.sum(axis=(0, 1))]
+        return [gxp[:, K - 1:, :], gw, g.sum(axis=(0, 1))]
 
-    return apply_op("conv1d_dw", out, parents, bwd)
+    return apply_op("conv1d_dw", out, [x, w, bias], bwd)
 
 
-def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor,
                      stride: int = 2, padding: int = 1) -> Tensor:
-    """Temporal transposed conv: x (B, Cin, T), w (Cin, Cout, K).
+    """Temporal transposed conv: x (B, Cin, T), w (Cin, Cout, K), bias
+    (Cout,).
 
     Output length (T-1)*stride - 2*padding + K; with K=4, s=2, p=1 this is
     exactly 2T. The output is the input gradient of the conv from Cout to
@@ -567,29 +559,24 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     t_out = (t - 1) * stride - 2 * padding + K
     if t_out < 1:
         raise ShapeError("conv_transpose1d: output length would be < 1")
-    xd, wd = x.data[..., None, None], w.data[..., None, None]
-    strides, has_bias = (stride, 1, 1), bias is not None
+    if bias.shape != (cout,):
+        raise ShapeError("conv_transpose1d: bias must be (Cout,)")
+    xd, wd, strides = x.data[..., None, None], w.data[..., None, None], (stride, 1, 1)
     out = _conv_input_grad(xd, wd, strides, (padding, 0, 0), (t_out, 1, 1))[..., 0, 0]
-    parents = [x, w]
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError("conv_transpose1d: bias must be (Cout,)")
-        out = out + bias.data[None, :, None]
-        parents.append(bias)
+    out = out + bias.data[None, :, None]
 
     def bwd(g):
         gp = np.pad(g, ((0, 0), (0, 0), (padding, padding)))[..., None, None]
         gx = _conv(gp, wd, strides)[..., 0, 0]
         gw = _conv_weight_grad(gp, xd, (K, 1, 1), strides)[..., 0, 0]
-        if not has_bias:
-            return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2))]
 
-    return apply_op("conv_transpose1d", out, parents, bwd)
+    return apply_op("conv_transpose1d", out, [x, w, bias], bwd)
 
 
-def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
-    """Max pooling over (T, H, W) windows; extents follow the conv rule.
+def maxpool3d(x: Tensor, kernel=(1, 2, 2)) -> Tensor:
+    """Max pooling over non-overlapping (T, H, W) windows (stride = kernel);
+    extents follow the conv rule.
 
     The output is folded with ``np.maximum`` over the window offsets, so a
     NaN anywhere in a window makes that output NaN (and its gradient 0).
@@ -599,18 +586,15 @@ def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
     """
     if x.ndim != 5:
         raise ShapeError("maxpool3d expects (B, C, T, H, W)")
-    if stride is None:
-        stride = kernel
     kt, kh, kw = kernel
-    st, sh, sw = stride
     b, c, t, h, wd = x.shape
-    to = _conv_out_len(t, kt, st, 0)
-    ho = _conv_out_len(h, kh, sh, 0)
-    wo = _conv_out_len(wd, kw, sw, 0)
+    to = _conv_out_len(t, kt, kt, 0)
+    ho = _conv_out_len(h, kh, kh, 0)
+    wo = _conv_out_len(wd, kw, kw, 0)
     # one strided view of x per window offset, in scan order
-    windows = [(slice(None), slice(None), slice(i, i + st * (to - 1) + 1, st),
-                slice(j, j + sh * (ho - 1) + 1, sh),
-                slice(k, k + sw * (wo - 1) + 1, sw))
+    windows = [(slice(None), slice(None), slice(i, i + kt * (to - 1) + 1, kt),
+                slice(j, j + kh * (ho - 1) + 1, kh),
+                slice(k, k + kw * (wo - 1) + 1, kw))
                for i in range(kt) for j in range(kh) for k in range(kw)]
 
     out = x.data[windows[0]].copy()
@@ -643,11 +627,12 @@ def maxpool3d(x: Tensor, kernel=(1, 2, 2), stride=None) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch norm over axis 1 of (B, C, ...).
 
     Training mode normalizes by batch statistics (population variance) and
-    updates the running buffers in place; eval mode uses (C,) copies of the
+    updates the running buffers in place at rate ``BN_MOMENTUM``; eval
+    mode uses (C,) copies of the
     buffers, so later changes to them do not reach the backward. A front
     end of ``_normalize``, as ``layer_norm`` is.
     """
@@ -661,17 +646,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         bshape = (1, -1) + (1,) * (x.ndim - 2)
         mean = running_mean.reshape(bshape).copy()
         var = running_var.reshape(bshape)
-    out = _normalize("batch_norm", x, gamma, beta, 1, axes, mean, var,
-                     training, eps)
+    out = _normalize("batch_norm", x, gamma, beta, 1, axes, mean, var, training)
     if training:
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(-1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(-1)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.reshape(-1)
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     A front end of ``_normalize``, as ``batch_norm`` is.
@@ -680,14 +664,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mean = x.data.mean(axis=last, keepdims=True)
     var = x.data.var(axis=last, keepdims=True)
     return _normalize("layer_norm", x, gamma, beta, last, (last,), mean, var,
-                      True, eps)
+                      True)
 
 
 def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
                stat_axes, mean: np.ndarray, var: np.ndarray,
-               batch_stats: bool, eps: float) -> Tensor:
+               batch_stats: bool) -> Tensor:
     """The one norm kernel: out = gamma * (x - mean) * inv + beta along
-    ``axis``, inv = 1 / sqrt(var + eps).
+    ``axis``, inv = 1 / sqrt(var + NORM_EPS).
 
     ``mean``/``var`` are keepdims statistics over ``stat_axes``; with
     ``batch_stats`` they are statistics of ``x`` itself and the backward
@@ -703,7 +687,7 @@ def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
                          f"got {gamma.shape} and {beta.shape}")
     pshape = tuple(c if i == axis else 1 for i in range(x.ndim))
     param_axes = tuple(i for i in range(x.ndim) if i != axis)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xd, gam = x.data, gamma.data.reshape(pshape)
     out = np.subtract(xd, mean)
     out *= inv

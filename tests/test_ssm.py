@@ -392,7 +392,7 @@ def test_mamba_layer_shape_contract(rng):
 
 
 def test_mamba_layer_short_sequence_padding(rng):
-    layer = MambaLayer(4, state_dim=4, conv_kernel=4, rng=rng)
+    layer = MambaLayer(4, state_dim=4, rng=rng)
     x = rng.normal(size=(2, 4))  # shorter than the conv kernel
     with T.no_grad():
         y = layer(Tensor(x[None]))
