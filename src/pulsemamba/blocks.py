@@ -46,11 +46,10 @@ _SLOW_STREAM = ThreadPoolExecutor(max_workers=1,
 # cores: stages of 2e3-3e4 elements ran from 2 % faster to 12 % slower on
 # two threads; block stages of 1.3e5 elements and up gained 7-28 %.
 _CONCURRENT_MIN_ELEMS = 1 << 17
-# the spatial halving after the stem's first and last convs and after
-# every block but the last
+# spatial halving after the stem's first and last convs and each block but
+# the last
 POOL = (1, 2, 2)
-# cap on a block's flattened sequence, L*C per sample
-SEQ_BUDGET = 1 << 24
+SEQ_BUDGET = 1 << 24  # cap on a block's flattened sequence, L*C per sample
 
 
 def _both_streams(slow_stage, slow: Tensor, fast_stage, fast: Tensor):
@@ -145,8 +144,7 @@ class Conv3d(Module):
 
 
 class BatchNorm3d(Module):
-    """Channel batch norm with running statistics (``T.BN_MOMENTUM``,
-    ``T.NORM_EPS``)."""
+    """Channel batch norm with running statistics (see ``T.batch_norm``)."""
 
     def __init__(self, c: int):
         super().__init__()

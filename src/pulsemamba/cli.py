@@ -47,13 +47,17 @@ def _field_keys(cls, *names) -> Dict:
 
 
 # key -> (caster, default); config files and --set overrides share these
+# SynthConfig fields set one to one; the other fields come from tuples
+SYNTH_FIELDS = ("fs", "duration_s", "pulse_amplitude", "noise_sigma",
+                "motion_amplitude_px", "skin_mask")
 SYNTH_KEYS = {
-    "seed": (int, 0), "num_clips": (int, 30), "fs": (float, 30.0),
-    "duration_s": (float, 10.0), "height": (int, 64), "width": (int, 64),
-    "base_r": (float, 0.70), "base_g": (float, 0.55), "base_b": (float, 0.45),
-    "pulse_amplitude": (float, 0.02), "hr_min_bpm": (float, 55.0),
-    "hr_max_bpm": (float, 140.0), "noise_sigma": (float, 0.0),
-    "motion_amplitude_px": (float, 0.0), "skin_mask": (float, 0.6),
+    "seed": (int, 0), "num_clips": (int, 30), "hr_min_bpm": (float, 55.0),
+    "hr_max_bpm": (float, 140.0), **_field_keys(SynthConfig, *SYNTH_FIELDS),
+    "height": (int, SynthConfig.resolution[0]),
+    "width": (int, SynthConfig.resolution[1]),
+    "base_r": (float, SynthConfig.base_color[0]),
+    "base_g": (float, SynthConfig.base_color[1]),
+    "base_b": (float, SynthConfig.base_color[2]),
 }
 MODEL_KEYS = _field_keys(ModelConfig, "channels", "blocks_per_stream",
                         "state_dim", "expand", "theta", "ca_ratio")
@@ -120,6 +124,8 @@ def _model_config(resolved: Dict) -> ModelConfig:
 def cmd_synth(args) -> int:
     cfg = apply_overrides(parse_config_file(args.config, SYNTH_KEYS),
                           args.set, SYNTH_KEYS)
+    if cfg["num_clips"] < 0:
+        raise ConfigError(f"num_clips must be >= 0, got {cfg['num_clips']}")
     write_resolved(args.out, cfg, {"subcommand": "synth"})
     rng = np.random.default_rng(cfg["seed"])
 
@@ -127,14 +133,10 @@ def cmd_synth(args) -> int:
         for i in range(cfg["num_clips"]):
             hr = float(rng.uniform(cfg["hr_min_bpm"], cfg["hr_max_bpm"]))
             yield generate_clip(SynthConfig(
-                seed=cfg["seed"] * 100003 + i, fs=cfg["fs"],
-                duration_s=cfg["duration_s"],
+                seed=cfg["seed"] * 100003 + i,
                 resolution=(cfg["height"], cfg["width"]),
                 base_color=(cfg["base_r"], cfg["base_g"], cfg["base_b"]),
-                pulse_amplitude=cfg["pulse_amplitude"], hr_start_bpm=hr,
-                noise_sigma=cfg["noise_sigma"],
-                motion_amplitude_px=cfg["motion_amplitude_px"],
-                skin_mask=cfg["skin_mask"]))
+                hr_start_bpm=hr, **{k: cfg[k] for k in SYNTH_FIELDS}))
 
     paths = write_dataset(args.out, clips())
     print(f"wrote {len(paths)} clips to {args.out}")
@@ -156,6 +158,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = apply_overrides(parse_config_file(args.config, EVAL_KEYS),
                           args.set, EVAL_KEYS)
+    if cfg["max_plots"] < 0:
+        raise ConfigError(f"max_plots must be >= 0, got {cfg['max_plots']}")
     write_resolved(args.out, cfg, {"subcommand": "eval", "ckpt": args.ckpt,
                                    "data": args.data})
     report, clip_ids, pred_hrs, gt_hrs, traces = evaluate_checkpoint(

@@ -80,7 +80,6 @@ def _block_macs(block: TemporalDifferenceMambaBlock, thw) -> int:
 def profile_model(config: ModelConfig, input_thw=(128, 128, 128)) -> ProfileReport:
     """(params, MACs) of ``PulseMambaNet(config)`` for one sample of shape
     (3, T, H, W)."""
-    t = input_thw[0]
     config.validate_input(*input_thw)
     net = PulseMambaNet(config)
     rows: List[Tuple[str, int, int]] = []
@@ -109,7 +108,7 @@ def profile_model(config: ModelConfig, input_thw=(128, 128, 128)) -> ProfileRepo
     rows.append(("head.upsample", head.up_w.size + head.up_b.size,
                  head.up_w.size * fast[0]))
     rows.append(("head.project", head.point_w.size + head.point_b.size,
-                 head.point_w.size * t))
+                 head.point_w.size * input_thw[0]))
 
     params = sum(r[1] for r in rows)
     macs = sum(r[2] for r in rows)

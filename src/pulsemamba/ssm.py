@@ -40,10 +40,8 @@ __all__ = [
     "MambaLayer",
 ]
 
-# range of the initial step size softplus(dt_bias), and the width of the
-# Mamba layer's causal depthwise conv
-DT_MIN, DT_MAX = 1e-3, 1e-1
-CONV_KERNEL = 4
+DT_MIN, DT_MAX = 1e-3, 1e-1  # range of the initial step softplus(dt_bias)
+CONV_KERNEL = 4  # width of the Mamba layer's causal depthwise conv
 
 
 def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):

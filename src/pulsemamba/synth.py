@@ -331,8 +331,12 @@ def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
     non-overlapping windows and drops the tail. Labels are sliced to the
     same window. Clips shorter than chunk_len are skipped with a warning.
     Only the windows' frames are read (``ClipRecord.window``); chunk frames
-    are float64 (see ``bilinear_resize``).
+    are float64 (see ``bilinear_resize``). A chunk_len or out_hw extent
+    below 1 is a ConfigError.
     """
+    if chunk_len < 1 or min(out_hw) < 1:
+        raise ConfigError(f"chunk_len and output extents must be >= 1, "
+                          f"got {chunk_len} and {tuple(out_hw)}")
     n = record.label.shape[0]
     if n < chunk_len:
         warnings.warn(f"clip of {n} frames shorter than chunk {chunk_len}, skipping",

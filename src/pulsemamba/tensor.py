@@ -59,10 +59,8 @@ _recorded = 0  # ops recorded since the last backward
 # depthwise causal conv.
 BLOCK_BYTES = 1 << 20
 
-# batch norm's running-statistic update rate, and the variance floor of
-# both norms
-BN_MOMENTUM = 0.1
-NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1  # batch norm's running-statistic update rate
+NORM_EPS = 1e-5  # variance floor of batch and layer norm
 
 
 class no_grad:

@@ -62,6 +62,9 @@ class TrainConfig:
     input_hw: Tuple[int, int] = (128, 128)
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and math.isfinite(self.weight_decay)):
+            raise ConfigError(f"lr and weight_decay must be finite, got "
+                              f"{self.lr} and {self.weight_decay}")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.batch_size < 1:

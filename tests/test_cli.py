@@ -16,6 +16,7 @@ import pytest
 from pulsemamba import cli
 from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba.svgplot import line_plot
+from pulsemamba.synth import SynthConfig, generate_clip, read_dataset
 from pulsemamba.training import AdamState, save_checkpoint
 
 
@@ -125,6 +126,61 @@ def test_shape_error_exits_5(tiny_dataset, tmp_path, capsys):
 def _untrained_checkpoint(path):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
     return save_checkpoint(path, PulseMambaNet(cfg), cfg, AdamState(), 0, 0)
+
+
+@pytest.mark.parametrize("subcommand", ["train", "eval"])
+@pytest.mark.parametrize("item", ["chunk_len=0", "chunk_len=-4", "input_h=-2",
+                                  "input_w=0"])
+def test_non_positive_chunk_extent_exits_2(subcommand, item, tiny_dataset,
+                                           tmp_path, capsys):
+    argv = [subcommand, "--data", str(tiny_dataset), "--out",
+            str(tmp_path / "out")]
+    if subcommand == "train":
+        argv += ["--set", "epochs=1"] + TINY_MODEL
+    else:
+        argv += ["--ckpt", str(_untrained_checkpoint(tmp_path / "ckpt"))]
+    assert run_cli(argv + ["--set", item]) == cli.EXIT_USAGE
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["lr=nan", "lr=inf", "weight_decay=inf",
+                                  "weight_decay=nan"])
+def test_non_finite_lr_or_weight_decay_exits_2(item, tiny_dataset, tmp_path,
+                                              capsys):
+    run_dir = tmp_path / "run"
+    code = run_cli(["train", "--data", str(tiny_dataset), "--out", str(run_dir),
+                    "--set", "epochs=1", "--set", "chunk_len=32", "--set", item]
+                   + TINY_MODEL)
+    assert code == cli.EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not (run_dir / "checkpoint_final").exists()
+
+
+def test_negative_counts_exit_2(tiny_dataset, tmp_path, capsys):
+    assert run_cli(["synth", "--out", str(tmp_path / "ds"),
+                    "--set", "num_clips=-1"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "ds").exists()
+    code = run_cli(["eval", "--ckpt",
+                    str(_untrained_checkpoint(tmp_path / "ckpt")),
+                    "--data", str(tiny_dataset), "--out", str(tmp_path / "eval"),
+                    "--set", "chunk_len=32", "--set", "input_h=16",
+                    "--set", "input_w=16", "--set", "max_plots=-1"])
+    assert code == cli.EXIT_USAGE
+    assert list((tmp_path / "eval").glob("overlay_*.svg")) == []
+    assert capsys.readouterr().err.count(">= 0") == 2
+
+
+def test_synth_defaults_are_synth_config_defaults(tmp_path):
+    out = tmp_path / "ds"
+    assert run_cli(["synth", "--out", str(out), "--set", "num_clips=2",
+                    "--set", "seed=3"]) == 0
+    rng = np.random.default_rng(3)
+    for i, rec in enumerate(read_dataset(out)):
+        hr = float(rng.uniform(55.0, 140.0))
+        clip = generate_clip(SynthConfig(seed=3 * 100003 + i, hr_start_bpm=hr))
+        frames = rec.window(0, rec.label.shape[0])
+        assert frames.tobytes() == clip.frames.tobytes()
+        np.testing.assert_array_equal(rec.label, clip.label.astype(np.float32))
 
 
 def test_clip_too_short_for_hr_exits_5(tmp_path, capsys):
