@@ -126,7 +126,7 @@ class ModelConfig:
 
 
 class Conv3d(Module):
-    """Bias-free 3D conv (every conv of the network feeds a norm)."""
+    """3D conv without bias, as every conv of the network is."""
 
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1, 1),
                  padding=(0, 0, 0), rng: Optional[np.random.Generator] = None):

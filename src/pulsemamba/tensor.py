@@ -535,7 +535,8 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         for k in range(K):
             gxp[:, k:k + L, :] += g * wd[:, k]
             gw[:, k] = np.einsum("bld,bld->d", g, xp[:, k:k + L, :])
-        return [gxp[:, K - 1:, :], gw, g.sum(axis=(0, 1))]
+        gx = gxp[:, K - 1:, :]
+        return [gx, gw, g.sum(axis=(0, 1))]
 
     return apply_op("conv1d_dw", out, [x, w, bias], bwd)
 
@@ -559,7 +560,8 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor,
         raise ShapeError("conv_transpose1d: output length would be < 1")
     if bias.shape != (cout,):
         raise ShapeError("conv_transpose1d: bias must be (Cout,)")
-    xd, wd, strides = x.data[..., None, None], w.data[..., None, None], (stride, 1, 1)
+    xd, wd = x.data[..., None, None], w.data[..., None, None]
+    strides = (stride, 1, 1)
     out = _conv_input_grad(xd, wd, strides, (padding, 0, 0), (t_out, 1, 1))[..., 0, 0]
     out = out + bias.data[None, :, None]
 
@@ -629,10 +631,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel batch norm over axis 1 of (B, C, ...).
 
     Training mode normalizes by batch statistics (population variance) and
-    updates the running buffers in place at rate ``BN_MOMENTUM``; eval
-    mode uses (C,) copies of the
-    buffers, so later changes to them do not reach the backward. A front
-    end of ``_normalize``, as ``layer_norm`` is.
+    updates the running buffers in place at rate ``BN_MOMENTUM``; eval mode
+    uses (C,) copies of the buffers, so later changes to them do not reach
+    the backward. A front end of ``_normalize``, as ``layer_norm`` is.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a channel axis at dim 1")
