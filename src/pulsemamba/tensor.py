@@ -574,7 +574,7 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor,
     return apply_op("conv_transpose1d", out, [x, w, bias], bwd)
 
 
-def maxpool3d(x: Tensor, kernel=(1, 2, 2)) -> Tensor:
+def maxpool3d(x: Tensor, kernel) -> Tensor:
     """Max pooling over non-overlapping (T, H, W) windows (stride = kernel);
     extents follow the conv rule.
 

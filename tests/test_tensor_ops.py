@@ -144,7 +144,7 @@ def test_conv3d_gradients_are_adjoints_randomized_shapes(rng):
     for _ in range(100):
         cin = int(rng.integers(1, 4))
         cout = int(rng.integers(1, 4))
-        kernel = tuple(int(rng.integers(1, 3)) for _ in range(3))
+        kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
         st_ = tuple(int(rng.integers(1, 3)) for _ in range(3))
         pad = tuple(int(rng.integers(0, k + 1)) for k in kernel)
         thw = tuple(int(rng.integers(k, k + 4)) for k in kernel)
