@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .errors import CapacityError, ConfigError, ShapeError
+from .errors import CapacityError, ConfigError, ShapeError, check_ranges
 from .module import Module
 from .ssm import MambaLayer
 from .tensor import Tensor
@@ -77,7 +77,8 @@ class ModelConfig:
 
     ``channels`` is the slow-stream width C; the fast stream runs at C/2.
     Stem intermediate widths and head width are fractions of C so toy
-    configurations scale down consistently.
+    configurations scale down consistently. ``RANGES`` gives each field's
+    range, as ``errors.check_ranges`` reads it.
     """
 
     channels: int = 64
@@ -86,20 +87,18 @@ class ModelConfig:
     expand: int = 2
     theta: float = 0.5
     ca_ratio: int = 8
+    RANGES = {"channels": (2, math.inf), "blocks_per_stream": (1, math.inf),
+              "state_dim": (1, math.inf), "expand": (1, math.inf),
+              "theta": (0.0, 1.0), "ca_ratio": (1, math.inf)}
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
-        if self.channels < 2 or min(self.ca_ratio, self.state_dim, self.expand) < 1:
-            raise ConfigError("need channels >= 2 and ca_ratio, state_dim, expand >= 1")
+        check_ranges(vars(self), self.RANGES)
         if self.channels % 2 != 0:
             raise ConfigError("channels must be even (fast stream runs at C/2)")
         if self.channels % self.ca_ratio != 0:
             raise ConfigError("channels must be divisible by ca_ratio")
         if (self.channels // 2) % min(self.ca_ratio, self.channels // 2) != 0:
             raise ConfigError("fast channels incompatible with ca_ratio")
-        if self.blocks_per_stream < 1:
-            raise ConfigError("need at least one block per stream")
 
     @property
     def stem_channels(self) -> Tuple[int, int, int]:

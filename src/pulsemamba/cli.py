@@ -6,18 +6,20 @@ comments); unknown keys are rejected and every run writes a
 ``resolved_config.txt`` snapshot into its output directory (gradcheck,
 scancheck and profile only when given ``--out``).
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O or format error (including a malformed checkpoint or dataset
-header), 4 numeric failure (a non-finite value where finite ones are
-required, e.g. a training loss), 5 shape error (data whose extents the
-model or an operation cannot take, e.g. a clip too short for heart-rate
-estimation).
+Exit codes: 0 success, 1 verification failure, 2 usage/config error
+(including a value outside its range or a clip over the size cap, checked
+before anything is written), 3 I/O or format error (including a malformed
+checkpoint or dataset header), 4 numeric failure (a non-finite value where
+finite ones are required, e.g. a training loss or a checkpoint value),
+5 shape error (data whose extents the model or an operation cannot take,
+e.g. a clip too short for heart-rate estimation).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -27,7 +29,7 @@ import numpy as np
 from . import checks
 from .blocks import ModelConfig
 from .errors import (ConfigError, FormatError, InsufficientDataError,
-                     NumericError, ShapeError)
+                     NumericError, ShapeError, check_ranges)
 from .profiling import REFERENCE_MACS, REFERENCE_PARAMS, profile_model
 from .svgplot import line_plot
 from .synth import SynthConfig, generate_clip, write_dataset
@@ -41,34 +43,37 @@ EXIT_NUMERIC = 4
 EXIT_SHAPE = 5
 
 
-def _field_keys(cls, *names) -> Dict:
-    """Schema entries for dataclass fields; each default's type casts."""
-    return {n: (type(getattr(cls, n)), getattr(cls, n)) for n in names}
+def _field_keys(cls, *names, **items) -> Dict:
+    """Schema entries for dataclass fields, and for the items of tuple fields
+    (``field=(key, ...)``); each default's type casts."""
+    keys = [(n, n, getattr(cls, n)) for n in names] + [
+        (f, n, d) for f, ns in items.items() for n, d in zip(ns, getattr(cls, f))]
+    return {n: (type(d), d, cls.RANGES[f]) for f, n, d in keys}
 
 
-# key -> (caster, default); config files and --set overrides share these
+# key -> (caster, default, range); config files and --set overrides share
+# these. A range is the RANGES entry of the field that the key sets, or the
+# CLI's own: CLI_RANGES, and hr_start_bpm's for the clips' hr draw.
+CLI_RANGES = {"num_clips": (0, math.inf), "max_plots": (0, math.inf)}
+HR_RANGE = SynthConfig.RANGES["hr_start_bpm"]
 # SynthConfig fields set one to one; the other fields come from tuples
 SYNTH_FIELDS = ("fs", "duration_s", "pulse_amplitude", "noise_sigma",
                 "motion_amplitude_px", "skin_mask")
 SYNTH_KEYS = {
-    "seed": (int, 0), "num_clips": (int, 30), "hr_min_bpm": (float, 55.0),
-    "hr_max_bpm": (float, 140.0), **_field_keys(SynthConfig, *SYNTH_FIELDS),
-    "height": (int, SynthConfig.resolution[0]),
-    "width": (int, SynthConfig.resolution[1]),
-    "base_r": (float, SynthConfig.base_color[0]),
-    "base_g": (float, SynthConfig.base_color[1]),
-    "base_b": (float, SynthConfig.base_color[2]),
+    "num_clips": (int, 30, CLI_RANGES["num_clips"]),
+    "hr_min_bpm": (float, 55.0, HR_RANGE), "hr_max_bpm": (float, 140.0, HR_RANGE),
+    **_field_keys(SynthConfig, "seed", *SYNTH_FIELDS, resolution=("height", "width"),
+                  base_color=("base_r", "base_g", "base_b")),
 }
 MODEL_KEYS = _field_keys(ModelConfig, "channels", "blocks_per_stream",
                         "state_dim", "expand", "theta", "ca_ratio")
 # TrainConfig fields set one to one; input_h/input_w make its input_hw
 TRAIN_FIELDS = ("lr", "weight_decay", "epochs", "batch_size", "seed",
                 "chunk_len")
-TRAIN_KEYS = {**MODEL_KEYS, **_field_keys(TrainConfig, *TRAIN_FIELDS),
-              "input_h": (int, TrainConfig.input_hw[0]),
-              "input_w": (int, TrainConfig.input_hw[1])}
+TRAIN_KEYS = {**MODEL_KEYS, **_field_keys(TrainConfig, *TRAIN_FIELDS,
+                                          input_hw=("input_h", "input_w"))}
 EVAL_KEYS = {**{k: TRAIN_KEYS[k] for k in ("chunk_len", "input_h", "input_w")},
-             "max_plots": (int, 8)}
+             "max_plots": (int, 8, CLI_RANGES["max_plots"])}
 
 
 def _assign(resolved: Dict, schema: Dict, item: str, where: str) -> None:
@@ -84,59 +89,52 @@ def _assign(resolved: Dict, schema: Dict, item: str, where: str) -> None:
         raise ConfigError(f"{where}: bad value for '{key}': {val!r}") from exc
 
 
-def parse_config_file(path: Optional[str], schema: Dict) -> Dict:
-    """Read `key = value` lines against a schema; unknown keys are errors."""
-    resolved = {k: default for k, (_, default) in schema.items()}
-    if path is None:
-        return resolved
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"config file {p} does not exist")
-    for ln, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            _assign(resolved, schema, line, f"{p}:{ln}")
-    return resolved
-
-
-def apply_overrides(resolved: Dict, overrides: Sequence[str], schema: Dict) -> Dict:
-    for item in overrides or ():
+def _resolve(args, schema: Dict) -> Dict:
+    """The defaults, then the --config file's lines, then each --set; every
+    value is then checked against its range."""
+    resolved = {k: default for k, (_, default, _) in schema.items()}
+    if args.config is not None:
+        text = Path(args.config).read_text()
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            if line := raw.split("#", 1)[0].strip():
+                _assign(resolved, schema, line, f"{args.config}:{ln}")
+    for item in args.set or ():
         _assign(resolved, schema, item, "--set")
+    check_ranges(resolved, {k: rng for k, (_, _, rng) in schema.items()})
     return resolved
 
 
-def write_resolved(out_dir, resolved: Dict, extra: Optional[Dict] = None) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_resolved(out_dir, resolved: Dict, extra: Optional[Dict] = None) -> None:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     lines = [f"{k} = {v}" for k, v in sorted({**resolved, **(extra or {})}.items())]
-    target = out_dir / "resolved_config.txt"
-    target.write_text("\n".join(lines) + "\n")
-    return target
+    (Path(out_dir) / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
 def _model_config(resolved: Dict) -> ModelConfig:
     return ModelConfig(**{k: resolved[k] for k in MODEL_KEYS})
 
 
+def _synth_config(cfg: Dict, seed: int, hr: float) -> SynthConfig:
+    return SynthConfig(seed=seed, resolution=(cfg["height"], cfg["width"]),
+                       base_color=(cfg["base_r"], cfg["base_g"], cfg["base_b"]),
+                       hr_start_bpm=hr, **{k: cfg[k] for k in SYNTH_FIELDS})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(args) -> int:
-    cfg = apply_overrides(parse_config_file(args.config, SYNTH_KEYS),
-                          args.set, SYNTH_KEYS)
-    if cfg["num_clips"] < 0:
-        raise ConfigError(f"num_clips must be >= 0, got {cfg['num_clips']}")
+    cfg = _resolve(args, SYNTH_KEYS)
+    check_ranges(cfg, {"hr_max_bpm": (cfg["hr_min_bpm"], math.inf)})
+    for hr in (cfg["hr_min_bpm"], cfg["hr_max_bpm"]):  # clips differ in seed, hr
+        _synth_config(cfg, cfg["seed"], hr)
     write_resolved(args.out, cfg, {"subcommand": "synth"})
     rng = np.random.default_rng(cfg["seed"])
 
     def clips():  # rendered one at a time, as write_dataset takes them
         for i in range(cfg["num_clips"]):
             hr = float(rng.uniform(cfg["hr_min_bpm"], cfg["hr_max_bpm"]))
-            yield generate_clip(SynthConfig(
-                seed=cfg["seed"] * 100003 + i,
-                resolution=(cfg["height"], cfg["width"]),
-                base_color=(cfg["base_r"], cfg["base_g"], cfg["base_b"]),
-                hr_start_bpm=hr, **{k: cfg[k] for k in SYNTH_FIELDS}))
+            yield generate_clip(_synth_config(cfg, cfg["seed"] * 100003 + i, hr))
 
     paths = write_dataset(args.out, clips())
     print(f"wrote {len(paths)} clips to {args.out}")
@@ -144,22 +142,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = apply_overrides(parse_config_file(args.config, TRAIN_KEYS),
-                          args.set, TRAIN_KEYS)
+    cfg = _resolve(args, TRAIN_KEYS)
+    model_cfg, train_cfg = _model_config(cfg), TrainConfig(
+        input_hw=(cfg["input_h"], cfg["input_w"]), **{k: cfg[k] for k in TRAIN_FIELDS})
     write_resolved(args.out, cfg, {"subcommand": "train", "data": args.data})
-    train_cfg = TrainConfig(input_hw=(cfg["input_h"], cfg["input_w"]),
-                            **{k: cfg[k] for k in TRAIN_FIELDS})
-    ckpt, log = train_loop(_model_config(cfg), args.data, train_cfg, args.out,
+    ckpt, log = train_loop(model_cfg, args.data, train_cfg, args.out,
                            resume_from=args.resume, log_fn=print)
     print(f"final checkpoint: {ckpt} ({len(log)} steps)")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    cfg = apply_overrides(parse_config_file(args.config, EVAL_KEYS),
-                          args.set, EVAL_KEYS)
-    if cfg["max_plots"] < 0:
-        raise ConfigError(f"max_plots must be >= 0, got {cfg['max_plots']}")
+    cfg = _resolve(args, EVAL_KEYS)
     write_resolved(args.out, cfg, {"subcommand": "eval", "ckpt": args.ckpt,
                                    "data": args.data})
     report, clip_ids, pred_hrs, gt_hrs, traces = evaluate_checkpoint(
@@ -207,15 +201,14 @@ def _report(command: str, results, summary: str = "") -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = apply_overrides(parse_config_file(args.config, MODEL_KEYS),
-                          args.set, MODEL_KEYS)
-    if args.out:
-        write_resolved(args.out, cfg, {"subcommand": "profile", "input": args.input})
+    cfg = _resolve(args, MODEL_KEYS)
     try:
         t, h, w = (int(s) for s in args.input.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"--input must look like 128x128x128, got {args.input!r}") from exc
     report = profile_model(_model_config(cfg), (t, h, w))
+    if args.out:
+        write_resolved(args.out, cfg, {"subcommand": "profile", "input": args.input})
     print(report.format_table())
     print()
     print(f"parameters: {report.param_count} ({report.param_count / 1e6:.4f} M), "
@@ -246,8 +239,7 @@ def cmd_plot(args) -> int:
     if not xs:
         raise FormatError(f"{src}: no numeric 2-column rows found")
     out = Path(args.out)
-    write_resolved(out.parent if out.parent != Path("") else Path("."),
-                   {"csv": str(src)}, {"subcommand": "plot"})
+    write_resolved(out.parent, {"csv": str(src)}, {"subcommand": "plot"})
     line_plot([(src.stem, np.asarray(xs), np.asarray(ys))], out,
               title=src.name)
     print(f"wrote {out}")

@@ -1,4 +1,6 @@
-"""Exception types and the header value checks shared across the package."""
+"""Exception types and the header value and range checks of the package."""
+
+import math
 
 
 class ShapeError(ValueError):
@@ -49,3 +51,17 @@ def check_types(obj: dict, types, what: str) -> None:
     for key, ok in types.items():
         if key in obj and not ok(obj[key]):
             raise FormatError(f"{what}: bad {key} {obj[key]!r}")
+
+
+def check_ranges(values: dict, ranges) -> None:
+    """Check ``values[key]`` against each ``ranges`` entry: ``(lo, hi)`` for
+    lo <= v <= hi, ``(lo, hi, True)`` for lo < v <= hi. Each item of a tuple
+    is checked, NaN and +-inf never pass; a failure is a ConfigError."""
+    for key, (lo, hi, *open_lo) in ranges.items():
+        v = values[key]
+        for x in v if isinstance(v, (tuple, list)) else (v,):
+            bad = ("finite" if not -math.inf < x < math.inf else
+                   f"> {lo}" if open_lo and x <= lo else
+                   f">= {lo}" if x < lo else f"<= {hi}" if x > hi else "")
+            if bad:
+                raise ConfigError(f"{key} must be {bad}, got {x}")

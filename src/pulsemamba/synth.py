@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -28,7 +29,8 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_types, is_shape, require_keys
+from .errors import (CapacityError, ConfigError, FormatError, check_ranges,
+                     check_types, is_shape, require_keys)
 
 __all__ = [
     "SynthConfig", "ClipRecord", "StoredClip", "generate_clip", "write_dataset",
@@ -40,6 +42,10 @@ SECOND_HARMONIC = 0.3
 MOTION_FREQ_HZ = 0.2
 HR_BAND_BPM = (48.0, 144.0)
 CRC_BLOCK = 1 << 20  # bytes per read when checksumming a file
+# cap on generate_clip's float64 (3, T, H, W) render buffer, whose render
+# peaks near twice it: the largest test or benchmark clip (paper-eval's 129
+# frames of 128x128, 51 MB) is under a tenth of it, and 2x it fits in 7 GB
+MAX_CLIP_BYTES = 1 << 29
 
 
 # value checks for every meta.json key that reading a clip uses
@@ -53,6 +59,9 @@ _HEADER_TYPES = {"dtype": lambda v: v == "<f4",
 
 @dataclass
 class SynthConfig:
+    """One clip. ``RANGES`` gives each field's range (``errors.check_ranges``);
+    a clip past ``MAX_CLIP_BYTES`` is a CapacityError."""
+
     seed: int = 0
     fs: float = 30.0
     duration_s: float = 10.0
@@ -63,17 +72,19 @@ class SynthConfig:
     noise_sigma: float = 0.0
     motion_amplitude_px: float = 0.0
     skin_mask: float = 0.6  # elliptical region fraction of each half-extent
+    RANGES = {"seed": (0, math.inf), "fs": (0.0, math.inf, True),
+              "duration_s": (0.0, math.inf, True),
+              "resolution": (16, math.inf), "base_color": (0.0, 1.0),
+              "pulse_amplitude": (0.0, math.inf), "hr_start_bpm": HR_BAND_BPM,
+              "noise_sigma": (0.0, math.inf),
+              "motion_amplitude_px": (0.0, math.inf), "skin_mask": (0.0, 1.0, True)}
 
     def __post_init__(self):
-        h, w = self.resolution
-        if h < 16 or w < 16:
-            raise ConfigError(f"resolution {self.resolution} below 16x16")
-        if self.pulse_amplitude < 0 or self.noise_sigma < 0 or self.motion_amplitude_px < 0:
-            raise ConfigError("amplitudes must be >= 0")
-        if not HR_BAND_BPM[0] <= self.hr_start_bpm <= HR_BAND_BPM[1]:
-            raise ConfigError(f"hr {self.hr_start_bpm} outside band {HR_BAND_BPM}")
-        if not 0.0 < self.skin_mask <= 1.0:
-            raise ConfigError("skin_mask fraction must be in (0, 1]")
+        check_ranges(vars(self), self.RANGES)
+        h, w = (min(e, MAX_CLIP_BYTES) for e in self.resolution)  # float-safe
+        if 24 * self.duration_s * self.fs * h * w > MAX_CLIP_BYTES:
+            raise CapacityError(f"{self.duration_s} s of {self.resolution} frames "
+                                f"at {self.fs} Hz pass the {MAX_CLIP_BYTES}-byte cap")
 
     def content_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()

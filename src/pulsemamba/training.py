@@ -28,8 +28,8 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import ModelConfig, PulseMambaNet
-from .errors import (ConfigError, FormatError, NumericError, check_types,
-                     is_count, is_shape, require_keys)
+from .errors import (ConfigError, FormatError, NumericError, check_ranges,
+                     check_types, is_count, is_shape, require_keys)
 from .module import Module
 from .signal import (MetricsReport, PulseTrace, compute_metrics,
                      diff_normalize, diff_normalize_label, estimate_hr,
@@ -49,10 +49,13 @@ CHECKPOINT_VERSION = 2
 _META_KEYS = ("format_version", "config_hash", "model_config", "epoch",
               "global_step", "entries")
 _ENTRY_KEYS = ("name", "shape", "offset", "crc32")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class TrainConfig:
+    """One training run; ``RANGES`` gives each field's range (check_ranges)."""
+
     lr: float = 3e-3
     weight_decay: float = 5e-4
     epochs: int = 20
@@ -60,15 +63,13 @@ class TrainConfig:
     seed: int = 0
     chunk_len: int = 128
     input_hw: Tuple[int, int] = (128, 128)
+    RANGES = {"lr": (0.0, math.inf), "weight_decay": (0.0, math.inf),
+              "epochs": (1, math.inf), "batch_size": (1, math.inf),
+              "seed": (0, math.inf), "chunk_len": (1, math.inf),
+              "input_hw": (1, math.inf)}
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr) and math.isfinite(self.weight_decay)):
-            raise ConfigError(f"lr and weight_decay must be finite, got "
-                              f"{self.lr} and {self.weight_decay}")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_ranges(vars(self), self.RANGES)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +83,11 @@ class AdamState:
 
 
 def adam_step(named_params: Sequence[Tuple[str, Tensor]], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+              lr: float, weight_decay: float = 0.0) -> None:
     """Bias-corrected Adam with classic L2 (decay added to the gradient).
 
     Parameters without a gradient are skipped; a NaN gradient aborts with
-    the parameter name. eps is added after the square root.
+    the parameter name. ADAM_EPS is added after the square root.
     """
     state.t += 1
     t = state.t
@@ -104,13 +104,13 @@ def adam_step(named_params: Sequence[Tuple[str, Tensor]], state: AdamState,
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +151,15 @@ def config_hash(model_cfg: ModelConfig) -> str:
 
 def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
                     state: AdamState, epoch: int, global_step: int) -> Path:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    """Write meta.json and state.bin. A value that is not finite in float32
+    is a NumericError naming its entry, raised before either is written."""
     entries = []
     blob = bytearray()
 
     def put(name: str, arr: np.ndarray):
         raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        if not np.isfinite(np.frombuffer(raw, "<f4")).all():
+            raise NumericError(f"checkpoint entry {name} is not finite in float32")
         entries.append({"name": name, "shape": list(arr.shape),
                         "dtype": "<f4", "offset": len(blob),
                         "crc32": f"{zlib.crc32(raw):08x}"})
@@ -181,6 +183,8 @@ def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
         "adam_t": state.t,
         "entries": entries,
     }
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     (path / "state.bin").write_bytes(bytes(blob))
     return path

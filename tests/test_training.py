@@ -264,6 +264,19 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert (path / "meta.json").read_bytes() == (path2 / "meta.json").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_checkpoint_refuses_values_not_finite_in_float32(tmp_path):
+    # 1e308 is finite in float64 but inf once stored as float32, as an
+    # lr of 1e308 makes every parameter after one step
+    cfg = ModelConfig(**TOY_MODEL)
+    model = PulseMambaNet(cfg)
+    named = list(model.named_parameters())
+    named[3][1].data[0] = 1e308
+    with pytest.raises(NumericError, match=f"param:{named[3][0]}"):
+        save_checkpoint(tmp_path / "ckpt", model, cfg, AdamState(), 1, 1)
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_checkpoint_wrong_version_rejected(tmp_path):
     _, _, _, path = _toy_checkpoint(tmp_path)
     meta = json.loads((path / "meta.json").read_text())
