@@ -6,6 +6,9 @@ Layout convention is (B, C, T, H, W) for video features; Mamba blocks
 flatten to (B, L, C) with L = T*H*W in row-major (t, h, w) token order, so
 a temporal flip of the flattened sequence reverses the whole token axis.
 
+``ModelConfig`` owns every layer setting's default and range: the layers
+take each setting and their weights' rng as required arguments.
+
 Concurrency: between lateral fusions the slow and fast streams share no
 state, and nearly all of their work is NumPy kernels that release the
 interpreter lock. A forward that records nothing (``not
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -128,9 +131,8 @@ class Conv3d(Module):
     """3D conv without bias, as every conv of the network is."""
 
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1, 1),
-                 padding=(0, 0, 0), rng: Optional[np.random.Generator] = None):
+                 padding=(0, 0, 0), *, rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         kt, kh, kw = kernel
         fan_in = cin * kt * kh * kw
         self.weight = Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in),
@@ -175,13 +177,11 @@ class TemporalDifferenceConv3d(Conv3d):
     folded into the kernel (theta * S off the centre tap, by one constant
     (27, 27) map on the flattened kernel) and one conv runs; theta = 0
     is the vanilla conv bit for bit. Stride 1 and padding 1 keep extents
-    unchanged.
+    unchanged. theta's range is ``ModelConfig``'s.
     """
 
-    def __init__(self, cin: int, cout: int, theta: float = 0.5,
-                 rng: Optional[np.random.Generator] = None):
-        if not 0.0 <= theta <= 1.0:
-            raise ConfigError(f"theta must be in [0, 1], got {theta}")
+    def __init__(self, cin: int, cout: int, theta: float,
+                 rng: np.random.Generator):
         super().__init__(cin, cout, (3, 3, 3), padding=(1, 1, 1), rng=rng)
         self.theta = theta
 
@@ -200,12 +200,8 @@ class TemporalDifferenceConv3d(Conv3d):
 class ChannelAttention(Module):
     """Squeeze-excitation gate: global pool, C -> C/r -> C, sigmoid scale."""
 
-    def __init__(self, c: int, ratio: int = 8,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, c: int, ratio: int, rng: np.random.Generator):
         super().__init__()
-        if c % ratio != 0:
-            raise ConfigError(f"channels {c} not divisible by ratio {ratio}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         hidden = c // ratio
         self.w1 = Tensor(rng.normal(0.0, math.sqrt(1.0 / c), (hidden, c)),
                          requires_grad=True)
@@ -228,11 +224,9 @@ class TemporalDifferenceMambaBlock(Module):
     length L*C is capped by ``SEQ_BUDGET`` per sample.
     """
 
-    def __init__(self, c: int, state_dim: int = 16, expand: int = 2,
-                 theta: float = 0.5, ca_ratio: int = 8,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, c: int, state_dim: int, expand: int, theta: float,
+                 ca_ratio: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.tdc = TemporalDifferenceConv3d(c, c, theta=theta, rng=rng)
         self.bn = BatchNorm3d(c)
         self.mamba = MambaLayer(c, state_dim, expand, rng=rng)
@@ -266,10 +260,8 @@ class Stem(Module):
     order, so the recorded graph and the batch statistics are unchanged.
     """
 
-    def __init__(self, widths: Tuple[int, int, int],
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, widths: Tuple[int, int, int], rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         s1, s2, s3 = widths
         self.conv1 = Conv3d(3, s1, (1, 5, 5), padding=(0, 2, 2), rng=rng)
         self.bn1 = BatchNorm3d(s1)
@@ -294,7 +286,7 @@ class TemporalDownsample(Module):
     """Strided temporal conv block (3x1x1) producing one stream."""
 
     def __init__(self, cin: int, cout: int, stride_t: int,
-                 rng: Optional[np.random.Generator] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.conv = Conv3d(cin, cout, (3, 1, 1), stride=(stride_t, 1, 1),
                            padding=(1, 0, 0), rng=rng)
@@ -311,7 +303,7 @@ class LateralConnection(Module):
     result into the slow stream.
     """
 
-    def __init__(self, c_fast: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, c_fast: int, rng: np.random.Generator):
         super().__init__()
         self.conv = Conv3d(c_fast, 2 * c_fast, (3, 1, 1), stride=(2, 1, 1),
                            padding=(1, 0, 0), rng=rng)
@@ -325,9 +317,8 @@ class PredictorHead(Module):
     x2 (kernel 4, stride 2, padding 1), pointwise projection to one signal."""
 
     def __init__(self, c_slow: int, c_fast: int, head_channels: int,
-                 rng: Optional[np.random.Generator] = None):
+                 rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         cin = c_slow + c_fast
         self.up_w = Tensor(rng.normal(0.0, math.sqrt(1.0 / (cin * 4)),
                                       (cin, head_channels, 4)), requires_grad=True)

@@ -1,5 +1,7 @@
-"""Exception types and the header value and range checks of the package."""
+"""Exception types, header checks (``read_header``) and range checks
+(``check_ranges``; ``ModelConfig`` owns every layer default and range)."""
 
+import json
 import math
 
 
@@ -31,12 +33,6 @@ class InsufficientDataError(ValueError):
     """Too few samples to run a spectral operation."""
 
 
-def require_keys(obj, keys, what: str) -> None:
-    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
-    if missing:
-        raise FormatError(f"{what} lacks {', '.join(missing)}")
-
-
 def is_count(v) -> bool:
     """A non-negative JSON integer (true/false are not counts)."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
@@ -47,10 +43,24 @@ def is_shape(v) -> bool:
     return isinstance(v, list) and all(map(is_count, v))
 
 
-def check_types(obj: dict, types, what: str) -> None:
-    for key, ok in types.items():
-        if key in obj and not ok(obj[key]):
+def check_header(obj, table, what: str) -> None:
+    """FormatError unless dict ``obj`` has each key with ``table[key](v)``."""
+    missing = [k for k in table if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise FormatError(f"{what} lacks {', '.join(missing)}")
+    for key, ok in table.items():
+        if not ok(obj[key]):
             raise FormatError(f"{what}: bad {key} {obj[key]!r}")
+
+
+def read_header(path, table) -> dict:
+    """The JSON file ``path``, checked against ``table``; FormatError if not."""
+    try:
+        header = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable header ({exc})") from exc
+    check_header(header, table, f"{path}: header")
+    return header
 
 
 def check_ranges(values: dict, ranges) -> None:

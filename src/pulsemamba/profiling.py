@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .blocks import (POOL, Conv3d, ModelConfig, PulseMambaNet,
-                     TemporalDifferenceMambaBlock)
+from .blocks import POOL, ModelConfig, PulseMambaNet, TemporalDifferenceMambaBlock
 from .ssm import MambaLayer
+from .tensor import _conv_out_len
 
 __all__ = ["ProfileReport", "profile_model", "REFERENCE_PARAMS",
            "REFERENCE_MACS"]
@@ -49,14 +49,8 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _conv_out(conv: Conv3d, thw) -> Tuple[int, ...]:
-    """Output (T, H, W) of ``conv`` on an input of extents ``thw``."""
-    return tuple((n + 2 * p - k) // s + 1 for n, k, s, p in
-                 zip(thw, conv.weight.shape[2:], conv.stride, conv.padding))
-
-
 def _pooled(thw) -> Tuple[int, ...]:
-    return tuple(n // k for n, k in zip(thw, POOL))
+    return tuple(map(_conv_out_len, thw, POOL, POOL, (0, 0, 0)))
 
 
 def _mamba_macs(m: MambaLayer, seq_len: int) -> int:
@@ -86,7 +80,8 @@ def profile_model(config: ModelConfig, input_thw=(128, 128, 128)) -> ProfileRepo
 
     def conv_row(name, conv, thw, *more):
         """Append a conv's row (its params plus ``more``'s); its output."""
-        out = _conv_out(conv, thw)
+        out = tuple(map(_conv_out_len, thw, conv.weight.shape[2:],
+                        conv.stride, conv.padding))
         params = sum(m.num_parameters() for m in (conv, *more))
         rows.append((name, params, conv.weight.size * math.prod(out)))
         return out

@@ -154,10 +154,7 @@ def estimate_hr(trace: PulseTrace) -> float:
     detrended = x - x.mean()
     # a (near-)DC trace leaves only rounding residue after detrending
     scale = max(1.0, float(np.abs(x.mean())))
-    if float(np.sqrt((detrended ** 2).mean())) <= 1e-12 * scale:
-        warnings.warn("no spectral content in the HR band (low SNR)",
-                      RuntimeWarning, stacklevel=2)
-        return 60.0 * HR_BAND_HZ[0]
+    flat = float(np.sqrt((detrended ** 2).mean())) <= 1e-12 * scale
     n = max(x.size, int(np.ceil(60.0 * trace.fs)))
     spec = np.fft.rfft(detrended, n=n)
     freqs = np.fft.rfftfreq(n, d=1.0 / trace.fs)
@@ -165,7 +162,7 @@ def estimate_hr(trace: PulseTrace) -> float:
     power = np.abs(spec) ** 2
     power[~band] = 0.0
     total = power.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    if flat or total <= 0.0 or not np.isfinite(total):
         warnings.warn("no spectral content in the HR band (low SNR)",
                       RuntimeWarning, stacklevel=2)
         return 60.0 * HR_BAND_HZ[0]

@@ -64,10 +64,10 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta):
 
     a: (D, N) strictly nonzero (negative for stability).
     b: (N,) time-invariant, or (L, N) per token.
-    delta: positive scalar, or (L, D) per token/channel.
+    delta: positive scalar (with b (N,)), or (L, D) per token/channel.
 
     Returns (abar, bbar): (D, N) in the time-invariant case, (L, D, N)
-    when either b or delta is per-token.
+    when delta is per-token.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -82,8 +82,6 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta):
         return abar, growth * b
     if b.ndim == 1:
         b = np.broadcast_to(b, (delta.shape[0], b.shape[0]))
-    if delta.ndim == 0:
-        delta = np.broadcast_to(delta, (b.shape[0], a.shape[0]))
     if b.ndim != 2 or delta.ndim != 2 or b.shape[0] != delta.shape[0]:
         raise ShapeError(f"discretize_zoh: b {b.shape} vs delta {delta.shape}")
     abar, growth = _zoh(a[None], delta[:, :, None])
@@ -160,7 +158,7 @@ def _check_state(y: np.ndarray, offset: int):
 def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
     """Sequential evaluation h(t) = Abar h(t-1) + Bbar x(t), y(t) = C h(t).
 
-    Time-invariant mode: abar/bbar (D, N), c (N,) or (D, N). Per-token
+    Time-invariant mode: abar/bbar (D, N), c (D, N). Per-token
     mode: abar/bbar (L, D, N), c (L, N). x is (L, D); h starts at zero and
     y(t) depends only on x(1..t). The returned state is (D, N).
     """
@@ -182,9 +180,7 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
         b_seq = np.swapaxes(bbar, 1, 2)[:, None]
     else:
         raise ShapeError(f"scan_recurrent: abar shape {abar.shape}")
-    if c.ndim == 1:
-        c_seq = np.broadcast_to(c, (L, 1, n))
-    elif c.ndim == 2 and c.shape == (d, n):
+    if c.shape == (d, n):
         c_seq = np.broadcast_to(c.T, (L, 1, n, d))
     elif c.ndim == 2 and c.shape[0] == L:
         c_seq = c[:, None]
@@ -201,9 +197,9 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
 def scan_convolutional(abar, bbar, c, x):
     """Time-invariant scan via the global convolution kernel.
 
-    Kbar[k, d] = sum_n c[d,n] abar[d,n]^k bbar[d,n]; y = causal conv of x
-    with Kbar per channel. Valid only for LTI parameters; per-token shapes
-    are a mode error.
+    Kbar[k, d] = sum_n c[d,n] abar[d,n]^k bbar[d,n], c (D, N); y = causal
+    conv of x with Kbar per channel. Valid only for LTI parameters;
+    per-token shapes are a mode error.
     """
     abar = np.asarray(abar, dtype=np.float64)
     bbar = np.asarray(bbar, dtype=np.float64)
@@ -215,8 +211,6 @@ def scan_convolutional(abar, bbar, c, x):
         raise ShapeError(f"scan_convolutional: x must be (L, D), got {x.shape}")
     L, d = x.shape
     n = abar.shape[-1]
-    if c.ndim == 1:
-        c = np.broadcast_to(c, (d, n))
 
     powers = np.empty((L, d, n), dtype=np.float64)
     powers[0] = 1.0
@@ -256,14 +250,6 @@ class SSMParams(Module):
         self.dt_bias = Tensor(np.log(np.expm1(dt)), requires_grad=True)
         self.b_bias: Optional[Tensor] = None
         self.c_bias: Optional[Tensor] = None
-
-    @property
-    def d_inner(self) -> int:
-        return self.a_log.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.a_log.shape[1]
 
 
 def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
@@ -393,7 +379,7 @@ def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     L, d = x.shape
-    n = params.state_dim
+    n = params.a_log.shape[1]
     r = params.w_dt_down.shape[0]
     w_b = params.w_b.data
     w_c = params.w_c.data
@@ -434,13 +420,11 @@ class MambaLayer(Module):
     each direction by z, and a shared output projection back to C.
     """
 
-    def __init__(self, c_model: int, state_dim: int = 16, expand: int = 2,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, c_model: int, state_dim: int, expand: int,
+                 rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         d_inner = expand * c_model
         dt_rank = max(1, math.ceil(c_model / 16))
-        self.c_model = c_model
         self.d_inner = d_inner
 
         self.ln_gamma = Tensor(np.ones(c_model), requires_grad=True)

@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import (CapacityError, ConfigError, FormatError, check_ranges,
-                     check_types, is_shape, require_keys)
+                     is_count, is_shape, read_header)
 
 __all__ = [
     "SynthConfig", "ClipRecord", "StoredClip", "generate_clip", "write_dataset",
@@ -48,19 +48,21 @@ CRC_BLOCK = 1 << 20  # bytes per read when checksumming a file
 MAX_CLIP_BYTES = 1 << 29
 
 
-# value checks for every meta.json key that reading a clip uses
-_HEADER_TYPES = {"dtype": lambda v: v == "<f4",
-                 "fs": lambda v: type(v) in (int, float) and v > 0,
-                 "frames_shape": lambda v: is_shape(v) and len(v) == 4,
-                 "label_shape": lambda v: is_shape(v) and len(v) == 1,
-                 "frames_crc32": lambda v: isinstance(v, str),
-                 "label_crc32": lambda v: isinstance(v, str)}
+FORMAT_VERSION = 1  # of a clip's meta.json
+# every meta.json key that reading a clip uses, with its value check
+_HEADER = {"format_version": lambda v: is_count(v) and v == FORMAT_VERSION,
+           "dtype": lambda v: v == "<f4",
+           "fs": lambda v: type(v) in (int, float) and v > 0,
+           "frames_shape": lambda v: is_shape(v) and len(v) == 4,
+           "label_shape": lambda v: is_shape(v) and len(v) == 1,
+           "frames_crc32": lambda v: isinstance(v, str),
+           "label_crc32": lambda v: isinstance(v, str)}
 
 
 @dataclass
 class SynthConfig:
-    """One clip. ``RANGES`` gives each field's range (``errors.check_ranges``);
-    a clip past ``MAX_CLIP_BYTES`` is a CapacityError."""
+    """One clip, in ``RANGES`` (``errors.check_ranges``), at most
+    ``MAX_CLIP_BYTES`` (CapacityError) and at least 2 frames (ConfigError)."""
 
     seed: int = 0
     fs: float = 30.0
@@ -85,6 +87,12 @@ class SynthConfig:
         if 24 * self.duration_s * self.fs * h * w > MAX_CLIP_BYTES:
             raise CapacityError(f"{self.duration_s} s of {self.resolution} frames "
                                 f"at {self.fs} Hz pass the {MAX_CLIP_BYTES}-byte cap")
+        if self.num_frames < 2:
+            raise ConfigError(f"fs * duration_s is {self.num_frames} frames, < 2")
+
+    @property
+    def num_frames(self) -> int:
+        return int(round(self.duration_s * self.fs))
 
     def content_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
@@ -175,7 +183,7 @@ def generate_clip(cfg: SynthConfig) -> ClipRecord:
     """
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.resolution
-    n = int(round(cfg.duration_s * cfg.fs))
+    n = cfg.num_frames
     t = np.arange(n) / cfg.fs
     pulse = _pulse_waveform(cfg, t)
 
@@ -262,7 +270,7 @@ def write_dataset(root, records: Iterable[ClipRecord]) -> List[Path]:
         frames_crc = _write_blob(clip_dir / "frames.f32", rec.frames)
         label_crc = _write_blob(clip_dir / "label.f32", rec.label)
         meta = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "dtype": "<f4",
             "fs": rec.fs,
             "frames_shape": list(rec.frames.shape),
@@ -292,19 +300,13 @@ def read_dataset(root) -> List[ClipRecord]:
         meta_path = clip_dir / "meta.json"
         if not meta_path.exists():
             continue
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
-        require_keys(meta, _HEADER_TYPES, f"{meta_path}: header")
-        check_types(meta, _HEADER_TYPES, f"{meta_path}: header")
+        meta = read_header(meta_path, _HEADER)
         frames_path = clip_dir / "frames.f32"
         crcs = _frame_crcs(frames_path, meta["frames_shape"],
                            meta["frames_crc32"])
         label = _read_blob(clip_dir / "label.f32", meta["label_shape"],
                            meta["label_crc32"]).astype(np.float64)
-        extra = {k: v for k, v in meta.items()
-                 if k != "format_version" and k not in _HEADER_TYPES}
+        extra = {k: v for k, v in meta.items() if k not in _HEADER}
         records.append(StoredClip(frames_path, meta["frames_shape"], crcs,
                                   label, float(meta["fs"]), extra))
     return records
@@ -338,7 +340,7 @@ def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
                      rng: Optional[np.random.Generator] = None) -> List[ClipRecord]:
     """Cut a clip into fixed-length windows and resize spatially.
 
-    ``train`` samples one random window (seeded rng); ``eval`` tiles
+    ``train`` samples one random window from ``rng``; ``eval`` tiles
     non-overlapping windows and drops the tail. Labels are sliced to the
     same window. Clips shorter than chunk_len are skipped with a warning.
     Only the windows' frames are read (``ClipRecord.window``); chunk frames
@@ -354,7 +356,6 @@ def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
                       RuntimeWarning, stacklevel=2)
         return []
     if mode == "train":
-        rng = rng if rng is not None else np.random.default_rng(0)
         starts = [int(rng.integers(0, n - chunk_len + 1))]
     elif mode == "eval":
         starts = list(range(0, n - chunk_len + 1, chunk_len))

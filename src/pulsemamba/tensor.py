@@ -446,7 +446,7 @@ def _conv(xp, w, stride):
     w (Cout, Cin, kt, kh, kw): columns are gathered one output-t slice at
     a time (never a full im2col buffer), and one GEMM contracts each."""
     (b, cin), (cout, _, *kernel) = xp.shape[:2], w.shape
-    to, ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
+    to, ho, wo = map(_conv_out_len, xp.shape[2:], kernel, stride, (0, 0, 0))
     w2 = w.reshape(cout, -1)
     out = np.empty((b, cout, to, ho, wo))
     cols = np.empty((b, cin, w2.shape[1] // cin, ho, wo))

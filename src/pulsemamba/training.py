@@ -28,8 +28,9 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import ModelConfig, PulseMambaNet
-from .errors import (ConfigError, FormatError, NumericError, check_ranges,
-                     check_types, is_count, is_shape, require_keys)
+from .errors import (ConfigError, FormatError, InsufficientDataError,
+                     NumericError, check_ranges, check_header, is_count,
+                     is_shape, read_header)
 from .module import Module
 from .signal import (MetricsReport, PulseTrace, compute_metrics,
                      diff_normalize, diff_normalize_label, estimate_hr,
@@ -45,10 +46,6 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 2
-# meta.json keys that loading, resuming and evaluating read
-_META_KEYS = ("format_version", "config_hash", "model_config", "epoch",
-              "global_step", "entries")
-_ENTRY_KEYS = ("name", "shape", "offset", "crc32")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -190,35 +187,26 @@ def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
     return path
 
 
-# value checks for the meta.json keys that loading and resuming use
-_META_TYPES = {"format_version": is_count, "epoch": is_count,
-               "global_step": is_count, "adam_t": is_count,
-               "entries": lambda v: isinstance(v, list)}
-_ENTRY_TYPES = {"name": lambda v: isinstance(v, str), "offset": is_count,
-                "shape": is_shape}
+# each header and entry key that loading, resuming and evaluating read
+_META = {"format_version": lambda v: is_count(v) and v == CHECKPOINT_VERSION,
+         "config_hash": lambda v: isinstance(v, str), "epoch": is_count,
+         "model_config": lambda v: isinstance(v, dict), "adam_t": is_count,
+         "global_step": is_count, "entries": lambda v: isinstance(v, list)}
+_ENTRY = {"name": lambda v: isinstance(v, str), "shape": is_shape,
+          "dtype": lambda v: v == "<f4", "offset": is_count,
+          "crc32": lambda v: isinstance(v, str)}
 
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Read a checkpoint directory, verifying its header keys and value
-    types, its version and every checksum; any defect is a FormatError."""
+    """Read a checkpoint directory, verifying its header and entries against
+    ``_META`` and ``_ENTRY`` and every checksum; any defect is a FormatError."""
     path = Path(path)
     meta_path = path / "meta.json"
-    if not meta_path.exists():
-        raise FormatError(f"checkpoint {path} has no meta.json")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta_path}: corrupt header ({exc})") from exc
-    require_keys(meta, _META_KEYS, f"{meta_path}: header")
-    check_types(meta, _META_TYPES, f"{meta_path}: header")
-    if meta["format_version"] != CHECKPOINT_VERSION:
-        raise FormatError(f"checkpoint version {meta['format_version']!r}, "
-                          f"expected {CHECKPOINT_VERSION}")
+    meta = read_header(meta_path, _META)
     blob = (path / "state.bin").read_bytes()
     arrays = {}
     for i, entry in enumerate(meta["entries"]):
-        require_keys(entry, _ENTRY_KEYS, f"{meta_path}: entry {i}")
-        check_types(entry, _ENTRY_TYPES, f"{meta_path}: entry {i}")
+        check_header(entry, _ENTRY, f"{meta_path}: entry {i}")
         size = int(np.prod(entry["shape"])) * 4 if entry["shape"] else 4
         raw = blob[entry["offset"]:entry["offset"] + size]
         if len(raw) != size:
@@ -247,7 +235,7 @@ def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
     Every parameter must be stored; Adam moments come in (m, v) pairs and
     buffers are optional. A missing or mis-shaped entry is a FormatError.
     """
-    state = AdamState(t=meta.get("adam_t", 0))
+    state = AdamState(t=meta["adam_t"])
     for name, p in model.named_parameters():
         p.data = _entry(arrays, f"param:{name}", p.shape).copy()
         if f"adam_m:{name}" in arrays or f"adam_v:{name}" in arrays:
@@ -271,7 +259,8 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     diff-normalized signals, Adam update, checkpoint save plus float32
     round-trip. Windows are drawn from the epoch's rng in clip order, but
     each batch's chunks are cut only when that batch runs. loss_log rows
-    are (epoch, step, loss), also written to ``loss_log.csv``.
+    are (epoch, step, loss), also written to ``loss_log.csv``. An epoch of
+    no step (no clip holds a window) is an InsufficientDataError.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,6 +314,9 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
             global_step += 1
             if log_fn:
                 log_fn(f"epoch {epoch} step {global_step} loss {val:.4f}")
+        if not loss_log:  # every epoch cuts windows from the same clips
+            raise InsufficientDataError(f"epoch {epoch} ran no step: no clip "
+                                        f"holds a {train_cfg.chunk_len}-frame window")
         epoch_ckpt = out_dir / f"checkpoint_epoch_{epoch:03d}"
         save_checkpoint(epoch_ckpt, model, model_cfg, state, epoch + 1,
                         global_step)

@@ -65,11 +65,11 @@ def test_tdc_theta_zero_is_bit_identical_to_conv(rng):
     assert np.array_equal(y_tdc, y_conv)
 
 
-def test_tdc_hand_evaluated_single_pixel():
+def test_tdc_hand_evaluated_single_pixel(rng):
     # ones on the kernel's centre column only, theta 0.5, pixel stream
     # (..., 0, 1, 0, ...): vanilla term 1, difference term -0.5 * 1 * 2
     # -> output 0 at center
-    layer = TemporalDifferenceConv3d(1, 1, theta=0.5)
+    layer = TemporalDifferenceConv3d(1, 1, theta=0.5, rng=rng)
     layer.weight.data[:] = 0.0
     layer.weight.data[..., 1, 1] = 1.0
     x = np.zeros((1, 1, 5, 1, 1))
@@ -118,11 +118,6 @@ def test_tdc_folded_kernel_matches_two_conv_form(rng):
     assert signal_rel_err(folded[2], ref[2]) <= 1e-12
 
 
-def test_tdc_rejects_theta_outside_unit_interval(rng):
-    with pytest.raises(ConfigError):
-        TemporalDifferenceConv3d(2, 2, theta=1.5, rng=rng)
-
-
 def test_channel_attention_zero_weights_halve_input(rng):
     ca = ChannelAttention(8, ratio=4, rng=rng)
     for p in (ca.w1, ca.b1, ca.w2, ca.b2):
@@ -156,7 +151,8 @@ def test_channel_attention_gates_in_unit_interval(rng):
 # the TD-Mamba block
 
 def test_block_zero_out_projection_leaves_residual_path(rng):
-    block = TemporalDifferenceMambaBlock(4, state_dim=4, ca_ratio=4, rng=rng)
+    block = TemporalDifferenceMambaBlock(4, state_dim=4, expand=2, theta=0.5,
+                                         ca_ratio=4, rng=rng)
     block.mamba.w_out.data[:] = 0.0
     block.eval()
     x = Tensor(rng.normal(size=(1, 4, 2, 3, 3)))
@@ -173,7 +169,8 @@ def test_block_zero_out_projection_leaves_residual_path(rng):
 
 
 def test_block_preserves_shape(rng):
-    block = TemporalDifferenceMambaBlock(8, state_dim=8, ca_ratio=4, rng=rng)
+    block = TemporalDifferenceMambaBlock(8, state_dim=8, expand=2, theta=0.5,
+                                         ca_ratio=4, rng=rng)
     block.eval()
     with T.no_grad():
         y = block(Tensor(rng.normal(size=(1, 8, 4, 4, 4))))
@@ -182,7 +179,8 @@ def test_block_preserves_shape(rng):
 
 
 def test_block_capacity_error(rng, monkeypatch):
-    block = TemporalDifferenceMambaBlock(4, state_dim=4, ca_ratio=4, rng=rng)
+    block = TemporalDifferenceMambaBlock(4, state_dim=4, expand=2, theta=0.5,
+                                         ca_ratio=4, rng=rng)
     monkeypatch.setattr(blocks, "SEQ_BUDGET", 100)
     with pytest.raises(CapacityError):
         block(Tensor(rng.normal(size=(1, 4, 4, 4, 4))))
@@ -190,7 +188,8 @@ def test_block_capacity_error(rng, monkeypatch):
 
 def test_block_gradients(rng):
     from pulsemamba import checks
-    block = TemporalDifferenceMambaBlock(4, state_dim=4, ca_ratio=4, rng=rng)
+    block = TemporalDifferenceMambaBlock(4, state_dim=4, expand=2, theta=0.5,
+                                         ca_ratio=4, rng=rng)
     block.train()
     x = Tensor(rng.normal(size=(1, 4, 4, 2, 2)))
 

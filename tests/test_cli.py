@@ -82,8 +82,10 @@ def test_train_missing_data_dir_exits_3(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("frames_shape", "ab"), ("fs", "x")],
-                         ids=["string_frames_shape", "string_fs"])
+@pytest.mark.parametrize("key,value", [("frames_shape", "ab"), ("fs", "x"),
+                                       ("format_version", 2)],
+                         ids=["string_frames_shape", "string_fs",
+                              "format_version_2"])
 def test_malformed_dataset_header_exits_3(key, value, tiny_dataset, tmp_path,
                                           capsys):
     data = tmp_path / "data"
@@ -95,6 +97,21 @@ def test_malformed_dataset_header_exits_3(key, value, tiny_dataset, tmp_path,
     code = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_IO
     assert f"bad {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["dataset", "checkpoint"])
+def test_undecodable_header_exits_3(what, tiny_dataset, tmp_path, capsys):
+    # a meta.json that is not UTF-8 is a malformed header, like bad JSON
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt")
+    meta = ckpt if what == "checkpoint" else data / "clip_0000"
+    (meta / "meta.json").write_bytes(b"\xff\xfe{")
+    code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                    "--out", str(tmp_path / "eval"), "--set", "chunk_len=32",
+                    "--set", "input_h=16", "--set", "input_w=16"])
+    assert code == cli.EXIT_IO
+    assert "unreadable header" in capsys.readouterr().err
 
 
 TINY_MODEL = ["--set", "input_h=16", "--set", "input_w=16",
@@ -121,6 +138,18 @@ def test_shape_error_exits_5(tiny_dataset, tmp_path, capsys):
                     "--set", "chunk_len=1"] + TINY_MODEL)
     assert code == cli.EXIT_SHAPE
     assert "shape error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_with_no_window_exits_5(tiny_dataset, tmp_path, capsys):
+    # every clip is 4 s (120 frames), shorter than a 128-frame window
+    run = tmp_path / "run"
+    code = run_cli(["train", "--data", str(tiny_dataset), "--out", str(run),
+                    "--set", "epochs=1", "--set", "chunk_len=128"] + TINY_MODEL)
+    assert code == cli.EXIT_SHAPE
+    assert "ran no step" in capsys.readouterr().err
+    assert list(run.glob("checkpoint_*")) == []
+    assert not (run / "loss_log.csv").exists()
 
 
 def _untrained_checkpoint(path):
@@ -244,6 +273,12 @@ def _set_header(key, value):
     return corrupt
 
 
+def _set_entry(key, value):
+    def corrupt(meta):
+        meta["entries"][0][key] = value
+    return corrupt
+
+
 def _set_model_config(key, value):
     def corrupt(meta):
         meta["model_config"][key] = value
@@ -264,11 +299,12 @@ def _set_model_config(key, value):
     (_set_header("format_version", 1), "eval", "version 1"),
     (_set_model_config("theta", 5), "eval", "theta"),
     (_set_model_config("channels", 0), "eval", "channels"),
+    (_set_entry("dtype", "<f8"), "eval", "bad dtype"),
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
         "string_offset", "string_shape", "entries_not_a_list",
         "string_epoch", "float_global_step", "string_adam_t",
         "boolean_format_version", "old_format_version", "stored_theta_5",
-        "stored_channels_0"])
+        "stored_channels_0", "float64_entry"])
 def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
                                               tiny_dataset, tmp_path, capsys):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)

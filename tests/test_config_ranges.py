@@ -106,7 +106,9 @@ def test_oversized_clip_is_refused_before_any_allocation(tmp_path, capsys):
     (["base_g=nan"], "base_g must be finite"),
     (["hr_min_bpm=100", "hr_max_bpm=90"], "hr_max_bpm must be >= 100"),
     (["hr_max_bpm=0"], "hr_max_bpm must be >= 48"),
-], ids=["seed", "fs", "duration", "base_color", "hr_order", "hr_band"])
+    (["fs=0.01"], "is 0 frames, < 2"),
+], ids=["seed", "fs", "duration", "base_color", "hr_order", "hr_band",
+        "frame_count"])
 def test_synth_names_the_value_out_of_range(items, what, tmp_path, capsys):
     sets = [arg for item in items for arg in ("--set", item)]
     code = cli.main(["synth", "--out", str(tmp_path / "ds")] + sets)

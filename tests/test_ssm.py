@@ -64,7 +64,7 @@ def test_zoh_selective_mode_shapes(rng):
 
 def test_scan_recurrent_hand_unrolled():
     y = scan_recurrent(np.array([[0.5]]), np.array([[1.0]]),
-                       np.array([1.0]), np.array([[1.0], [1.0]]))
+                       np.array([[1.0]]), np.array([[1.0], [1.0]]))
     np.testing.assert_allclose(y[:, 0], [1.0, 1.5])
 
 
@@ -89,7 +89,7 @@ def test_scan_recurrent_zero_input_zero_output(rng):
 def test_scan_convolutional_kernel_values():
     # Abar=0.5, Bbar=1, C=1 -> kernel (1, 0.5, ...)
     y = scan_convolutional(np.array([[0.5]]), np.array([[1.0]]),
-                           np.array([1.0]), np.array([[1.0], [1.0]]))
+                           np.array([[1.0]]), np.array([[1.0], [1.0]]))
     np.testing.assert_allclose(y[:, 0], [1.0, 1.5])
 
 
@@ -324,7 +324,7 @@ def test_scan_backward_returns_batch_major_gradients_without_copies(rng):
 # full Mamba layer
 
 def test_mamba_layer_zero_c_projection_gives_zero(rng):
-    layer = MambaLayer(6, state_dim=8, rng=rng)
+    layer = MambaLayer(6, state_dim=8, expand=2, rng=rng)
     for params in (layer.ssm_fwd, layer.ssm_bwd):
         params.w_c.data[:] = 0.0
     x = rng.normal(size=(2, 9, 6))
@@ -334,7 +334,7 @@ def test_mamba_layer_zero_c_projection_gives_zero(rng):
 
 
 def _shared_direction_layer(rng):
-    layer = MambaLayer(4, state_dim=8, rng=rng)
+    layer = MambaLayer(4, state_dim=8, expand=2, rng=rng)
     for name in ("a_log", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias"):
         getattr(layer.ssm_bwd, name).data = getattr(layer.ssm_fwd, name).data.copy()
     return layer
@@ -364,7 +364,7 @@ def test_mamba_layer_time_reversal_equivariance(rng):
 
 
 def test_mamba_layer_gradients_with_flip_view_equal_a_copying_flip(rng, monkeypatch):
-    layer = MambaLayer(6, state_dim=8, rng=rng)
+    layer = MambaLayer(6, state_dim=8, expand=2, rng=rng)
     x = rng.normal(size=(2, 40, 6))
     g = rng.normal(size=x.shape)
 
@@ -392,7 +392,7 @@ def test_mamba_layer_shape_contract(rng):
 
 
 def test_mamba_layer_short_sequence_padding(rng):
-    layer = MambaLayer(4, state_dim=4, rng=rng)
+    layer = MambaLayer(4, state_dim=4, expand=2, rng=rng)
     x = rng.normal(size=(2, 4))  # shorter than the conv kernel
     with T.no_grad():
         y = layer(Tensor(x[None]))
