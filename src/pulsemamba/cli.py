@@ -7,12 +7,13 @@ comments); unknown keys are rejected and every run writes a
 scancheck and profile only when given ``--out``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(including a value outside its range or a clip over the size cap, checked
-before anything is written), 3 I/O or format error (including a malformed
-checkpoint or dataset header), 4 numeric failure (a non-finite value where
-finite ones are required, e.g. a training loss or a checkpoint value),
-5 shape error (data whose extents the model or an operation cannot take,
-e.g. a clip too short for heart-rate estimation).
+(including a value outside its range, a clip over the size cap or window
+extents the model cannot take, checked before anything is written), 3 I/O
+or format error (including a malformed or self-contradicting checkpoint or
+dataset header), 4 numeric failure (a non-finite value where finite ones
+are required, e.g. a training loss or a checkpoint value), 5 shape error
+(data whose extents the model or an operation cannot take, e.g. a clip too
+short for heart-rate estimation).
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ def cmd_train(args) -> int:
     cfg = _resolve(args, TRAIN_KEYS)
     model_cfg, train_cfg = _model_config(cfg), TrainConfig(
         input_hw=(cfg["input_h"], cfg["input_w"]), **{k: cfg[k] for k in TRAIN_FIELDS})
+    model_cfg.validate_input(train_cfg.chunk_len, *train_cfg.input_hw)
     write_resolved(args.out, cfg, {"subcommand": "train", "data": args.data})
     ckpt, log = train_loop(model_cfg, args.data, train_cfg, args.out,
                            resume_from=args.resume, log_fn=print)
@@ -154,11 +156,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_KEYS)
-    write_resolved(args.out, cfg, {"subcommand": "eval", "ckpt": args.ckpt,
-                                   "data": args.data})
     report, clip_ids, pred_hrs, gt_hrs, traces = evaluate_checkpoint(
         args.ckpt, args.data, args.out, chunk_len=cfg["chunk_len"],
         input_hw=(cfg["input_h"], cfg["input_w"]))
+    write_resolved(args.out, cfg, {"subcommand": "eval", "ckpt": args.ckpt,
+                                   "data": args.data})
     out_dir = Path(args.out)
     for cid in clip_ids[:cfg["max_plots"]]:
         pred, target = traces[cid]

@@ -22,7 +22,8 @@ class ConfigError(ValueError):
 
 
 class CapacityError(ConfigError):
-    """A flattened sequence exceeds the configured token budget."""
+    """A size exceeds a size cap (a flattened sequence's token budget, or
+    the byte cap of a synthesized clip)."""
 
 
 class FormatError(ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import InsufficientDataError, ShapeError
 from .tensor import Tensor
 
 __all__ = [
-    "PulseTrace", "MetricsReport", "diff_normalize", "diff_normalize_label",
+    "MetricsReport", "diff_normalize", "diff_normalize_label",
     "neg_pearson_loss", "pearson", "estimate_hr", "compute_metrics",
     "write_metrics_csv", "HR_BAND_HZ",
 ]
@@ -27,19 +27,6 @@ __all__ = [
 DIFF_EPS = 1e-7
 VAR_EPS = 1e-8
 HR_BAND_HZ = (0.75, 2.5)  # 45 to 150 bpm
-
-
-@dataclass
-class PulseTrace:
-    """A pulse waveform sampled at the video frame rate."""
-
-    samples: np.ndarray
-    fs: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0:
-            raise ShapeError(f"sampling rate must be positive, got {self.fs}")
 
 
 @dataclass
@@ -100,21 +87,20 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     square root, so a zero-variance row contributes loss 1 (correlation
     treated as 0) and triggers a degenerate-batch warning.
     """
-    if pred.shape != target.shape:
-        raise ShapeError(f"loss operands differ: {pred.shape} vs {target.shape}")
-    p = pred if pred.ndim == 2 else T.reshape(pred, (1,) + pred.shape)
-    t = target if target.ndim == 2 else T.reshape(target, (1,) + target.shape)
-    n = float(p.shape[1])
+    if pred.shape != target.shape or pred.ndim != 2:
+        raise ShapeError(f"loss operands must be equal (B, T): "
+                         f"{pred.shape} vs {target.shape}")
+    n = float(pred.shape[1])
     if n < 2:
         raise ShapeError("need at least 2 samples per row")
 
-    if np.any(p.data.var(axis=1) == 0.0) or np.any(t.data.var(axis=1) == 0.0):
+    if any(np.any(s.data.var(axis=1) == 0.0) for s in (pred, target)):
         warnings.warn("degenerate batch: zero-variance signal in NegPearson",
                       RuntimeWarning, stacklevel=2)
 
     # centred first: raw moments (n*sum(xy) - sum(x)*sum(y)) cancel
     # catastrophically once the offset dwarfs the signal
-    pc, tc = T.sub(p, _row_means(p)), T.sub(t, _row_means(t))
+    pc, tc = T.sub(pred, _row_means(pred)), T.sub(target, _row_means(target))
     num = T.scale(T.reduce_sum(T.mul(pc, tc), axes=1), n)
     var_x = T.scale(T.reduce_sum(T.mul(pc, pc), axes=1), n)
     var_y = T.scale(T.reduce_sum(T.mul(tc, tc), axes=1), n)
@@ -139,25 +125,27 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc * yc).sum() / den)
 
 
-def estimate_hr(trace: PulseTrace) -> float:
-    """Dominant-frequency heart rate in bpm.
+def estimate_hr(samples: np.ndarray, fs: float) -> float:
+    """Dominant-frequency heart rate in bpm of 1-D samples at ``fs`` > 0 Hz.
 
     Mean-subtract, ideal FFT mask over the HR band, zero-pad to at least
     60*fs samples (<= 1 bpm resolution), return 60x the argmax frequency.
     Ties break to the lower frequency; an empty in-band spectrum returns
     the lower band edge with a low-SNR warning.
     """
-    x = trace.samples
-    if x.size < 2 * trace.fs:
+    if fs <= 0:
+        raise ShapeError(f"sampling rate must be positive, got {fs}")
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < 2 * fs:
         raise InsufficientDataError(
-            f"need >= 2 s of samples ({2 * trace.fs:.0f}), got {x.size}")
+            f"need >= 2 s of samples ({2 * fs:.0f}), got {x.size}")
     detrended = x - x.mean()
     # a (near-)DC trace leaves only rounding residue after detrending
     scale = max(1.0, float(np.abs(x.mean())))
     flat = float(np.sqrt((detrended ** 2).mean())) <= 1e-12 * scale
-    n = max(x.size, int(np.ceil(60.0 * trace.fs)))
+    n = max(x.size, int(np.ceil(60.0 * fs)))
     spec = np.fft.rfft(detrended, n=n)
-    freqs = np.fft.rfftfreq(n, d=1.0 / trace.fs)
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     band = (freqs >= HR_BAND_HZ[0]) & (freqs <= HR_BAND_HZ[1])
     power = np.abs(spec) ** 2
     power[~band] = 0.0
@@ -193,10 +181,8 @@ def compute_metrics(pred_hrs: Sequence[float], gt_hrs: Sequence[float]) -> Metri
 
 
 def write_metrics_csv(path, clip_ids: Sequence[str], pred_hrs: Sequence[float],
-                      gt_hrs: Sequence[float], report: Optional[MetricsReport] = None):
-    """Per-clip rows `clip_id,pred_bpm,gt_bpm` plus one summary row."""
-    if report is None:
-        report = compute_metrics(pred_hrs, gt_hrs)
+                      gt_hrs: Sequence[float], report: MetricsReport) -> None:
+    """Per-clip rows `clip_id,pred_bpm,gt_bpm` plus a summary row of ``report``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "pred_bpm", "gt_bpm"])
@@ -205,4 +191,3 @@ def write_metrics_csv(path, clip_ids: Sequence[str], pred_hrs: Sequence[float],
         writer.writerow([
             f"summary mae={report.mae_bpm:.6f} rmse={report.rmse_bpm:.6f} "
             f"mape={report.mape_percent:.6f} rho={report.pearson_rho:.6f}", "", ""])
-    return report

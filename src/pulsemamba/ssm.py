@@ -62,30 +62,21 @@ def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
 def discretize_zoh(a: np.ndarray, b: np.ndarray, delta):
     """ZOH discretization of a diagonal continuous-time SSM.
 
-    a: (D, N) strictly nonzero (negative for stability).
-    b: (N,) time-invariant, or (L, N) per token.
-    delta: positive scalar (with b (N,)), or (L, D) per token/channel.
+    a: (D, N) strictly nonzero (negative for stability); b: (N,);
+    delta: positive scalar, or (L, D) per token/channel.
 
-    Returns (abar, bbar): (D, N) in the time-invariant case, (L, D, N)
-    when delta is per-token.
+    Returns (abar, bbar): (D, N) for a scalar delta, (L, D, N) per token.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if np.any(delta <= 0.0):
         raise NumericError("discretize_zoh requires delta > 0")
-    if a.ndim != 2:
-        raise ShapeError(f"discretize_zoh: a must be (D, N), got {a.shape}")
-
-    if b.ndim == 1 and delta.ndim == 0:
-        abar, growth = _zoh(a, delta.reshape(1, 1))
-        return abar, growth * b
-    if b.ndim == 1:
-        b = np.broadcast_to(b, (delta.shape[0], b.shape[0]))
-    if b.ndim != 2 or delta.ndim != 2 or b.shape[0] != delta.shape[0]:
-        raise ShapeError(f"discretize_zoh: b {b.shape} vs delta {delta.shape}")
-    abar, growth = _zoh(a[None], delta[:, :, None])
-    return abar, growth * b[:, None, :]
+    if a.ndim != 2 or b.shape != a.shape[1:] or delta.ndim not in (0, 2):
+        raise ShapeError(f"discretize_zoh: a {a.shape}, b {b.shape}, "
+                         f"delta {delta.shape}")
+    abar, growth = _zoh(a, delta[..., None])
+    return abar, growth * b
 
 
 def _chunk_len(bsz: int, d: int, n: int) -> int:
@@ -126,8 +117,7 @@ def _chunked_scan(discretize, c_seq, x, chunk: int, starts=None):
     c_seq is (L, B, N) or (L, B, N, D). The states live in one chunk
     buffer (chunk + 1, B, N, D), reused per chunk with row 0 carrying h
     across chunks. ``starts``, when given, is a (ceil(L / chunk), B, N, D)
-    array whose row k receives chunk k's start state. Returns y (B, L, D)
-    and the final state (B, N, D).
+    array whose row k receives chunk k's start state. Returns y (B, L, D).
     """
     L, bsz, d = x.shape
     states = np.zeros((min(chunk, L) + 1, bsz, c_seq.shape[2], d),
@@ -145,7 +135,7 @@ def _chunked_scan(discretize, c_seq, x, chunk: int, starts=None):
         _readout(c_seq[s:e], h[1:], yt[s:e])
         _check_state(yt[s:e], s)
         states[0] = h[-1]
-    return y, states[0]
+    return y
 
 
 def _check_state(y: np.ndarray, offset: int):
@@ -155,12 +145,12 @@ def _check_state(y: np.ndarray, offset: int):
         raise NumericError(f"non-finite scan state at step {offset + bad_t}")
 
 
-def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
+def scan_recurrent(abar, bbar, c, x):
     """Sequential evaluation h(t) = Abar h(t-1) + Bbar x(t), y(t) = C h(t).
 
     Time-invariant mode: abar/bbar (D, N), c (D, N). Per-token
     mode: abar/bbar (L, D, N), c (L, N). x is (L, D); h starts at zero and
-    y(t) depends only on x(1..t). The returned state is (D, N).
+    y(t) depends only on x(1..t). Returns y (L, D).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -187,11 +177,8 @@ def scan_recurrent(abar, bbar, c, x, return_state: bool = False):
     else:
         raise ShapeError(f"scan_recurrent: c shape {c.shape}")
 
-    y, h = _chunked_scan(lambda s, e: (a_seq[s:e], b_seq[s:e]), c_seq,
-                         x[:, None], _chunk_len(1, d, n))
-    if return_state:
-        return y[0], h[0].T
-    return y[0]
+    return _chunked_scan(lambda s, e: (a_seq[s:e], b_seq[s:e]), c_seq,
+                         x[:, None], _chunk_len(1, d, n))[0]
 
 
 def scan_convolutional(abar, bbar, c, x):
@@ -294,7 +281,7 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     starts = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
               if recording else None)
-    y, _ = _chunked_scan(discretize, ct, ut, chunk, starts)
+    y = _chunked_scan(discretize, ct, ut, chunk, starts)
     if not recording:
         return Tensor(y)
 
@@ -348,27 +335,20 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     return T.apply_op("selective_scan", y, parents, bwd)
 
 
-def selective_scan(params: SSMParams, x) -> Tensor:
-    """Input-dependent scan over x (L, D) or (B, L, D).
+def selective_scan(params: SSMParams, x: Tensor) -> Tensor:
+    """Input-dependent scan over the (B, L, D) Tensor x; returns (B, L, D).
 
     B(t), C(t), delta(t) come from the parameter projections of x itself,
     delta through a softplus; with constant-output projections this
     reduces exactly (bitwise) to the time-invariant recurrence on the same
     discretized values.
     """
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    squeeze = xt.ndim == 2
-    if squeeze:
-        xt = T.reshape(xt, (1,) + xt.shape)
-    bmat = T.linear(xt, params.w_b, params.b_bias)
-    cmat = T.linear(xt, params.w_c, params.c_bias)
-    delta = T.softplus(T.linear(T.linear(xt, params.w_dt_down),
+    bmat = T.linear(x, params.w_b, params.b_bias)
+    cmat = T.linear(x, params.w_c, params.c_bias)
+    delta = T.softplus(T.linear(T.linear(x, params.w_dt_down),
                                 params.w_dt_up, params.dt_bias))
     a = T.scale(T.exp(params.a_log), -1.0)
-    y = selective_scan_op(xt, delta, a, bmat, cmat)
-    if squeeze:
-        y = T.reshape(y, y.shape[1:])
-    return y
+    return selective_scan_op(x, delta, a, bmat, cmat)
 
 
 def selective_scan_reference(params: SSMParams, x) -> np.ndarray:

@@ -335,8 +335,8 @@ def bilinear_resize(frames: np.ndarray, out_hw: Tuple[int, int]) -> np.ndarray:
     return out.reshape(*lead, oh, ow)
 
 
-def chunk_and_resize(record: ClipRecord, chunk_len: int = 128,
-                     out_hw: Tuple[int, int] = (128, 128), mode: str = "eval",
+def chunk_and_resize(record: ClipRecord, chunk_len: int,
+                     out_hw: Tuple[int, int], mode: str = "eval",
                      rng: Optional[np.random.Generator] = None) -> List[ClipRecord]:
     """Cut a clip into fixed-length windows and resize spatially.
 

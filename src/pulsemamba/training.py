@@ -32,9 +32,8 @@ from .errors import (ConfigError, FormatError, InsufficientDataError,
                      NumericError, check_ranges, check_header, is_count,
                      is_shape, read_header)
 from .module import Module
-from .signal import (MetricsReport, PulseTrace, compute_metrics,
-                     diff_normalize, diff_normalize_label, estimate_hr,
-                     neg_pearson_loss, write_metrics_csv)
+from .signal import (compute_metrics, diff_normalize, diff_normalize_label,
+                     estimate_hr, neg_pearson_loss, write_metrics_csv)
 from .synth import ClipRecord, chunk_and_resize, read_dataset
 from .tensor import Tensor
 
@@ -247,6 +246,21 @@ def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
     return state
 
 
+def _load_model(path) -> Tuple[dict, PulseMambaNet, AdamState]:
+    """The checkpoint's header, network and Adam state. The network is built
+    from the stored ``model_config`` and restored; a config that does not
+    build or does not hash to the stored ``config_hash`` is a FormatError."""
+    meta, arrays = load_checkpoint(path)
+    try:
+        model_cfg = ModelConfig(**meta["model_config"])
+    except (TypeError, ConfigError) as exc:
+        raise FormatError(f"{path}: bad model_config ({exc})") from exc
+    if config_hash(model_cfg) != meta["config_hash"]:
+        raise FormatError(f"{path}: config_hash does not match its model_config")
+    model = PulseMambaNet(model_cfg, seed=0)  # every parameter is restored
+    return meta, model, restore_model(meta, arrays, model)
+
+
 # ---------------------------------------------------------------------------
 # loops
 
@@ -268,17 +282,14 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     if not records:
         raise FormatError(f"no clips found under {data_dir}")
 
-    model = PulseMambaNet(model_cfg, seed=train_cfg.seed)
-    state = AdamState()
-    start_epoch = 0
-    global_step = 0
-    if resume_from is not None:
-        meta, arrays = load_checkpoint(resume_from)
+    if resume_from is None:
+        model, state = PulseMambaNet(model_cfg, seed=train_cfg.seed), AdamState()
+        start_epoch = global_step = 0
+    else:
+        meta, model, state = _load_model(resume_from)
         if meta["config_hash"] != config_hash(model_cfg):
             raise ConfigError("resume checkpoint was built for a different model config")
-        state = restore_model(meta, arrays, model)
-        start_epoch = meta["epoch"]
-        global_step = meta["global_step"]
+        start_epoch, global_step = meta["epoch"], meta["global_step"]
 
     named = list(model.named_parameters())
     loss_log: List[Tuple[int, int, float]] = []
@@ -334,14 +345,6 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     return final, loss_log
 
 
-def _predict_signal(model_or_fn, frames_batch: np.ndarray) -> np.ndarray:
-    if isinstance(model_or_fn, Module):
-        with T.no_grad():
-            out = model_or_fn(Tensor(frames_batch))
-        return out.data
-    return np.asarray(model_or_fn(frames_batch), dtype=np.float64)
-
-
 def _stitch(chunks: np.ndarray) -> np.ndarray:
     """Join (n_chunks, chunk_len) diff signals on the clip's time axis."""
     # each pad holds the place of the difference across a window boundary,
@@ -351,15 +354,13 @@ def _stitch(chunks: np.ndarray) -> np.ndarray:
     return out.reshape(-1)[:-1]
 
 
-def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
+def evaluate_records(predict: Callable[[np.ndarray], np.ndarray],
+                     records: List[ClipRecord], chunk_len: int,
                      input_hw: Tuple[int, int]):
-    """Chunked inference over whole clips.
-
-    Returns (clip_ids, pred_hrs, gt_hrs, traces) where traces maps clip id
-    to its stitched (predicted, target) diff-domain signals.
-    """
-    if isinstance(model_or_fn, Module):
-        model_or_fn.eval()
+    """Chunked inference over whole clips: ``predict`` maps a clip's
+    prepared (n_chunks, 3, chunk_len, H, W) frames to (n_chunks, chunk_len)
+    float64 signals. Returns (clip_ids, pred_hrs, gt_hrs, traces) where
+    traces maps clip id to its stitched (predicted, target) signals."""
     clip_ids, pred_hrs, gt_hrs = [], [], []
     traces = {}
     for i, rec in enumerate(records):
@@ -368,35 +369,35 @@ def evaluate_records(model_or_fn, records: List[ClipRecord], chunk_len: int,
             continue
         frames, labels = (np.stack(a) for a in zip(*map(prepare_chunk, chunks)))
         target = _stitch(labels)
-        pred = _stitch(_predict_signal(model_or_fn, frames).reshape(labels.shape))
+        pred = _stitch(predict(frames).reshape(labels.shape))
         cid = f"clip_{i:04d}"
         clip_ids.append(cid)
-        pred_hrs.append(estimate_hr(PulseTrace(pred, rec.fs)))
-        gt_hrs.append(estimate_hr(PulseTrace(target, rec.fs)))
+        pred_hrs.append(estimate_hr(pred, rec.fs))
+        gt_hrs.append(estimate_hr(target, rec.fs))
         traces[cid] = (pred, target)
     return clip_ids, pred_hrs, gt_hrs, traces
 
 
-def evaluate_checkpoint(ckpt_path, data_dir, out_dir=None,
-                        chunk_len: int = 128,
-                        input_hw: Tuple[int, int] = (128, 128)):
-    """Load a checkpoint, verify its config hash, evaluate a dataset.
+def evaluate_checkpoint(ckpt_path, data_dir, out_dir=None, *, chunk_len: int,
+                        input_hw: Tuple[int, int]):
+    """Evaluate a checkpoint's network (in eval mode, under ``no_grad``) on
+    a dataset; window extents the network cannot take are a ConfigError,
+    raised before the dataset is read.
 
     Returns (report, clip_ids, pred_hrs, gt_hrs, traces); writes the
     per-clip CSV when out_dir is given.
     """
-    meta, arrays = load_checkpoint(ckpt_path)
-    try:
-        model_cfg = ModelConfig(**meta["model_config"])
-    except (TypeError, ConfigError) as exc:
-        raise FormatError(f"{ckpt_path}: bad model_config ({exc})") from exc
-    if config_hash(model_cfg) != meta["config_hash"]:
-        raise ConfigError("checkpoint config hash does not match its stored config")
-    model = PulseMambaNet(model_cfg, seed=0)
-    restore_model(meta, arrays, model)
+    _, model, _ = _load_model(ckpt_path)
+    model.config.validate_input(chunk_len, *input_hw)
+    model.eval()
     records = read_dataset(data_dir)
+
+    def predict(frames):
+        with T.no_grad():
+            return model(Tensor(frames)).data
+
     clip_ids, pred_hrs, gt_hrs, traces = evaluate_records(
-        model, records, chunk_len, input_hw)
+        predict, records, chunk_len, input_hw)
     report = compute_metrics(pred_hrs, gt_hrs)
     if out_dir is not None:
         out_dir = Path(out_dir)

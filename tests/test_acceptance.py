@@ -25,7 +25,7 @@ from pulsemamba import checks, cli
 from pulsemamba import tensor as T
 from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba.profiling import profile_model
-from pulsemamba.signal import (PulseTrace, compute_metrics, diff_normalize,
+from pulsemamba.signal import (compute_metrics, diff_normalize,
                                estimate_hr, neg_pearson_loss)
 from pulsemamba.synth import SynthConfig, generate_clip, read_dataset, write_dataset
 from pulsemamba.tensor import Tensor
@@ -169,7 +169,7 @@ def test_criterion_7_signal_pipeline_properties(rng):
     sweep_worst = 0.0
     t = np.arange(300) / 30.0
     for f in np.linspace(0.8, 2.4, 50):
-        hr = estimate_hr(PulseTrace(np.sin(2 * np.pi * f * t), 30.0))
+        hr = estimate_hr(np.sin(2 * np.pi * f * t), 30.0)
         sweep_worst = max(sweep_worst, abs(hr - 60.0 * f))
 
     # diff-normalization invariants

@@ -131,11 +131,15 @@ def test_non_finite_training_exits_4(tiny_dataset, tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_shape_error_exits_5(tiny_dataset, tmp_path, capsys):
-    # one-frame chunks have no frame difference to normalize
-    code = run_cli(["train", "--data", str(tiny_dataset),
-                    "--out", str(tmp_path / "run"), "--set", "epochs=1",
-                    "--set", "chunk_len=1"] + TINY_MODEL)
+    # every clip (120 frames) is shorter than a 128-frame window, so there
+    # is no heart rate to score
+    code = run_cli(["eval", "--ckpt",
+                    str(_untrained_checkpoint(tmp_path / "ckpt")),
+                    "--data", str(tiny_dataset), "--out", str(tmp_path / "eval"),
+                    "--set", "chunk_len=128", "--set", "input_h=16",
+                    "--set", "input_w=16"])
     assert code == cli.EXIT_SHAPE
     assert "shape error" in capsys.readouterr().err
 
@@ -170,6 +174,24 @@ def test_non_positive_chunk_extent_exits_2(subcommand, item, tiny_dataset,
         argv += ["--ckpt", str(_untrained_checkpoint(tmp_path / "ckpt"))]
     assert run_cli(argv + ["--set", item]) == cli.EXIT_USAGE
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["train", "eval"])
+@pytest.mark.parametrize("item", ["chunk_len=30", "input_h=20"])
+def test_window_the_model_cannot_take_exits_2(subcommand, item, tiny_dataset,
+                                              tmp_path, capsys):
+    # T must be divisible by 4, H and W by 8 on a 2-block model
+    out = tmp_path / "out"
+    argv = [subcommand, "--data", str(tiny_dataset), "--out", str(out),
+            "--set", "chunk_len=32"]
+    if subcommand == "train":
+        argv += ["--set", "epochs=1"] + TINY_MODEL
+    else:
+        argv += ["--ckpt", str(_untrained_checkpoint(tmp_path / "ckpt")),
+                 "--set", "input_h=16", "--set", "input_w=16"]
+    assert run_cli(argv + ["--set", item]) == cli.EXIT_USAGE
+    assert "must be divisible" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("item", ["lr=nan", "lr=inf", "weight_decay=inf",
@@ -298,12 +320,17 @@ def _set_model_config(key, value):
     (_set_header("format_version", True), "eval", "bad format_version"),
     (_set_header("format_version", 1), "eval", "version 1"),
     (_set_model_config("theta", 5), "eval", "theta"),
+    (_set_model_config("theta", 5), "train", "theta"),
+    (_set_header("config_hash", "0" * 16), "eval", "config_hash"),
+    (_set_header("config_hash", "0" * 16), "train", "config_hash"),
     (_set_model_config("channels", 0), "eval", "channels"),
     (_set_entry("dtype", "<f8"), "eval", "bad dtype"),
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
         "string_offset", "string_shape", "entries_not_a_list",
         "string_epoch", "float_global_step", "string_adam_t",
         "boolean_format_version", "old_format_version", "stored_theta_5",
+        "stored_theta_5_on_resume", "contradicting_config_hash",
+        "contradicting_config_hash_on_resume",
         "stored_channels_0", "float64_entry"])
 def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
                                               tiny_dataset, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pulsemamba import tensor as T
 from pulsemamba.errors import InsufficientDataError, ShapeError
-from pulsemamba.signal import (MetricsReport, PulseTrace, compute_metrics,
+from pulsemamba.signal import (MetricsReport, compute_metrics,
                                diff_normalize, diff_normalize_label,
                                estimate_hr, neg_pearson_loss, pearson,
                                write_metrics_csv)
@@ -125,6 +125,8 @@ def test_neg_pearson_is_differentiable(rng):
 def test_neg_pearson_shape_contract():
     with pytest.raises(ShapeError):
         neg_pearson_loss(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ShapeError):  # one row is (1, T), not (T,)
+        neg_pearson_loss(Tensor([1.0, 2.0, 3.0]), Tensor([3.0, 2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -135,40 +137,45 @@ def make_sine(freq_hz, fs=30.0, seconds=10.0, noise=0.0, seed=0):
     x = np.sin(2.0 * np.pi * freq_hz * t)
     if noise:
         x = x + noise * np.random.default_rng(seed).normal(size=t.size)
-    return PulseTrace(x, fs)
+    return x, fs
 
 
 def test_estimate_hr_pure_sinusoid():
-    assert abs(estimate_hr(make_sine(1.5)) - 90.0) <= 1.0
+    assert abs(estimate_hr(*make_sine(1.5)) - 90.0) <= 1.0
 
 
 def test_estimate_hr_noisy_sinusoid():
-    assert abs(estimate_hr(make_sine(1.0, noise=0.1)) - 60.0) <= 1.0
+    assert abs(estimate_hr(*make_sine(1.0, noise=0.1)) - 60.0) <= 1.0
 
 
 def test_estimate_hr_dc_trace_returns_band_edge():
-    trace = PulseTrace(np.full(300, 0.4), 30.0)
     with pytest.warns(RuntimeWarning):
-        hr = estimate_hr(trace)
+        hr = estimate_hr(np.full(300, 0.4), 30.0)
     assert hr == pytest.approx(45.0)
 
 
 def test_estimate_hr_short_trace_is_an_error():
     with pytest.raises(InsufficientDataError):
-        estimate_hr(PulseTrace(np.ones(59), 30.0))
+        estimate_hr(np.ones(59), 30.0)
+
+
+@pytest.mark.parametrize("fs", [0.0, -30.0])
+def test_estimate_hr_rejects_non_positive_rate(fs):
+    with pytest.raises(ShapeError):
+        estimate_hr(np.ones(300), fs)
 
 
 def test_estimate_hr_frequency_sweep():
     """50 frequencies across the band recover 60 f within resolution."""
     for freq in np.linspace(0.8, 2.4, 50):
-        hr = estimate_hr(make_sine(float(freq)))
+        hr = estimate_hr(*make_sine(float(freq)))
         assert abs(hr - 60.0 * freq) <= 1.0, f"{freq} Hz -> {hr} bpm"
 
 
 def test_estimate_hr_locks_to_fundamental_with_harmonic():
     t = np.arange(300) / 30.0
     x = np.sin(2 * np.pi * 1.2 * t) + 0.3 * np.sin(2 * np.pi * 2.4 * t)
-    assert abs(estimate_hr(PulseTrace(x, 30.0)) - 72.0) <= 1.0
+    assert abs(estimate_hr(x, 30.0) - 72.0) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +229,9 @@ def test_mae_never_exceeds_rmse(seed, n):
 
 def test_metrics_csv_round_trip(tmp_path):
     path = tmp_path / "metrics.csv"
-    rep = write_metrics_csv(path, ["clip_0000", "clip_0001"],
-                            [72.0, 80.0], [70.0, 84.0])
+    rep = compute_metrics([72.0, 80.0], [70.0, 84.0])
+    write_metrics_csv(path, ["clip_0000", "clip_0001"],
+                      [72.0, 80.0], [70.0, 84.0], rep)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "clip_id,pred_bpm,gt_bpm"
     assert lines[1].startswith("clip_0000,72.0")

@@ -12,7 +12,7 @@ import pytest
 
 from pulsemamba import synth
 from pulsemamba.errors import ConfigError, FormatError
-from pulsemamba.signal import PulseTrace, diff_normalize, estimate_hr, pearson
+from pulsemamba.signal import diff_normalize, estimate_hr, pearson
 from pulsemamba.synth import (ClipRecord, StoredClip, SynthConfig,
                               bilinear_resize, chunk_and_resize, generate_clip,
                               read_dataset, write_dataset)
@@ -54,7 +54,7 @@ def test_null_signal_clip_is_temporally_constant():
 
 def test_label_recovers_configured_hr():
     clip = generate_clip(small_cfg(duration_s=10.0, hr_start_bpm=90.0))
-    hr = estimate_hr(PulseTrace(clip.label, clip.fs))
+    hr = estimate_hr(clip.label, clip.fs)
     assert abs(hr - 90.0) <= 1.0
 
 
@@ -330,7 +330,8 @@ def test_train_mode_window_is_seeded():
 def test_short_clip_skipped_with_warning():
     clip = generate_clip(small_cfg(duration_s=2.0))  # 60 frames
     with pytest.warns(RuntimeWarning):
-        chunks = chunk_and_resize(clip, chunk_len=128, mode="eval")
+        chunks = chunk_and_resize(clip, chunk_len=128, out_hw=(16, 16),
+                                  mode="eval")
     assert chunks == []
 
 

@@ -10,7 +10,6 @@ from pulsemamba import tensor as T
 from pulsemamba import training
 from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba.errors import ConfigError, FormatError, NumericError
-from pulsemamba.signal import PulseTrace, estimate_hr
 from pulsemamba.synth import (SynthConfig, chunk_and_resize, generate_clip,
                               read_dataset, write_dataset)
 from pulsemamba.tensor import Tensor
