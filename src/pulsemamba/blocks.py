@@ -198,7 +198,8 @@ class TemporalDifferenceConv3d(Conv3d):
 
 
 class ChannelAttention(Module):
-    """Squeeze-excitation gate: global pool, C -> C/r -> C, sigmoid scale."""
+    """Squeeze-excitation gate: global pool, C -> C/r -> C, sigmoid scale
+    of x by the gate as a broadcast (B, C, 1, 1, 1) operand."""
 
     def __init__(self, c: int, ratio: int, rng: np.random.Generator):
         super().__init__()
@@ -214,7 +215,7 @@ class ChannelAttention(Module):
         squeezed = T.reduce_mean(x, axes=(2, 3, 4))
         gate = T.sigmoid(T.linear(T.relu(T.linear(squeezed, self.w1, self.b1)),
                                   self.w2, self.b2))
-        return T.channel_scale(x, gate)
+        return T.mul(x, T.reshape(gate, gate.shape + (1, 1, 1)))
 
 
 class TemporalDifferenceMambaBlock(Module):

@@ -211,8 +211,8 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("upsample_time", lambda: _weighted_sum(T.upsample_nearest_time(xu, 2)),
         [("x", xu)])
     xg = leaf((2, 3, 2, 2, 2))
-    gg = leaf((2, 3))
-    run("channel_scale", lambda: _weighted_sum(T.channel_scale(xg, gg)),
+    gg = leaf((2, 3, 1, 1, 1))
+    run("broadcast_size1_axes", lambda: _weighted_sum(T.mul(xg, gg)),
         [("x", xg), ("g", gg)])
 
     u = leaf((2, 9, 3))
@@ -228,6 +228,9 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("neg_pearson", lambda: neg_pearson_loss(pr, tg),
         [("pred", pr), ("target", tg)])
     run("scale", lambda: _weighted_sum(T.scale(x, -1.7)), [("x", x)])
+    row = leaf((4,))
+    run("broadcast_leading_axis", lambda: _weighted_sum(T.add(a, row)),
+        [("a", a), ("b", row)])
 
     return results
 

@@ -71,21 +71,15 @@ def diff_normalize_label(label: np.ndarray) -> np.ndarray:
     return d
 
 
-def _row_means(x: Tensor) -> Tensor:
-    """Each row's mean of (B, T), repeated along the row (binary ops need
-    equal shapes, so the mean is repeated as a (B, 1, T, 1, 1) time axis)."""
-    m = T.reshape(T.reduce_mean(x, axes=1), (-1, 1, 1, 1, 1))
-    return T.reshape(T.upsample_nearest_time(m, x.shape[1]), x.shape)
-
-
 def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     """1 - Pearson correlation, averaged over rows of (B, T) signals.
 
     Differentiable; in [0, 2]; invariant to positive affine transforms of
-    either argument, as each row is centred before any product. Variance
-    guards of 1e-8 (on n times the centred sum of squares) sit under each
-    square root, so a zero-variance row contributes loss 1 (correlation
-    treated as 0) and triggers a degenerate-batch warning.
+    either argument, as each row is centred before any product (its (B, 1)
+    mean is subtracted as a broadcast operand). Variance guards of 1e-8 (on
+    n times the centred sum of squares) sit under each square root, so a
+    zero-variance row contributes loss 1 (correlation treated as 0) and
+    triggers a degenerate-batch warning.
     """
     if pred.shape != target.shape or pred.ndim != 2:
         raise ShapeError(f"loss operands must be equal (B, T): "
@@ -100,14 +94,15 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     # centred first: raw moments (n*sum(xy) - sum(x)*sum(y)) cancel
     # catastrophically once the offset dwarfs the signal
-    pc, tc = T.sub(pred, _row_means(pred)), T.sub(target, _row_means(target))
+    pc, tc = (T.sub(s, T.reshape(T.reduce_mean(s, axes=1), (-1, 1)))
+              for s in (pred, target))
     num = T.scale(T.reduce_sum(T.mul(pc, tc), axes=1), n)
     var_x = T.scale(T.reduce_sum(T.mul(pc, pc), axes=1), n)
     var_y = T.scale(T.reduce_sum(T.mul(tc, tc), axes=1), n)
     denom = T.mul(T.sqrt(T.add(var_x, T.tensor(VAR_EPS))),
                   T.sqrt(T.add(var_y, T.tensor(VAR_EPS))))
     rho = T.div(num, denom)
-    losses = T.sub(T.ones(rho.shape), rho)
+    losses = T.sub(T.tensor(1.0), rho)
     return T.reduce_mean(losses)
 
 

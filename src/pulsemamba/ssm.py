@@ -240,13 +240,12 @@ class SSMParams(Module):
 
 
 def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
-                      bmat: Tensor, cmat: Tensor,
-                      chunk: Optional[int] = None) -> Tensor:
+                      bmat: Tensor, cmat: Tensor) -> Tensor:
     """Fused input-dependent scan: per-token ZOH then the recurrence.
 
     u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
-    Abar/Bbar and the states exist one chunk at a time (``chunk`` tokens,
-    derived from the shape unless given). When the op is recorded, the only
+    Abar/Bbar and the states exist one chunk at a time (``_chunk_len``
+    tokens, derived from the shape). When the op is recorded, the only
     array kept for the backward is h at the chunk starts,
     (ceil(L / chunk), B, N, D). The backward walks the chunks in
     reverse: it recomputes the chunk's ZOH, rebuilds its states from the
@@ -266,7 +265,7 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     parents = [u, delta, a, bmat, cmat]
     recording = T._records(parents)
-    chunk = chunk or _chunk_len(bsz, d, n)
+    chunk = _chunk_len(bsz, d, n)
     c = min(chunk, L)
     # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
     # the state and a run N-major, (..., N, D)

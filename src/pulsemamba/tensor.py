@@ -14,18 +14,18 @@ a leaf that needs a gradient), never to their tensors, and its backward
 rule captures only the arrays and shapes it reads: ``relu`` keeps a bool
 mask, ``maxpool3d`` a small-int index of each window's max. So an
 activation no rule reads dies as soon as the forward drops it.
-``backward`` runs the nodes reachable from the loss in decreasing number,
-which is reverse execution order; running a node twice without a fresh
-forward is a ``GraphError``. Nodes do not refer to their outputs, so a
-graph holds no reference cycle and dies with its last tensor by reference
-counting alone, and each node drops its links and backward rule once
-``backward`` has run it, so what a rule read dies while the backward
-runs, not after it. A node whose output has one consumer gets the array
+``backward`` runs the nodes a gradient reaches from the loss in
+decreasing number, which is reverse execution order; running a node twice
+without a fresh forward is a ``GraphError``. Nodes do not refer to their
+outputs, so a graph holds no reference cycle and dies with its last tensor
+by reference counting alone, and each node drops its links and backward
+rule once ``backward`` has run it, so what a rule read dies while the
+backward runs, not after it. A node whose output has one consumer gets the array
 that consumer's rule returned, as is, with no copy; several contributions
 are summed into a fresh array, and no rule writes into its ``g``. Binary
-elementwise ops accept equal shapes or a scalar operand only; anything
-fancier (bias adds, channel gates, norm affines) is a dedicated op with
-its own backward rule.
+elementwise ops broadcast as NumPy does (a channel gate is a ``mul`` by a
+(B, C, 1, 1, 1) tensor), and each operand's gradient is summed back over
+the axes it was broadcast along.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "conv_transpose1d", "maxpool3d", "batch_norm", "layer_norm",
     "reduce_sum", "reduce_mean",
     "reshape", "transpose", "concat", "upsample_nearest_time",
-    "narrow", "channel_scale",
+    "narrow",
 ]
 
 _grad_enabled = True
@@ -87,8 +87,8 @@ def tape_size() -> int:
 
 
 class _Node:
-    """One executed op: one link per input, its backward rule, its output
-    shape and its execution-order number.
+    """One executed op: one link per input, its backward rule and its
+    execution-order number.
 
     An input's link is the input's own node, the input itself if it is a
     leaf that requires grad, or None; so the graph holds no intermediate
@@ -96,14 +96,13 @@ class _Node:
     would be a cycle.
     """
 
-    __slots__ = ("name", "inputs", "bwd", "shape", "used", "seq")
+    __slots__ = ("name", "inputs", "bwd", "used", "seq")
 
-    def __init__(self, name, parents, bwd, shape):
+    def __init__(self, name, parents, bwd):
         self.name = name
         self.inputs = [p._node if p._node is not None
                        else (p if p.requires_grad else None) for p in parents]
         self.bwd = bwd
-        self.shape = shape
         self.used = False
         self.seq = next(_SEQ)
 
@@ -159,14 +158,6 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
-def _summed(acc: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
-    """Gradient sum of a node's output: the first contribution as is, each
-    later one summed into a fresh array, never ``+=``. A rule may return
-    an array it shares: ``add`` hands one ``g`` to both parents, and
-    ``reshape``, ``flip``, ``transpose`` and ``concat`` return views."""
-    return g if acc is None else acc + g
-
-
 def _records(parents: Iterable[Tensor]) -> bool:
     """Whether an op on ``parents`` is recorded: grads are on and some
     parent requires them. An op that keeps extra state for its backward
@@ -188,7 +179,7 @@ def apply_op(name: str, out_data, parents: Sequence[Tensor],
     out = Tensor(out_data)
     if _records(parents):
         out.requires_grad = True
-        out._node = _Node(name, parents, bwd, out.data.shape)
+        out._node = _Node(name, parents, bwd)
         _recorded += 1
     return out
 
@@ -196,16 +187,15 @@ def apply_op(name: str, out_data, parents: Sequence[Tensor],
 def backward(loss: Tensor) -> None:
     """Reverse pass from a scalar loss to every requires_grad leaf.
 
-    Runs the nodes reachable from ``loss`` off a max-heap on their
-    numbers, so each node runs after every node that reads its output.
-    Nodes are single-use: a second backward through the same forward is a
-    GraphError. Each node drops its links and backward rule as soon as it
-    has run, so what the rule read is freed once the caller holds it no
-    more. Until a node has run, ``pending`` gathers its output gradient
-    (None while nothing has arrived), keyed by the node and summed by
-    ``_summed``: the first contribution as is, later ones into a fresh
-    array. A node is pushed when it first enters ``pending``. Leaves
-    accumulate into ``Tensor.grad``, which they own.
+    Runs the nodes a gradient reaches from ``loss`` off a max-heap on
+    their numbers, so each node runs after every node that reads its
+    output. A node is pushed with its first gradient, and a None gradient
+    or link is skipped, so a node no gradient reaches never runs. Nodes are
+    single-use: a second backward through the same forward is a GraphError.
+    Each node drops its links and backward rule as soon as it has run, so
+    what the rule read is freed once the caller holds it no more. Until a
+    node has run, ``pending`` gathers its output gradient, keyed by the
+    node. Leaves accumulate into ``Tensor.grad``, which they own.
     """
     global _recorded
     if loss.size != 1:
@@ -225,17 +215,19 @@ def backward(loss: Tensor) -> None:
         if node.used:
             raise GraphError(f"graph node '{node.name}' already consumed by a previous backward")
         node.used = True
-        gout = pending.pop(node)
-        gins = node.bwd(gout if gout is not None else np.zeros(node.shape))
-        for src, g in zip(node.inputs, gins):
-            if isinstance(src, _Node):
-                if src not in pending:
-                    pending[src] = None
-                    heapq.heappush(heap, (-src.seq, src))
-                if g is not None:
-                    pending[src] = _summed(pending[src], g)
-            elif src is not None and g is not None:
+        for src, g in zip(node.inputs, node.bwd(pending.pop(node))):
+            if src is None or g is None:
+                continue
+            if not isinstance(src, _Node):
                 src._accumulate(g)
+            elif src in pending:
+                # into a fresh array, never +=: a rule may return an array
+                # it shares (add hands one g to both parents; reshape, flip,
+                # transpose and concat return views)
+                pending[src] = pending[src] + g
+            else:
+                pending[src] = g
+                heapq.heappush(heap, (-src.seq, src))
         node.bwd = None
         node.inputs = ()
 
@@ -247,19 +239,23 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise (equal shapes or scalar operand)
+# binary elementwise (NumPy broadcasting)
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} (equal or scalar only)")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to a scalar operand's shape."""
+    """Sum a gradient down to an operand's shape: over the leading axes the
+    operand lacks and over its size-1 axes."""
     if g.shape == tuple(shape):
         return g
-    return np.sum(g).reshape(shape)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return np.sum(g, axis=axes, keepdims=True).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -806,19 +802,3 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         return [gx]
 
     return apply_op("narrow", x.data[sl], [x], bwd)
-
-
-def channel_scale(x: Tensor, gate: Tensor) -> Tensor:
-    """Multiply (B, C, ...) by a per-sample per-channel gate (B, C)."""
-    if gate.ndim != 2 or x.shape[:2] != gate.shape:
-        raise ShapeError(f"channel_scale: x {x.shape} vs gate {gate.shape}")
-    gshape = gate.shape + (1,) * (x.ndim - 2)
-    xd, gd = x.data, gate.data.reshape(gshape)
-    out = xd * gd
-
-    def bwd(g):
-        gx = g * gd
-        gg = (g * xd).sum(axis=tuple(range(2, xd.ndim)))
-        return [gx, gg]
-
-    return apply_op("channel_scale", out, [x, gate], bwd)

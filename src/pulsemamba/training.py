@@ -231,8 +231,8 @@ def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
                   model: Module) -> AdamState:
     """Load parameters, moments and buffers into an existing model.
 
-    Every parameter must be stored; Adam moments come in (m, v) pairs and
-    buffers are optional. A missing or mis-shaped entry is a FormatError.
+    Every parameter and buffer must be stored; Adam moments come in (m, v)
+    pairs. A missing or mis-shaped entry is a FormatError.
     """
     state = AdamState(t=meta["adam_t"])
     for name, p in model.named_parameters():
@@ -241,8 +241,7 @@ def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
             state.m[name] = _entry(arrays, f"adam_m:{name}", p.shape).copy()
             state.v[name] = _entry(arrays, f"adam_v:{name}", p.shape).copy()
     for name, buf in model.named_buffers():
-        if f"buffer:{name}" in arrays:
-            buf[:] = _entry(arrays, f"buffer:{name}", buf.shape)
+        buf[:] = _entry(arrays, f"buffer:{name}", buf.shape)
     return state
 
 
@@ -274,7 +273,8 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     round-trip. Windows are drawn from the epoch's rng in clip order, but
     each batch's chunks are cut only when that batch runs. loss_log rows
     are (epoch, step, loss), also written to ``loss_log.csv``. An epoch of
-    no step (no clip holds a window) is an InsufficientDataError.
+    no step (no clip holds a window) is an InsufficientDataError; a resume
+    checkpoint already at ``epochs`` is a ConfigError.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,6 +290,9 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
         if meta["config_hash"] != config_hash(model_cfg):
             raise ConfigError("resume checkpoint was built for a different model config")
         start_epoch, global_step = meta["epoch"], meta["global_step"]
+        if start_epoch >= train_cfg.epochs:
+            raise ConfigError(f"resume checkpoint is at epoch {start_epoch}: "
+                              f"epochs={train_cfg.epochs} leaves no epoch to run")
 
     named = list(model.named_parameters())
     loss_log: List[Tuple[int, int, float]] = []
@@ -340,8 +343,8 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
             writer.writerow([row[0], row[1], f"{row[2]:.10f}"])
 
     final = out_dir / "checkpoint_final"
-    save_checkpoint(final, model, model_cfg, state,
-                    max(train_cfg.epochs, start_epoch), global_step)
+    save_checkpoint(final, model, model_cfg, state, train_cfg.epochs,
+                    global_step)
     return final, loss_log
 
 

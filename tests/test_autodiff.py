@@ -2,6 +2,7 @@
 contract, and the finite-difference suite over every op."""
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -185,6 +186,26 @@ def test_backward_passes_sole_contributions_as_is_and_sums_the_rest_fresh():
     assert not any(np.shares_memory(x.grad, a) for a in returned)
 
 
+def test_node_no_gradient_reaches_never_runs(rng):
+    # x -> parent -> cut, whose rule returns None for parent; y reaches
+    # the loss by another branch
+    x = T.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = T.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    ran = []
+
+    def parent_bwd(g):
+        ran.append("parent")
+        return [g]
+
+    parent = T.apply_op("parent", x.data.copy(), [x], parent_bwd)
+    cut = T.apply_op("cut", parent.data * 2.0, [parent], lambda g: [None])
+    loss = T.reduce_sum(T.add(cut, T.mul(y, y)))
+    T.backward(loss)
+    assert ran == []
+    assert x.grad is None
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+
+
 def test_tape_size_counts_ops_since_the_last_backward(rng):
     x = T.tensor(rng.normal(size=(3,)), requires_grad=True)
     T.backward(T.reduce_sum(x))
@@ -228,6 +249,29 @@ def test_op_gradient_suite_passes():
     results = checks.op_gradient_suite(full=False, seed=7)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
+
+
+def test_op_gradient_suite_has_an_entry_per_differentiable_op(monkeypatch):
+    # an entry's build lambda calls the op itself, not only through another
+    # op, the loss or the suite's weighted sum
+    exempt = {"Tensor", "tensor", "zeros", "ones", "no_grad",
+              "is_grad_enabled", "tape_size", "backward"}
+    ops = set(T.__all__) - exempt
+    called = set()
+
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            caller = sys._getframe(1)
+            if (caller.f_globals["__name__"] == checks.__name__
+                    and caller.f_code.co_name == "<lambda>"):
+                called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ops:
+        monkeypatch.setattr(T, name, watch(name, getattr(T, name)))
+    checks.op_gradient_suite(full=False)
+    assert ops - called == set()
 
 
 def test_toy_model_gradient_suite_passes():

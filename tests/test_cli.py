@@ -156,6 +156,23 @@ def test_training_with_no_window_exits_5(tiny_dataset, tmp_path, capsys):
     assert not (run / "loss_log.csv").exists()
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_resume_with_no_epoch_left_exits_2(epochs, tiny_dataset, tmp_path,
+                                           capsys):
+    # the checkpoint is stamped epoch 2: at or past it nothing is left to run
+    cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
+    ckpt = save_checkpoint(tmp_path / "ckpt", PulseMambaNet(cfg), cfg,
+                           AdamState(), 2, 6)
+    run = tmp_path / "run"
+    code = run_cli(["train", "--resume", str(ckpt), "--data", str(tiny_dataset),
+                    "--out", str(run), "--set", f"epochs={epochs}",
+                    "--set", "chunk_len=32"] + TINY_MODEL)
+    assert code == cli.EXIT_USAGE
+    assert "no epoch to run" in capsys.readouterr().err
+    assert list(run.glob("checkpoint_*")) == []
+    assert not (run / "loss_log.csv").exists()
+
+
 def _untrained_checkpoint(path):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
     return save_checkpoint(path, PulseMambaNet(cfg), cfg, AdamState(), 0, 0)
@@ -276,6 +293,11 @@ def _reshaped_buffer(meta):
     entry["shape"] = [2, n // 2]
 
 
+def _no_buffers(meta):
+    meta["entries"] = [e for e in meta["entries"]
+                       if not e["name"].startswith("buffer:")]
+
+
 def _string_offset(meta):
     entry = meta["entries"][0]
     entry["offset"] = str(entry["offset"])
@@ -311,6 +333,8 @@ def _set_model_config(key, value):
     (_unknown_config_key, "eval", "not_a_field"),
     (_unpaired_moment, "train", "adam_v:"),
     (_reshaped_buffer, "eval", "shape mismatch"),
+    (_no_buffers, "eval", "missing buffer:"),
+    (_no_buffers, "train", "missing buffer:"),
     (_string_offset, "eval", "bad offset"),
     (_string_shape, "eval", "bad shape"),
     (_entries_not_a_list, "eval", "bad entries"),
@@ -326,6 +350,7 @@ def _set_model_config(key, value):
     (_set_model_config("channels", 0), "eval", "channels"),
     (_set_entry("dtype", "<f8"), "eval", "bad dtype"),
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
+        "no_buffers", "no_buffers_on_resume",
         "string_offset", "string_shape", "entries_not_a_list",
         "string_epoch", "float_global_step", "string_adam_t",
         "boolean_format_version", "old_format_version", "stored_theta_5",

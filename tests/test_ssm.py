@@ -287,16 +287,18 @@ def test_recorded_scan_keeps_only_chunk_start_states(rng):
     assert u.grad is not None and np.isfinite(u.grad).all()
 
 
-def _backward_peak_in_token_rows(rng, bsz, chunk):
+def _backward_peak_in_token_rows(rng, monkeypatch, bsz, chunk):
     """The scan rule's tracemalloc peak above its returned gradients, in
-    (B, N, D) token rows, at L = 1024, D = 64, N = 16."""
+    (B, N, D) token rows, at L = 1024, D = 64, N = 16, with ``chunk``-token
+    chunks."""
+    monkeypatch.setattr(ssm, "_chunk_len", lambda *_: chunk)
     L, d, n = 1024, 64, 16
     u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
     delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)), requires_grad=True)
     a = Tensor(-np.tile(np.arange(1.0, n + 1.0), (d, 1)), requires_grad=True)
     bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n)), requires_grad=True)
                   for _ in range(2))
-    y = ssm.selective_scan_op(u, delta, a, bmat, cmat, chunk=chunk)
+    y = ssm.selective_scan_op(u, delta, a, bmat, cmat)
     gy = rng.normal(size=y.shape)
     tracemalloc.start()
     try:
@@ -309,18 +311,22 @@ def _backward_peak_in_token_rows(rng, bsz, chunk):
     return (peak - sum(g.nbytes for g in grads)) / (bsz * n * d * 8)
 
 
-def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng):
+def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng,
+                                                                  monkeypatch):
     # abar, growth, the states (then q), gh and b * u: 5 blocks of chunk + 1
     chunk = 64
-    assert _backward_peak_in_token_rows(rng, bsz=1, chunk=chunk) <= 5.5 * chunk
+    assert _backward_peak_in_token_rows(rng, monkeypatch, bsz=1,
+                                        chunk=chunk) <= 5.5 * chunk
 
 
-def test_scan_backward_returns_batch_major_gradients_without_copies(rng):
+def test_scan_backward_returns_batch_major_gradients_without_copies(
+        rng, monkeypatch):
     # the gradients are written batch-major in place, so no time-major
     # originals sit next to them; at chunk 16 the buffer's extra row per
     # block counts, so blocks are measured as chunk + 1 rows
     chunk = 16
-    assert _backward_peak_in_token_rows(rng, bsz=4, chunk=chunk) <= 5.5 * (chunk + 1)
+    assert _backward_peak_in_token_rows(rng, monkeypatch, bsz=4,
+                                        chunk=chunk) <= 5.5 * (chunk + 1)
 
 
 # ---------------------------------------------------------------------------

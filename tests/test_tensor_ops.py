@@ -524,6 +524,13 @@ def test_binary_shape_contract(rng):
     # scalar broadcast is allowed
     out = T.add(T.tensor(rng.normal(size=(2, 3))), T.tensor(5.0))
     assert out.shape == (2, 3)
+    # so is any NumPy broadcast: size-1 and missing leading axes
+    out = T.mul(T.tensor(rng.normal(size=(2, 1, 4))),
+                T.tensor(rng.normal(size=(3, 1))))
+    assert out.shape == (2, 3, 4)
+    with pytest.raises(ShapeError):
+        T.sub(T.tensor(rng.normal(size=(2, 3, 4))),
+              T.tensor(rng.normal(size=(2, 4))))
 
 
 # ---------------------------------------------------------------------------
