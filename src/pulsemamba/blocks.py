@@ -52,7 +52,7 @@ _CONCURRENT_MIN_ELEMS = 1 << 17
 # spatial halving after the stem's first and last convs and each block but
 # the last
 POOL = (1, 2, 2)
-SEQ_BUDGET = 1 << 24  # cap on a block's flattened sequence, L*C per sample
+SEQ_BUDGET = 1 << 24  # cap on block 0's flattened sequence, L*C per sample
 
 
 def _both_streams(slow_stage, slow: Tensor, fast_stage, fast: Tensor):
@@ -117,6 +117,9 @@ class ModelConfig:
         return self.channels // 2
 
     def validate_input(self, t: int, h: int, w: int) -> None:
+        """ConfigError unless the network takes a (3, t, h, w) sample; a
+        CapacityError if block 0's flattened sequence, the largest, exceeds
+        ``SEQ_BUDGET``: (t/4)(h/4)(w/4) tokens of ``channels`` per stream."""
         if min(t, h, w) < 1:
             raise ConfigError(f"input extents must be positive, got {t}x{h}x{w}")
         if t % 4 != 0:
@@ -125,6 +128,10 @@ class ModelConfig:
         div = 4 * (1 << (self.blocks_per_stream - 1))
         if h % div != 0 or w % div != 0:
             raise ConfigError(f"H={h}, W={w} must be divisible by {div}")
+        seq_len = (t // 4) * (h // 4) * (w // 4)
+        if seq_len * self.channels > SEQ_BUDGET:
+            raise CapacityError(f"flattened sequence {seq_len}x{self.channels} "
+                                f"exceeds budget {SEQ_BUDGET}")
 
 
 class Conv3d(Module):
@@ -219,11 +226,8 @@ class ChannelAttention(Module):
 
 
 class TemporalDifferenceMambaBlock(Module):
-    """TDC -> BN -> ReLU -> flatten -> (Bi-Mamba + residual) -> LN -> CA.
-
-    Input and output are both (B, C, T, H, W). The flattened sequence
-    length L*C is capped by ``SEQ_BUDGET`` per sample.
-    """
+    """TDC -> BN -> ReLU -> flatten -> (Bi-Mamba + residual) -> LN -> CA;
+    input and output are both (B, C, T, H, W)."""
 
     def __init__(self, c: int, state_dim: int, expand: int, theta: float,
                  ca_ratio: int, rng: np.random.Generator):
@@ -237,9 +241,6 @@ class TemporalDifferenceMambaBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         b, c, t, h, w = x.shape
         seq_len = t * h * w
-        if seq_len * c > SEQ_BUDGET:
-            raise CapacityError(
-                f"flattened sequence {seq_len}x{c} exceeds budget {SEQ_BUDGET}")
         # the conv features die here; h_k views their token-major copy
         f = T.transpose(T.relu(self.bn(self.tdc(x))), (0, 2, 3, 4, 1))
         h_k = T.reshape(f, (b, seq_len, c))

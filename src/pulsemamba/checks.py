@@ -227,7 +227,6 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     pr, tg = leaf((2, 8)), leaf((2, 8))
     run("neg_pearson", lambda: neg_pearson_loss(pr, tg),
         [("pred", pr), ("target", tg)])
-    run("scale", lambda: _weighted_sum(T.scale(x, -1.7)), [("x", x)])
     row = leaf((4,))
     run("broadcast_leading_axis", lambda: _weighted_sum(T.add(a, row)),
         [("a", a), ("b", row)])

@@ -7,8 +7,9 @@ comments); unknown keys are rejected and every run writes a
 scancheck and profile only when given ``--out``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(including a value outside its range, a clip over the size cap or window
-extents the model cannot take, checked before anything is written), 3 I/O
+(including a value outside its range, a clip over the size cap, or window
+extents the model cannot take or whose flattened sequence exceeds the
+token budget ``blocks.SEQ_BUDGET``, checked before anything is written), 3 I/O
 or format error (including a malformed or self-contradicting checkpoint or
 dataset header), 4 numeric failure (a non-finite value where finite ones
 are required, e.g. a training loss or a checkpoint value), 5 shape error

@@ -84,8 +84,8 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape or pred.ndim != 2:
         raise ShapeError(f"loss operands must be equal (B, T): "
                          f"{pred.shape} vs {target.shape}")
-    n = float(pred.shape[1])
-    if n < 2:
+    n = T.tensor(float(pred.shape[1]))
+    if pred.shape[1] < 2:
         raise ShapeError("need at least 2 samples per row")
 
     if any(np.any(s.data.var(axis=1) == 0.0) for s in (pred, target)):
@@ -96,9 +96,9 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     # catastrophically once the offset dwarfs the signal
     pc, tc = (T.sub(s, T.reshape(T.reduce_mean(s, axes=1), (-1, 1)))
               for s in (pred, target))
-    num = T.scale(T.reduce_sum(T.mul(pc, tc), axes=1), n)
-    var_x = T.scale(T.reduce_sum(T.mul(pc, pc), axes=1), n)
-    var_y = T.scale(T.reduce_sum(T.mul(tc, tc), axes=1), n)
+    num = T.mul(T.reduce_sum(T.mul(pc, tc), axes=1), n)
+    var_x = T.mul(T.reduce_sum(T.mul(pc, pc), axes=1), n)
+    var_y = T.mul(T.reduce_sum(T.mul(tc, tc), axes=1), n)
     denom = T.mul(T.sqrt(T.add(var_x, T.tensor(VAR_EPS))),
                   T.sqrt(T.add(var_y, T.tensor(VAR_EPS))))
     rho = T.div(num, denom)

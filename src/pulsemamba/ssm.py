@@ -346,7 +346,7 @@ def selective_scan(params: SSMParams, x: Tensor) -> Tensor:
     cmat = T.linear(x, params.w_c, params.c_bias)
     delta = T.softplus(T.linear(T.linear(x, params.w_dt_down),
                                 params.w_dt_up, params.dt_bias))
-    a = T.scale(T.exp(params.a_log), -1.0)
+    a = T.mul(T.exp(params.a_log), T.tensor(-1.0))
     return selective_scan_op(x, delta, a, bmat, cmat)
 
 

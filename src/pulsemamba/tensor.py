@@ -41,7 +41,7 @@ from .errors import GraphError, NumericError, ShapeError
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
     "tape_size", "backward",
-    "add", "sub", "mul", "div", "scale",
+    "add", "sub", "mul", "div",
     "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
     "linear", "conv3d", "conv1d_depthwise_causal",
     "conv_transpose1d", "maxpool3d", "batch_norm", "layer_norm",
@@ -96,14 +96,13 @@ class _Node:
     would be a cycle.
     """
 
-    __slots__ = ("name", "inputs", "bwd", "used", "seq")
+    __slots__ = ("name", "inputs", "bwd", "seq")
 
     def __init__(self, name, parents, bwd):
         self.name = name
         self.inputs = [p._node if p._node is not None
                        else (p if p.requires_grad else None) for p in parents]
         self.bwd = bwd
-        self.used = False
         self.seq = next(_SEQ)
 
 
@@ -191,9 +190,10 @@ def backward(loss: Tensor) -> None:
     their numbers, so each node runs after every node that reads its
     output. A node is pushed with its first gradient, and a None gradient
     or link is skipped, so a node no gradient reaches never runs. Nodes are
-    single-use: a second backward through the same forward is a GraphError.
-    Each node drops its links and backward rule as soon as it has run, so
-    what the rule read is freed once the caller holds it no more. Until a
+    single-use: each drops its backward rule as it runs it, and a node with
+    none (a second backward through the same forward) is a GraphError. Its
+    links go once it has run, so what the rule read is freed once the
+    caller holds it no more. Until a
     node has run, ``pending`` gathers its output gradient, keyed by the
     node. Leaves accumulate into ``Tensor.grad``, which they own.
     """
@@ -203,7 +203,7 @@ def backward(loss: Tensor) -> None:
     root = loss._node
     if root is None:
         raise GraphError("loss has no recorded graph (no recorded forward)")
-    if root.used:
+    if root.bwd is None:
         raise GraphError("backward already ran for this forward pass")
     _recorded = 0
 
@@ -212,10 +212,11 @@ def backward(loss: Tensor) -> None:
     heap = [(-root.seq, root)]
     while heap:
         node = heapq.heappop(heap)[1]
-        if node.used:
+        # a run node has no rule: taken off before it runs, even if it raises
+        bwd, node.bwd = node.bwd, None
+        if bwd is None:
             raise GraphError(f"graph node '{node.name}' already consumed by a previous backward")
-        node.used = True
-        for src, g in zip(node.inputs, node.bwd(pending.pop(node))):
+        for src, g in zip(node.inputs, bwd(pending.pop(node))):
             if src is None or g is None:
                 continue
             if not isinstance(src, _Node):
@@ -228,7 +229,6 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[src] = g
                 heapq.heappush(heap, (-src.seq, src))
-        node.bwd = None
         node.inputs = ()
 
 
@@ -289,11 +289,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return apply_op("div", out, [a, b],
                     lambda g: [_reduce_to(g / bd, ad.shape),
                                _reduce_to(-g * ad / (bd * bd), bd.shape)])
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return apply_op("scale", x.data * c, [x], lambda g: [g * c])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ moments and BN buffers are round-tripped through float32 at every epoch
 checkpoint, so resuming from any epoch reproduces the uninterrupted run
 bit for bit.
 
+A checkpoint stores the network's own ``config`` and the epoch, and
+stores ``AdamState.t``, the one step counter, as ``global_step``.
+
 Memory: training holds only the frames in use. Read clips keep their
 frames on disk and ``chunk_and_resize`` reads just a window's frames (see
 ``synth.read_dataset``), and training cuts a batch's windows only when
@@ -145,10 +148,12 @@ def config_hash(model_cfg: ModelConfig) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
-                    state: AdamState, epoch: int, global_step: int) -> Path:
-    """Write meta.json and state.bin. A value that is not finite in float32
-    is a NumericError naming its entry, raised before either is written."""
+def save_checkpoint(path, model: PulseMambaNet, state: AdamState,
+                    epoch: int) -> Path:
+    """Write meta.json (``model.config`` and its hash, ``epoch`` and
+    ``state.t`` as ``global_step``) and state.bin (parameters, Adam moments
+    and BN buffers as float32). A value that is not finite in float32 is a
+    NumericError naming its entry, raised before either is written."""
     entries = []
     blob = bytearray()
 
@@ -172,11 +177,10 @@ def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
 
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "config_hash": config_hash(model_cfg),
-        "model_config": asdict(model_cfg),
+        "config_hash": config_hash(model.config),
+        "model_config": asdict(model.config),
         "epoch": epoch,
-        "global_step": global_step,
-        "adam_t": state.t,
+        "global_step": state.t,
         "entries": entries,
     }
     path = Path(path)
@@ -189,7 +193,7 @@ def save_checkpoint(path, model: Module, model_cfg: ModelConfig,
 # each header and entry key that loading, resuming and evaluating read
 _META = {"format_version": lambda v: is_count(v) and v == CHECKPOINT_VERSION,
          "config_hash": lambda v: isinstance(v, str), "epoch": is_count,
-         "model_config": lambda v: isinstance(v, dict), "adam_t": is_count,
+         "model_config": lambda v: isinstance(v, dict),
          "global_step": is_count, "entries": lambda v: isinstance(v, list)}
 _ENTRY = {"name": lambda v: isinstance(v, str), "shape": is_shape,
           "dtype": lambda v: v == "<f4", "offset": is_count,
@@ -229,12 +233,13 @@ def _entry(arrays: Dict[str, np.ndarray], key: str, shape) -> np.ndarray:
 
 def restore_model(meta: dict, arrays: Dict[str, np.ndarray],
                   model: Module) -> AdamState:
-    """Load parameters, moments and buffers into an existing model.
+    """Load parameters, moments and buffers into an existing model; the
+    returned Adam state's step count ``t`` is the stored ``global_step``.
 
     Every parameter and buffer must be stored; Adam moments come in (m, v)
     pairs. A missing or mis-shaped entry is a FormatError.
     """
-    state = AdamState(t=meta["adam_t"])
+    state = AdamState(t=meta["global_step"])
     for name, p in model.named_parameters():
         p.data = _entry(arrays, f"param:{name}", p.shape).copy()
         if f"adam_m:{name}" in arrays or f"adam_v:{name}" in arrays:
@@ -276,23 +281,22 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     no step (no clip holds a window) is an InsufficientDataError; a resume
     checkpoint already at ``epochs`` is a ConfigError.
     """
+    if resume_from is None:
+        model, state = PulseMambaNet(model_cfg, seed=train_cfg.seed), AdamState()
+        start_epoch = 0
+    else:
+        meta, model, state = _load_model(resume_from)
+        if meta["config_hash"] != config_hash(model_cfg):
+            raise ConfigError("resume checkpoint was built for a different model config")
+        start_epoch = meta["epoch"]
+        if start_epoch >= train_cfg.epochs:
+            raise ConfigError(f"resume checkpoint is at epoch {start_epoch}: "
+                              f"epochs={train_cfg.epochs} leaves no epoch to run")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = read_dataset(data_dir)
     if not records:
         raise FormatError(f"no clips found under {data_dir}")
-
-    if resume_from is None:
-        model, state = PulseMambaNet(model_cfg, seed=train_cfg.seed), AdamState()
-        start_epoch = global_step = 0
-    else:
-        meta, model, state = _load_model(resume_from)
-        if meta["config_hash"] != config_hash(model_cfg):
-            raise ConfigError("resume checkpoint was built for a different model config")
-        start_epoch, global_step = meta["epoch"], meta["global_step"]
-        if start_epoch >= train_cfg.epochs:
-            raise ConfigError(f"resume checkpoint is at epoch {start_epoch}: "
-                              f"epochs={train_cfg.epochs} leaves no epoch to run")
 
     named = list(model.named_parameters())
     loss_log: List[Tuple[int, int, float]] = []
@@ -320,20 +324,18 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
             val = loss.item()
             if not math.isfinite(val):
                 raise NumericError(f"non-finite loss at epoch {epoch} "
-                                   f"step {global_step}")
+                                   f"step {state.t}")
             T.backward(loss)
+            loss_log.append((epoch, state.t, val))
             adam_step(named, state, train_cfg.lr,
                       weight_decay=train_cfg.weight_decay)
-            loss_log.append((epoch, global_step, val))
-            global_step += 1
             if log_fn:
-                log_fn(f"epoch {epoch} step {global_step} loss {val:.4f}")
+                log_fn(f"epoch {epoch} step {state.t} loss {val:.4f}")
         if not loss_log:  # every epoch cuts windows from the same clips
             raise InsufficientDataError(f"epoch {epoch} ran no step: no clip "
                                         f"holds a {train_cfg.chunk_len}-frame window")
         epoch_ckpt = out_dir / f"checkpoint_epoch_{epoch:03d}"
-        save_checkpoint(epoch_ckpt, model, model_cfg, state, epoch + 1,
-                        global_step)
+        save_checkpoint(epoch_ckpt, model, state, epoch + 1)
         _quantize_state(model, state)
 
     with open(out_dir / "loss_log.csv", "w", newline="") as fh:
@@ -343,8 +345,7 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
             writer.writerow([row[0], row[1], f"{row[2]:.10f}"])
 
     final = out_dir / "checkpoint_final"
-    save_checkpoint(final, model, model_cfg, state, train_cfg.epochs,
-                    global_step)
+    save_checkpoint(final, model, state, train_cfg.epochs)
     return final, loss_log
 
 

@@ -128,7 +128,7 @@ def test_criterion_6_desk_scale_end_to_end(tmp_path):
         warnings.simplefilter("ignore")
         untrained = PulseMambaNet(model_cfg, seed=0)
         state = AdamState()
-        save_checkpoint(tmp_path / "untrained", untrained, model_cfg, state, 0, 0)
+        save_checkpoint(tmp_path / "untrained", untrained, state, 0)
         base_rep, *_ = evaluate_checkpoint(tmp_path / "untrained",
                                            tmp_path / "held", None,
                                            chunk_len=32, input_hw=(16, 16))
@@ -212,8 +212,7 @@ def test_criterion_8_determinism_and_formats(tmp_path):
     model = PulseMambaNet(cfg, seed=1)
     from pulsemamba.training import restore_model
     state = restore_model(meta, arrays, model)
-    save_checkpoint(tmp_path / "resaved", model, cfg, state,
-                    meta["epoch"], meta["global_step"])
+    save_checkpoint(tmp_path / "resaved", model, state, meta["epoch"])
     ckpt_ok = ((tmp_path / "a" / "checkpoint_final" / "state.bin").read_bytes()
                == (tmp_path / "resaved" / "state.bin").read_bytes())
 

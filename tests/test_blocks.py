@@ -96,7 +96,7 @@ def two_conv_tdc(x, weight, theta, padding):
     adj = T.add(T.narrow(weight, 2, 0, 1), T.narrow(weight, 2, 2, 1))
     s = T.reduce_sum(adj, axes=(2, 3, 4))
     diff = T.conv3d(x, T.reshape(s, s.shape + (1, 1, 1)))
-    return T.sub(vanilla, T.scale(diff, theta))
+    return T.sub(vanilla, T.mul(diff, T.tensor(theta)))
 
 
 def test_tdc_folded_kernel_matches_two_conv_form(rng):
@@ -178,12 +178,31 @@ def test_block_preserves_shape(rng):
     assert np.isfinite(y.data).all()
 
 
-def test_block_capacity_error(rng, monkeypatch):
-    block = TemporalDifferenceMambaBlock(4, state_dim=4, expand=2, theta=0.5,
-                                         ca_ratio=4, rng=rng)
-    monkeypatch.setattr(blocks, "SEQ_BUDGET", 100)
-    with pytest.raises(CapacityError):
-        block(Tensor(rng.normal(size=(1, 4, 4, 4, 4))))
+def test_seq_budget_caps_block_0_before_the_forward(rng, monkeypatch):
+    # block 0 of either stream flattens (T/4)(H/4)(W/4) tokens of C
+    # channels, the most of any block: 2*4*4*8 = 256 for (8, 16, 16), C=8
+    cfg = ModelConfig(channels=8, blocks_per_stream=2, ca_ratio=4, state_dim=4)
+    net = PulseMambaNet(cfg, seed=0).eval()
+    sizes = []
+    for stream in (net.blocks_slow, net.blocks_fast):
+        for i, block in enumerate(stream):
+            def record(v, block=block):
+                sizes.append(v.size)
+                return block(v)
+            stream[i] = record
+    x = Tensor(rng.normal(size=(1, 3, 8, 16, 16)))
+    monkeypatch.setattr(blocks, "SEQ_BUDGET", 256)
+    cfg.validate_input(8, 16, 16)
+    with T.no_grad():
+        net(x)
+    assert max(sizes) == 256 == sizes[0] == sizes[1]  # slow, fast block 0
+    monkeypatch.setattr(blocks, "SEQ_BUDGET", 255)
+    sizes.clear()
+    with pytest.raises(CapacityError, match="32x8 exceeds budget 255"):
+        cfg.validate_input(8, 16, 16)
+    with T.no_grad(), pytest.raises(CapacityError):
+        net(x)
+    assert sizes == []  # refused before any block ran
 
 
 def test_block_gradients(rng):

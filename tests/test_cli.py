@@ -161,8 +161,8 @@ def test_resume_with_no_epoch_left_exits_2(epochs, tiny_dataset, tmp_path,
                                            capsys):
     # the checkpoint is stamped epoch 2: at or past it nothing is left to run
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
-    ckpt = save_checkpoint(tmp_path / "ckpt", PulseMambaNet(cfg), cfg,
-                           AdamState(), 2, 6)
+    ckpt = save_checkpoint(tmp_path / "ckpt", PulseMambaNet(cfg),
+                           AdamState(t=6), 2)
     run = tmp_path / "run"
     code = run_cli(["train", "--resume", str(ckpt), "--data", str(tiny_dataset),
                     "--out", str(run), "--set", f"epochs={epochs}",
@@ -173,9 +173,24 @@ def test_resume_with_no_epoch_left_exits_2(epochs, tiny_dataset, tmp_path,
     assert not (run / "loss_log.csv").exists()
 
 
+def test_resume_with_no_epoch_left_exits_2_before_reading_data(tmp_path,
+                                                              capsys):
+    cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
+    ckpt = save_checkpoint(tmp_path / "ckpt", PulseMambaNet(cfg),
+                           AdamState(t=6), 2)
+    run = tmp_path / "run"
+    code = run_cli(["train", "--resume", str(ckpt), "--data",
+                    str(tmp_path / "missing"), "--out", str(run),
+                    "--set", "epochs=1", "--set", "chunk_len=32"] + TINY_MODEL)
+    assert code == cli.EXIT_USAGE
+    assert "no epoch to run" in capsys.readouterr().err
+    # cli writes its snapshot before train_loop reads the checkpoint
+    assert [p.name for p in run.iterdir()] == ["resolved_config.txt"]
+
+
 def _untrained_checkpoint(path):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)
-    return save_checkpoint(path, PulseMambaNet(cfg), cfg, AdamState(), 0, 0)
+    return save_checkpoint(path, PulseMambaNet(cfg), AdamState(), 0)
 
 
 @pytest.mark.parametrize("subcommand", ["train", "eval"])
@@ -340,7 +355,6 @@ def _set_model_config(key, value):
     (_entries_not_a_list, "eval", "bad entries"),
     (_set_header("epoch", "x"), "train", "bad epoch"),
     (_set_header("global_step", 1.5), "train", "bad global_step"),
-    (_set_header("adam_t", "x"), "train", "bad adam_t"),
     (_set_header("format_version", True), "eval", "bad format_version"),
     (_set_header("format_version", 1), "eval", "version 1"),
     (_set_model_config("theta", 5), "eval", "theta"),
@@ -352,7 +366,7 @@ def _set_model_config(key, value):
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
         "no_buffers", "no_buffers_on_resume",
         "string_offset", "string_shape", "entries_not_a_list",
-        "string_epoch", "float_global_step", "string_adam_t",
+        "string_epoch", "float_global_step",
         "boolean_format_version", "old_format_version", "stored_theta_5",
         "stored_theta_5_on_resume", "contradicting_config_hash",
         "contradicting_config_hash_on_resume",
@@ -364,7 +378,7 @@ def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
     named = list(model.named_parameters())
     state = AdamState(t=1, m={n: np.zeros(p.shape) for n, p in named},
                       v={n: np.ones(p.shape) for n, p in named})
-    ckpt = save_checkpoint(tmp_path / "ckpt", model, cfg, state, 1, 1)
+    ckpt = save_checkpoint(tmp_path / "ckpt", model, state, 1)
     meta = json.loads((ckpt / "meta.json").read_text())
     corrupt(meta)
     (ckpt / "meta.json").write_text(json.dumps(meta))

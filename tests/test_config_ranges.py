@@ -51,8 +51,7 @@ def sweep_inputs(tmp_path_factory):
                      "--set", "height=16", "--set", "width=16",
                      "--set", "duration_s=4"]) == cli.EXIT_OK
     cfg = ModelConfig(channels=4, blocks_per_stream=1, ca_ratio=4)
-    ckpt = save_checkpoint(root / "ckpt", PulseMambaNet(cfg), cfg, AdamState(),
-                           0, 0)
+    ckpt = save_checkpoint(root / "ckpt", PulseMambaNet(cfg), AdamState(), 0)
     return root / "data", ckpt
 
 
@@ -98,6 +97,30 @@ def test_oversized_clip_is_refused_before_any_allocation(tmp_path, capsys):
         SynthConfig(duration_s=1e308)
     with pytest.raises(CapacityError):
         SynthConfig(resolution=(10 ** 400, 16))
+
+
+@pytest.mark.parametrize("command", ["profile", "train"])
+def test_oversized_model_or_window_is_refused_before_any_allocation(
+        command, sweep_inputs, tmp_path, capsys):
+    # block 0 would flatten 4*4*4 tokens of 1e12 channels, or 4*16384*16384
+    # tokens of 4: far over SEQ_BUDGET, and terabytes if allocated
+    data, _ = sweep_inputs
+    out = tmp_path / "out"
+    argv = {"profile": ["profile", "--input", "16x16x16",
+                        "--set", "channels=1000000000000"],
+            "train": ["train", "--data", str(data), "--set", "epochs=1",
+                      "--set", "chunk_len=16", "--set", "input_h=65536",
+                      "--set", "input_w=65536"] + TINY}[command]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_USAGE
+    assert "exceeds budget" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("items,what", [

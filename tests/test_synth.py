@@ -110,6 +110,13 @@ def test_dataset_round_trip(tmp_path):
         assert loaded.fs == orig.fs
 
 
+def test_clip_header_holds_the_read_keys_and_the_clip_meta(tmp_path):
+    clip = generate_clip(small_cfg())
+    write_dataset(tmp_path, [clip])
+    meta = json.loads((tmp_path / "clip_0000" / "meta.json").read_text())
+    assert set(meta) == set(synth._HEADER) | set(clip.meta)
+
+
 def test_dataset_write_is_byte_stable(tmp_path):
     records = [generate_clip(small_cfg())]
     write_dataset(tmp_path / "a", records)

@@ -217,12 +217,11 @@ def test_prepare_chunk_alignment():
 def _toy_checkpoint(tmp_path):
     cfg = ModelConfig(**TOY_MODEL)
     model = PulseMambaNet(cfg, seed=1)
-    state = AdamState(t=3)
+    state = AdamState(t=17)
     for name, p in model.named_parameters():
         state.m[name] = np.full_like(p.data, 0.25)
         state.v[name] = np.full_like(p.data, 0.5)
-    path = save_checkpoint(tmp_path / "ckpt", model, cfg, state, epoch=2,
-                           global_step=17)
+    path = save_checkpoint(tmp_path / "ckpt", model, state, epoch=2)
     return cfg, model, state, path
 
 
@@ -249,7 +248,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
                                  fresh.named_parameters()):
         np.testing.assert_array_equal(
             a.data.astype(np.float32), b.data.astype(np.float32), err_msg=name)
-    assert restored.t == 3
+    assert restored.t == 17
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
@@ -257,10 +256,27 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     meta, arrays = load_checkpoint(path)
     fresh = PulseMambaNet(cfg, seed=99)
     state2 = restore_model(meta, arrays, fresh)
-    path2 = save_checkpoint(tmp_path / "ckpt2", fresh, cfg, state2, epoch=2,
-                            global_step=17)
+    path2 = save_checkpoint(tmp_path / "ckpt2", fresh, state2, epoch=2)
     assert (path / "state.bin").read_bytes() == (path2 / "state.bin").read_bytes()
     assert (path / "meta.json").read_bytes() == (path2 / "meta.json").read_bytes()
+
+
+@pytest.mark.parametrize("stale", [0, 2 ** 62])
+def test_stored_adam_t_is_ignored_and_t_is_global_step(stale, tmp_path):
+    # older checkpoints also store Adam's step count as adam_t
+    cfg, _, _, path = _toy_checkpoint(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["adam_t"] = stale
+    (path / "meta.json").write_text(json.dumps(meta))
+    meta, arrays = load_checkpoint(path)
+    assert restore_model(meta, arrays, PulseMambaNet(cfg)).t == 17
+
+
+def test_checkpoint_writes_exactly_the_keys_its_reader_checks(tmp_path):
+    _, _, _, path = _toy_checkpoint(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    assert set(meta) == set(training._META)
+    assert all(set(entry) == set(training._ENTRY) for entry in meta["entries"])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
@@ -272,7 +288,7 @@ def test_checkpoint_refuses_values_not_finite_in_float32(tmp_path):
     named = list(model.named_parameters())
     named[3][1].data[0] = 1e308
     with pytest.raises(NumericError, match=f"param:{named[3][0]}"):
-        save_checkpoint(tmp_path / "ckpt", model, cfg, AdamState(), 1, 1)
+        save_checkpoint(tmp_path / "ckpt", model, AdamState(), 1)
     assert not (tmp_path / "ckpt").exists()
 
 
