@@ -84,7 +84,6 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape or pred.ndim != 2:
         raise ShapeError(f"loss operands must be equal (B, T): "
                          f"{pred.shape} vs {target.shape}")
-    n = T.tensor(float(pred.shape[1]))
     if pred.shape[1] < 2:
         raise ShapeError("need at least 2 samples per row")
 
@@ -96,6 +95,7 @@ def neg_pearson_loss(pred: Tensor, target: Tensor) -> Tensor:
     # catastrophically once the offset dwarfs the signal
     pc, tc = (T.sub(s, T.reshape(T.reduce_mean(s, axes=1), (-1, 1)))
               for s in (pred, target))
+    n = T.tensor(float(pred.shape[1]))
     num = T.mul(T.reduce_sum(T.mul(pc, tc), axes=1), n)
     var_x = T.mul(T.reduce_sum(T.mul(pc, pc), axes=1), n)
     var_y = T.mul(T.reduce_sum(T.mul(tc, tc), axes=1), n)
