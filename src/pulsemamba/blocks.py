@@ -260,6 +260,10 @@ class Stem(Module):
     for finite conv outputs the result is bit for bit that of pooling
     last, and a NaN still propagates. Every other forward keeps the op
     order, so the recorded graph and the batch statistics are unchanged.
+    Each op's output replaces the only reference to its input, so a
+    stage's input dies once its conv returns, and a halving stage's
+    full-resolution conv output once it is pooled (a recorded forward
+    keeps what the backward rules read).
     """
 
     def __init__(self, widths: Tuple[int, int, int], rng: np.random.Generator):
@@ -272,16 +276,20 @@ class Stem(Module):
         self.conv3 = Conv3d(s2, s3, (3, 3, 3), padding=(1, 1, 1), rng=rng)
         self.bn3 = BatchNorm3d(s3)
 
-    def _halving_stage(self, conv: Conv3d, bn: BatchNorm3d, x: Tensor) -> Tensor:
-        x = conv(x)
-        if T.is_grad_enabled() or bn.training or (bn.gamma.data < 0).any():
-            return T.maxpool3d(T.relu(bn(x)), POOL)
-        return T.relu(bn(T.maxpool3d(x, POOL)))
-
     def __call__(self, x: Tensor) -> Tensor:
-        x = self._halving_stage(self.conv1, self.bn1, x)
-        x = T.relu(self.bn2(self.conv2(x)))
-        return self._halving_stage(self.conv3, self.bn3, x)
+        for conv, bn, halve in ((self.conv1, self.bn1, True),
+                                (self.conv2, self.bn2, False),
+                                (self.conv3, self.bn3, True)):
+            x = conv(x)
+            pool_first = halve and not (T.is_grad_enabled() or bn.training
+                                        or (bn.gamma.data < 0).any())
+            if pool_first:
+                x = T.maxpool3d(x, POOL)
+            x = bn(x)
+            x = T.relu(x)
+            if halve and not pool_first:
+                x = T.maxpool3d(x, POOL)
+        return x
 
 
 class TemporalDownsample(Module):

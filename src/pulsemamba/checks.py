@@ -311,7 +311,8 @@ def constant_projection_bitwise(seed: int = 0) -> CheckResult:
         y_sel = ssm.selective_scan(params, Tensor(x[None])).data[0]
 
     a = -np.exp(params.a_log.data)
-    delta_const = np.logaddexp(0.0, params.dt_bias.data)  # softplus(dt_bias)
+    dt_bias = params.dt_bias.data  # softplus(dt_bias), as T.softplus forms it
+    delta_const = np.maximum(dt_bias, 0.0) + np.log1p(np.exp(-np.abs(dt_bias)))
     delta_seq = np.broadcast_to(delta_const, (L, d))
     abar, bbar = ssm.discretize_zoh(a, params.b_bias.data, delta_seq)
     c_seq = np.broadcast_to(params.c_bias.data, (L, n))

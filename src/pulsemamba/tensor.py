@@ -1,10 +1,12 @@
 """Dense float64 tensors with define-by-run reverse-mode autodiff.
 
 The operation set is exactly what the network, its loss and its checks
-use: 3D/1D convolutions (one gather-plus-GEMM kernel: an input gradient
-is a transposed conv, itself a stride-1 conv with the flipped kernel),
-pooling, affine maps, norms (batch and layer norm are front ends of one
-kernel), sum/mean, the pointwise ops they apply and a handful of shape
+use: 3D/1D convolutions (one kernel: a ring of kt input planes, each
+gathered once straight from the unpadded input, and kt GEMMs per output
+slice; an input gradient is a transposed conv, itself a stride-1 conv
+with the flipped kernel that skips the stride's zero planes), pooling,
+affine maps, norms (batch and layer norm are front ends of one kernel),
+sum/mean, the pointwise ops they apply and a handful of shape
 movers. Computation is float64 throughout; float32 appears only at
 checkpoint/dataset boundaries.
 
@@ -335,9 +337,12 @@ def silu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
+    # log(1 + e^x) as max(x, 0) + log1p(e^-|x|): no overflow, and vector
+    # kernels where np.logaddexp runs a scalar loop
     xd = x.data
-    return apply_op("softplus", np.logaddexp(0.0, xd), [x],
-                    lambda g: [g * _sigmoid_np(xd)])
+    out = np.log1p(np.exp(-np.abs(xd)))
+    out += np.maximum(xd, 0.0)
+    return apply_op("softplus", out, [x], lambda g: [g * _sigmoid_np(xd)])
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
@@ -347,10 +352,10 @@ def flip(x: Tensor, axis: int) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below, with
+    # one division
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +401,14 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
 
     x: (B, Cin, T, H, W), w: (Cout, Cin, kt, kh, kw). Output extents follow
     floor((S + 2p - k) / stride) + 1 per axis. One kernel runs the forward,
-    both gradients and ``conv_transpose1d``: ``_conv``'s column gather
-    plus one GEMM per output-t slice. The input gradient is a transposed
-    conv, run as ``_conv`` of the output gradient on the stride-1 grid
-    with the flipped kernel. The recorded op keeps neither the padded input
-    nor the columns, and forms no input gradient for an ``x`` that needs none.
+    both gradients and ``conv_transpose1d``: ``_conv``, a ring of kt
+    gathered input planes and kt GEMMs per output-t slice, read straight
+    from the unpadded input (padding is never materialized). The input
+    gradient is a transposed conv, run as ``_conv`` of the output gradient
+    at stride 1 with the flipped kernel, reading the gradient as if
+    dilated by the stride. The recorded op keeps neither a padded input
+    nor the planes, and forms no input gradient for an ``x`` that needs
+    none.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError("conv3d expects 5-D input and weight")
@@ -408,14 +416,12 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
         raise ShapeError(f"conv3d: Cin mismatch {x.shape[1]} vs {w.shape[1]}")
     if min(stride) < 1:
         raise ShapeError("conv3d: stride components must be >= 1")
-    for n, k, s, p in zip(x.shape[2:], w.shape[2:], stride, padding):
-        _conv_out_len(n, k, s, p)
-    pads = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-    out = _conv(np.pad(x.data, pads), w.data, stride)
+    ext = tuple(map(_conv_out_len, x.shape[2:], w.shape[2:], stride, padding))
+    out = _conv(x.data, w.data, stride, padding, ext)
     xd, wd, need_gx = x.data, w.data, x.requires_grad
 
     def bwd(g):
-        gw = _conv_weight_grad(np.pad(xd, pads), g, wd.shape[2:], stride)
+        gw = _conv_weight_grad(xd, g, wd.shape[2:], stride, padding)
         # an input that needs no gradient (the network's frames) gets none
         gx = _conv_input_grad(g, wd, stride, padding, xd.shape[2:]) if need_gx else None
         return [gx, gw]
@@ -423,65 +429,113 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     return apply_op("conv3d", out, [x, w], bwd)
 
 
-def _gather_cols(xp, dst, it0, kernel, sh, sw):
-    """Fill dst, a (B, Cin, taps, ho, wo) view, with the columns of the
-    output-t slice that starts at plane ``it0`` of xp: one copy per tap."""
-    ho, wo = dst.shape[3:]
-    for idx, (i, j, k) in enumerate(itertools.product(*map(range, kernel))):
-        dst[:, :, idx] = xp[:, :, it0 + i, j:j + sh * (ho - 1) + 1:sh,
-                            k:k + sw * (wo - 1) + 1:sw]
+def _as_slice(idx):
+    """The slice of an arithmetic progression of indices (at least one)."""
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
-def _conv(xp, w, stride):
-    """Valid cross-correlation of a padded (B, Cin, T, H, W) input with
-    w (Cout, Cin, kt, kh, kw): columns are gathered one output-t slice at
-    a time (never a full im2col buffer), and one GEMM contracts each."""
-    (b, cin), (cout, _, *kernel) = xp.shape[:2], w.shape
-    to, ho, wo = map(_conv_out_len, xp.shape[2:], kernel, stride, (0, 0, 0))
-    w2 = w.reshape(cout, -1)
-    out = np.empty((b, cout, to, ho, wo))
-    cols = np.empty((b, cin, w2.shape[1] // cin, ho, wo))
-    for ot in range(to):
-        _gather_cols(xp, cols, ot * stride[0], kernel, *stride[1:])
-        np.matmul(w2, cols.reshape(b, -1, ho * wo),
-                  out=out[:, :, ot].reshape(b, cout, ho * wo))
+def _axis_taps(n, k, s, d, p, o):
+    """Per tap j of one axis: the (output, input) slice pair of the outputs
+    where tap j reads a real element, or None if it reads none.
+
+    The input of extent n is read as dilated by d (d - 1 zeros between
+    elements) and padded by p before it (p < 0 crops); output i's tap j
+    sits at i * s + j - p on that grid, for o outputs.
+    """
+    taps = []
+    for j in range(k):
+        v = np.arange(o) * s + j - p
+        hit = np.flatnonzero((v % d == 0) & (v >= 0) & (v < n * d))
+        taps.append((_as_slice(hit), _as_slice(v[hit] // d)) if hit.size else None)
+    return taps
+
+
+def _planes(x, kernel, stride, pad, ext, dilation):
+    """Yield (ot, taps) for each output-t slice ot of a conv of x (B, Cin,
+    T, H, W), taps listing (i, cols) for each temporal tap i that reads a
+    real input plane: cols, (Cin*kh*kw, B*ho*wo), holds that plane's
+    columns.
+
+    The planes live in a ring of kt buffers, one per plane index mod kt,
+    so a plane is gathered once, straight from x, and reused by every
+    slice that reads it. Border columns (padding, or the zeros of a
+    dilated read) are zero from the start and never written; a padding
+    or dilation plane is no tap at all. Axes as in ``_axis_taps``.
+    """
+    (b, cin, t), (kt, kh, kw) = x.shape[:3], kernel
+    rows, cols = (_axis_taps(*axis) for axis in zip(
+        x.shape[3:], kernel[1:], stride[1:], dilation[1:], pad[1:], ext[1:]))
+    spatial = [(j, k, r, c) for j, r in enumerate(rows)
+               for k, c in enumerate(cols) if r and c]
+    ring = np.zeros((kt, cin, kh, kw, b) + tuple(ext[1:]))
+    held = [-1] * kt  # the input plane in each ring slot
+    st, dt, pt = stride[0], dilation[0], pad[0]
+    for ot in range(ext[0]):
+        taps = []
+        for i in range(kt):
+            v = ot * st + i - pt
+            if v % dt or not 0 <= v < t * dt:
+                continue
+            plane = v // dt
+            slot = ring[plane % kt]
+            if held[plane % kt] != plane:
+                src = x[:, :, plane].swapaxes(0, 1)  # (Cin, B, H, W)
+                for j, k, (oh, ih), (ow, iw) in spatial:
+                    slot[:, j, k, :, oh, ow] = src[:, :, ih, iw]
+                held[plane % kt] = plane
+            taps.append((i, slot.reshape(cin * kh * kw, -1)))
+        yield ot, taps
+
+
+def _conv(x, w, stride, pad, ext, dilation=(1, 1, 1)):
+    """Cross-correlation of x (B, Cin, T, H, W) with w (Cout, Cin, kt, kh,
+    kw) into extents ``ext``, padding and dilation read on the fly (see
+    ``_axis_taps``): output slice ot is the sum over its taps of the GEMMs
+    w[:, :, i] @ cols_i of ``_planes``' ring."""
+    b, (cout, _, kt, *kernel) = x.shape[0], w.shape
+    parts = [w[:, :, i].reshape(cout, -1) for i in range(kt)]
+    out = np.empty((b, cout) + tuple(ext))
+    prod = np.empty((cout, b * ext[1] * ext[2]))
+    acc = np.empty_like(prod) if b > 1 else None
+    for ot, taps in _planes(x, (kt, *kernel), stride, pad, ext, dilation):
+        dst = out[:, :, ot].reshape(b, cout, -1).swapaxes(0, 1)
+        # with one sample the GEMMs land in the output slice itself
+        tgt = dst[:, 0] if acc is None else acc
+        if not taps:
+            tgt[...] = 0.0
+        for n, (i, cols) in enumerate(taps):
+            np.matmul(parts[i], cols, out=prod if n else tgt)
+            if n:
+                tgt += prod
+        if tgt is acc:
+            dst[...] = acc.reshape(dst.shape)
     return out
 
 
-def _conv_weight_grad(xp, g, kernel, stride):
-    """Gradient of ``_conv(xp, w, stride)`` in w for output gradient g:
-    per output-t slice, the columns of all samples side by side,
-    (Cin*taps, B*ho*wo), and one GEMM with that slice of g."""
-    (b, cin), (cout, to, ho, wo) = xp.shape[:2], g.shape[1:]
-    gt = g.transpose(1, 2, 0, 3, 4).reshape(cout, to, -1)
-    cols = np.empty((cin, int(np.prod(kernel)), b, ho, wo))
-    gw = np.zeros((cout, cin * cols.shape[1]))
-    for ot in range(to):
-        _gather_cols(xp, cols.transpose(2, 0, 1, 3, 4), ot * stride[0], kernel,
-                     *stride[1:])
-        gw += gt[:, ot] @ cols.reshape(gw.shape[1], -1).T
-    return gw.reshape((cout, cin) + tuple(kernel))
+def _conv_weight_grad(x, g, kernel, stride, pad):
+    """Gradient of ``_conv(x, w, stride, pad, g.shape[2:])`` in w for output
+    gradient g: per output-t slice and tap, one GEMM of that slice of g,
+    (Cout, B*ho*wo), with the tap's plane columns."""
+    cout, cin, kt = g.shape[1], x.shape[1], kernel[0]
+    gt = g.transpose(1, 2, 0, 3, 4).reshape(cout, g.shape[2], -1)
+    gw = np.zeros((kt, cout, cin * kernel[1] * kernel[2]))
+    for ot, taps in _planes(x, kernel, stride, pad, g.shape[2:], (1, 1, 1)):
+        for i, cols in taps:
+            gw[i] += gt[:, ot] @ cols.T
+    gw = gw.reshape((kt, cout, cin) + tuple(kernel[1:]))
+    return np.ascontiguousarray(gw.transpose(1, 2, 0, 3, 4))
 
 
 def _conv_input_grad(g, w, stride, padding, size):
-    """Gradient of ``_conv(pad(x), w, stride)`` in x of extents ``size``.
-
-    The transposed conv as a stride-1 one: g goes onto the stride-1 grid
-    (zeros between samples along a strided axis), padded by k-1-p per
-    side, and ``_conv`` runs it with the kernel flipped and Cin and Cout
-    swapped. Where p > k-1 it pads less, down to the full correlation,
-    and crops the extra rows.
-    """
-    spread, crop, ext = [], [], []
-    for n, o, k, s, p in zip(size, g.shape[2:], w.shape[2:], stride, padding):
-        lo, hi = k - 1 - p, n + p - (o - 1) * s - 1  # lo + grid + hi = n + k - 1
-        spread.append(slice(max(lo, 0), max(lo, 0) + (o - 1) * s + 1, s))
-        crop.append(slice(max(-lo, 0), max(-lo, 0) + n))
-        ext.append(max(lo, 0) + (o - 1) * s + 1 + max(hi, 0))
-    gp = np.zeros(g.shape[:2] + tuple(ext))
-    gp[(..., *spread)] = g
-    gx = _conv(gp, w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1], (1, 1, 1))
-    return gx[(..., *crop)]
+    """Gradient of ``_conv(x, w, stride, padding, ...)`` in x of extents
+    ``size``: the transposed conv as a stride-1 one, ``_conv`` of g read
+    as dilated by the stride and padded by k-1-p per side (p > k-1 crops),
+    with the kernel flipped and Cin and Cout swapped. The dilation's
+    zero planes are skipped, not multiplied."""
+    pad = tuple(k - 1 - p for k, p in zip(w.shape[2:], padding))
+    return _conv(g, w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1], (1, 1, 1),
+                 pad, tuple(size), tuple(stride))
 
 
 def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
@@ -552,14 +606,14 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor,
     if bias.shape != (cout,):
         raise ShapeError("conv_transpose1d: bias must be (Cout,)")
     xd, wd = x.data[..., None, None], w.data[..., None, None]
-    strides = (stride, 1, 1)
-    out = _conv_input_grad(xd, wd, strides, (padding, 0, 0), (t_out, 1, 1))[..., 0, 0]
-    out = out + bias.data[None, :, None]
+    strides, pads = (stride, 1, 1), (padding, 0, 0)
+    out = _conv_input_grad(xd, wd, strides, pads, (t_out, 1, 1))[..., 0, 0]
+    out += bias.data[None, :, None]
 
     def bwd(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (padding, padding)))[..., None, None]
-        gx = _conv(gp, wd, strides)[..., 0, 0]
-        gw = _conv_weight_grad(gp, xd, (K, 1, 1), strides)[..., 0, 0]
+        g5 = g[..., None, None]
+        gx = _conv(g5, wd, strides, pads, xd.shape[2:])[..., 0, 0]
+        gw = _conv_weight_grad(g5, xd, (K, 1, 1), strides, pads)[..., 0, 0]
         return [gx, gw, g.sum(axis=(0, 2))]
 
     return apply_op("conv_transpose1d", out, [x, w, bias], bwd)

@@ -42,7 +42,7 @@ from .tensor import Tensor
 
 __all__ = [
     "TrainConfig", "AdamState", "adam_step", "prepare_chunk",
-    "train_loop", "evaluate_records", "evaluate_checkpoint",
+    "start_state", "train_loop", "evaluate_records", "evaluate_checkpoint",
     "save_checkpoint", "load_checkpoint", "restore_model", "config_hash",
     "CHECKPOINT_VERSION",
 ]
@@ -268,9 +268,27 @@ def _load_model(path) -> Tuple[dict, PulseMambaNet, AdamState]:
 # ---------------------------------------------------------------------------
 # loops
 
+def start_state(model_cfg: ModelConfig, train_cfg: TrainConfig,
+                resume_from: Optional[str] = None
+                ) -> Tuple[PulseMambaNet, AdamState, int]:
+    """The network, Adam state and first epoch a run starts from: a fresh
+    seeded network at epoch 0, or the resume checkpoint's. A checkpoint
+    of another model config, or already at ``epochs``, is a ConfigError;
+    nothing is written either way."""
+    if resume_from is None:
+        return PulseMambaNet(model_cfg, seed=train_cfg.seed), AdamState(), 0
+    meta, model, state = _load_model(resume_from)
+    if meta["config_hash"] != config_hash(model_cfg):
+        raise ConfigError("resume checkpoint was built for a different model config")
+    if meta["epoch"] >= train_cfg.epochs:
+        raise ConfigError(f"resume checkpoint is at epoch {meta['epoch']}: "
+                          f"epochs={train_cfg.epochs} leaves no epoch to run")
+    return model, state, meta["epoch"]
+
+
 def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
-               out_dir, resume_from: Optional[str] = None,
-               log_fn: Optional[Callable[[str], None]] = None):
+               out_dir, log_fn: Optional[Callable[[str], None]] = None,
+               start: Optional[Tuple[PulseMambaNet, AdamState, int]] = None):
     """Train on a dataset directory; returns (final_ckpt_path, loss_log).
 
     Per epoch: seeded shuffle, one random chunk per clip, NegPearson on
@@ -278,20 +296,11 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     round-trip. Windows are drawn from the epoch's rng in clip order, but
     each batch's chunks are cut only when that batch runs. loss_log rows
     are (epoch, step, loss), also written to ``loss_log.csv``. An epoch of
-    no step (no clip holds a window) is an InsufficientDataError; a resume
-    checkpoint already at ``epochs`` is a ConfigError.
+    no step (no clip holds a window) is an InsufficientDataError. The run
+    starts from ``start``, a ``start_state`` result (a resume is one), or
+    else from a fresh network.
     """
-    if resume_from is None:
-        model, state = PulseMambaNet(model_cfg, seed=train_cfg.seed), AdamState()
-        start_epoch = 0
-    else:
-        meta, model, state = _load_model(resume_from)
-        if meta["config_hash"] != config_hash(model_cfg):
-            raise ConfigError("resume checkpoint was built for a different model config")
-        start_epoch = meta["epoch"]
-        if start_epoch >= train_cfg.epochs:
-            raise ConfigError(f"resume checkpoint is at epoch {start_epoch}: "
-                              f"epochs={train_cfg.epochs} leaves no epoch to run")
+    model, state, start_epoch = start or start_state(model_cfg, train_cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = read_dataset(data_dir)

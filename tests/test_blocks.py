@@ -7,6 +7,7 @@ import gc
 import hashlib
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -295,6 +296,64 @@ def test_eval_stem_pools_first_bit_equal_to_pooling_last(case, bn1_rows, rng,
     finite = ~np.isnan(want)
     np.testing.assert_array_equal(got[finite].view(np.uint64),
                                   want[finite].view(np.uint64))
+
+
+def test_eval_stem_drops_each_array_after_its_last_reader(rng, monkeypatch):
+    """In an eval no_grad stem a stage's input is gone once its conv has
+    returned, and a halving stage's full-resolution conv output once it
+    is pooled: BN sees neither alive."""
+    stem = Stem((4, 6, 8), rng=rng).eval()
+    x = Tensor(rng.normal(size=(1, 3, 4, 16, 16)))
+    convs, alive_at_bn = [], []
+    real_conv, real_bn = T.conv3d, T.batch_norm
+
+    def conv(h, *args):
+        out = real_conv(h, *args)
+        convs.append((weakref.ref(h.data), weakref.ref(out.data)))
+        return out
+
+    def bn(h, *args):
+        alive_at_bn.append([[r() is not None for r in pair] for pair in convs])
+        return real_bn(h, *args)
+
+    monkeypatch.setattr(T, "conv3d", conv)
+    monkeypatch.setattr(T, "batch_norm", bn)
+    with T.no_grad():
+        stem(x)
+    # [input, output] of each conv so far; the stem's input is the caller's
+    assert alive_at_bn == [[[True, False]],
+                           [[True, False], [False, True]],
+                           [[True, False], [False, False], [False, False]]]
+
+
+def test_eval_stem_halving_stage_peak(rng, monkeypatch):
+    """The last halving stage holds at most its input, the conv's output
+    and ring of planes, and the pooled output: no padded input copy."""
+    widths = (4, 6, 8)
+    stem = Stem(widths, rng=rng).eval()
+    x = Tensor(rng.normal(size=(1, 3, 16, 128, 128)))
+    t, h, w = 16, 64, 64  # extents of conv3's input, after one halving
+    stage_in = 8 * widths[1] * t * h * w
+    conv_out = 8 * widths[2] * t * h * w
+    ring = 8 * 3 * widths[1] * 9 * h * w
+    real_conv = T.conv3d
+    start = []
+
+    def conv(h_, w_, *args):
+        if w_ is stem.conv3.weight:  # the stage's input is all that is held
+            start.append(tracemalloc.get_traced_memory()[0] - h_.data.nbytes)
+            tracemalloc.reset_peak()
+        return real_conv(h_, w_, *args)
+
+    monkeypatch.setattr(T, "conv3d", conv)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            stem(x)
+        peak = tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < stage_in + conv_out + conv_out // 4 + ring
 
 
 def test_lateral_shape_and_zero_behaviour(rng):

@@ -184,8 +184,8 @@ def test_resume_with_no_epoch_left_exits_2_before_reading_data(tmp_path,
                     "--set", "epochs=1", "--set", "chunk_len=32"] + TINY_MODEL)
     assert code == cli.EXIT_USAGE
     assert "no epoch to run" in capsys.readouterr().err
-    # cli writes its snapshot before train_loop reads the checkpoint
-    assert [p.name for p in run.iterdir()] == ["resolved_config.txt"]
+    # the checkpoint is checked before anything is written
+    assert not run.exists()
 
 
 def _untrained_checkpoint(path):

@@ -104,25 +104,70 @@ def test_conv3d_matches_loop_oracle_spec_case(rng):
     assert rel <= 1e-12
 
 
+def _conv_draw(rng):
+    """One random conv: kernel extents 1-3, a temporal stride of 1-4 (at
+    stride >= kt no input plane is read twice), spatial strides 1-2 and
+    padding 0-2 (p > k - 1 pads past what the kernel can reach)."""
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
+    stride = (int(rng.integers(1, 5)), int(rng.integers(1, 3)),
+              int(rng.integers(1, 3)))
+    pad = tuple(int(rng.integers(0, 3)) for _ in range(3))
+    thw = tuple(int(rng.integers(k, k + 4)) for k in kernel)
+    x = rng.normal(size=(int(rng.integers(1, 3)), cin) + thw)
+    w = rng.normal(size=(cout, cin) + kernel)
+    return x, w, stride, pad
+
+
+def _assert_draws_cover_the_ring_edges(draws):
+    kernels = [w.shape[2:] for _, w, _, _ in draws]
+    strides = [s for _, _, s, _ in draws]
+    pads = [p for _, _, _, p in draws]
+    assert any(s[0] >= k[0] > 1 for k, s in zip(kernels, strides))
+    assert any(s[0] < k[0] for k, s in zip(kernels, strides))
+    assert any(p[0] > k[0] - 1 for k, p in zip(kernels, pads))
+    assert any(p[1] > k[1] - 1 for k, p in zip(kernels, pads))
+
+
 def test_conv3d_oracle_randomized_shapes(rng):
     """100 random shape/stride/padding draws against the loop oracle."""
-    for _ in range(100):
-        cin = int(rng.integers(1, 4))
-        cout = int(rng.integers(1, 4))
-        kt, kh, kw = (int(rng.integers(1, 4)) for _ in range(3))
-        st_ = (int(rng.integers(1, 3)), int(rng.integers(1, 3)),
-               int(rng.integers(1, 3)))
-        pad = (int(rng.integers(0, 2)), int(rng.integers(0, 2)),
-               int(rng.integers(0, 2)))
-        t = int(rng.integers(kt, kt + 4))
-        h = int(rng.integers(kh, kh + 4))
-        wd = int(rng.integers(kw, kw + 4))
-        x = rng.normal(size=(int(rng.integers(1, 3)), cin, t, h, wd))
-        w = rng.normal(size=(cout, cin, kt, kh, kw))
+    draws = [_conv_draw(rng) for _ in range(100)]
+    _assert_draws_cover_the_ring_edges(draws)
+    for x, w, st_, pad in draws:
         ours = T.conv3d(T.tensor(x), T.tensor(w), stride=st_, padding=pad).data
         ref = conv3d_oracle(x, w, st_, pad)
         scale = max(np.abs(ref).max(), 1e-300)
         assert np.abs(ours - ref).max() / scale <= 1e-12
+
+
+def conv3d_weight_grad_oracle(x, g, kernel, stride, pad):
+    """dL/dw by direct summation: each tap sums g times the input it read."""
+    st_, sh, sw = stride
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+    b, cout, to, ho, wo = g.shape
+    gw = np.zeros((cout, x.shape[1]) + tuple(kernel))
+    for co in range(cout):
+        for ci in range(x.shape[1]):
+            for i, j, k in np.ndindex(*kernel):
+                acc = 0.0
+                for bb, ot, oh, ow in np.ndindex(b, to, ho, wo):
+                    acc += g[bb, co, ot, oh, ow] * xp[bb, ci, ot * st_ + i,
+                                                      oh * sh + j, ow * sw + k]
+                gw[co, ci, i, j, k] = acc
+    return gw
+
+
+def test_conv3d_weight_grad_matches_loop_oracle(rng):
+    draws = [_conv_draw(rng) for _ in range(60)]
+    _assert_draws_cover_the_ring_edges(draws)
+    for x, w, st_, pad in draws:
+        ws = T.tensor(w, requires_grad=True)
+        out = T.conv3d(T.tensor(x), ws, stride=st_, padding=pad)
+        g = rng.normal(size=out.shape)
+        T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        ref = conv3d_weight_grad_oracle(x, g, w.shape[2:], st_, pad)
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(ws.grad - ref).max() / scale <= 1e-12
 
 
 def _adjoint_errors(op, x, w, **kw):
@@ -139,17 +184,11 @@ def _adjoint_errors(op, x, w, **kw):
 
 
 def test_conv3d_gradients_are_adjoints_randomized_shapes(rng):
-    """The randomized-shape draw, with padding up to k so that the input
-    gradient also runs its crop path (p > k - 1)."""
-    for _ in range(100):
-        cin = int(rng.integers(1, 4))
-        cout = int(rng.integers(1, 4))
-        kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
-        st_ = tuple(int(rng.integers(1, 3)) for _ in range(3))
-        pad = tuple(int(rng.integers(0, k + 1)) for k in kernel)
-        thw = tuple(int(rng.integers(k, k + 4)) for k in kernel)
-        x = rng.normal(size=(int(rng.integers(1, 3)), cin) + thw)
-        w = rng.normal(size=(cout, cin) + kernel)
+    """The randomized-shape draw; padding past k - 1 runs the input
+    gradient's crop path, and a temporal stride its skipped planes."""
+    draws = [_conv_draw(rng) for _ in range(100)]
+    _assert_draws_cover_the_ring_edges(draws)
+    for x, w, st_, pad in draws:
         assert max(_adjoint_errors(T.conv3d, x, w, stride=st_, padding=pad)) <= 1e-12
 
 
@@ -209,6 +248,26 @@ def test_recorded_conv3d_keeps_no_padded_input(rng):
     np.testing.assert_allclose(x.grad[0, :, 1:-1, 1:-1, 1:-1],
                                np.broadcast_to(per_channel, (4, 14, 30, 30)),
                                rtol=1e-12)
+
+
+def test_no_grad_conv3d_allocates_output_and_ring_only(rng):
+    # a padded copy of x (4 * 18 * 34 * 34 values) would overshoot the margin
+    x = T.tensor(rng.normal(size=(1, 4, 16, 32, 32)))
+    w = T.tensor(rng.normal(size=(8, 4, 3, 3, 3)))
+    ring = 8 * 3 * (4 * 3 * 3) * 32 * 32
+    out_slice = 8 * 8 * 32 * 32
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv3d(x, w, padding=(1, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    # a GEMM buffer of one output slice, NumPy's ufunc buffers (8192
+    # values per operand), the kernel's parts and bookkeeping
+    margin = out_slice + 3 * 8192 * 8 + w.data.nbytes + (16 << 10)
+    assert out.data.nbytes + ring <= peak <= out.data.nbytes + ring + margin
 
 
 def test_conv3d_forms_no_input_gradient_for_constant_input(rng, monkeypatch):
@@ -328,7 +387,8 @@ def test_pointwise_ops_bit_equal_to_seed_formulas(rng):
         assert _bits_equal(out, x * s)
         assert _bits_equal(gx, g * (s * (1.0 + x * (1.0 - s))))
         out, gx = _op_and_grad(T.softplus, x, g)
-        assert _bits_equal(out, np.logaddexp(0.0, x)) and _bits_equal(gx, g * s)
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        assert _bits_equal(out, softplus) and _bits_equal(gx, g * s)
         out, gx = _op_and_grad(T.relu, x, g)
         mask = x > 0.0
         assert _bits_equal(out, np.where(mask, x, 0.0)) and _bits_equal(gx, g * mask)

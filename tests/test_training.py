@@ -17,7 +17,7 @@ from pulsemamba.training import (AdamState, TrainConfig, adam_step,
                                  config_hash, evaluate_checkpoint,
                                  evaluate_records, load_checkpoint,
                                  prepare_chunk, restore_model,
-                                 save_checkpoint, train_loop)
+                                 save_checkpoint, start_state, train_loop)
 
 TOY_MODEL = dict(channels=16, blocks_per_stream=2, ca_ratio=4)
 
@@ -138,7 +138,8 @@ def test_resume_matches_uninterrupted_run(tmp_path):
                tmp_path / "part1")
     train_loop(cfg, tmp_path / "data", toy_train_cfg(epochs=4),
                tmp_path / "part2",
-               resume_from=tmp_path / "part1" / "checkpoint_epoch_001")
+               start=start_state(cfg, toy_train_cfg(epochs=4),
+                                 tmp_path / "part1" / "checkpoint_epoch_001"))
     a = (tmp_path / "straight" / "checkpoint_final" / "state.bin").read_bytes()
     b = (tmp_path / "part2" / "checkpoint_final" / "state.bin").read_bytes()
     assert a == b
@@ -317,8 +318,7 @@ def test_config_hash_mismatch_is_config_error(tmp_path):
                          tmp_path / "run")
     other = ModelConfig(channels=8, blocks_per_stream=2, ca_ratio=4)
     with pytest.raises(ConfigError):
-        train_loop(other, tmp_path / "data", toy_train_cfg(epochs=2),
-                   tmp_path / "run2", resume_from=ckpt)
+        start_state(other, toy_train_cfg(epochs=2), ckpt)
 
 
 def test_config_hash_changes_with_config():
