@@ -8,11 +8,12 @@ from its own stride and padding. No tensor op runs. Counting conventions
 (fixed so numbers are reproducible): a MAC is one multiply inside a
 conv/GEMM contraction; a temporal-difference conv counts as the one conv
 it runs (its difference term is folded into the kernel); the scan counts
-7 ops per (token, channel, state) element (delta*a, exp, growth division,
-Bbar multiply, two recurrence multiplies, output multiply); gates count
-their multiply; norms, pools, additions and plain activations count
-zero. Parameter counts include affine norm parameters but not
-running-statistic buffers.
+a fixed 7 ops per (token, channel, state) element (delta*a, exp, growth
+division, Bbar multiply, two recurrence multiplies, output multiply),
+although ``ssm._zoh`` runs expm1, an add for abar and a multiply by 1/a
+where the convention has exp and the division; gates count their
+multiply; norms, pools, additions and plain activations count zero.
+Parameter counts include affine norm parameters, not running statistics.
 
 Reference values for the full-scale published configuration: 0.56 M
 parameters and 47.3 G MACs at 128x128x128 input.

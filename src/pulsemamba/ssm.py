@@ -14,13 +14,13 @@ branch. Abar is taken as 1 + expm1(delta * a), from the same expm1: it
 is within 1.2e-16 of exp(delta * a), and each (token, n, d) value costs
 one transcendental.
 
-The recurrent and selective scans work through time-major
-(chunk, B, N, D) blocks, with the chunk sized from the operand shape so
-one block stays about 1 MiB (cache resident), and share one recurrence
-kernel with the selective scan's reverse-time backward. The state is
-held N-major, so every per-token broadcast (delta, u, B) and the
-readout y_t = C_t h_t run along the contiguous channel axis D; ``a``
-keeps its (D, N) shape at the API.
+The selective scan works through time-major (chunk, B, N, D) blocks,
+the chunk sized from the operand shape so one block stays about 1 MiB
+(cache resident). One chunk routine makes a chunk's states for the
+forward and for the backward's rebuild, and one recurrence kernel runs
+in both time directions. The state is held N-major, so every per-token
+broadcast (delta, u, B) and the readout y_t = C_t h_t run along the
+contiguous channel axis D; ``a`` keeps its (D, N) shape at the API.
 """
 
 from __future__ import annotations
@@ -113,32 +113,16 @@ def _readout(c, h, y) -> None:
         np.einsum("tbnd,tbnd->tbd", c, h, out=y)
 
 
-def _chunked_scan(discretize, c_seq, x, chunk: int, starts=None):
-    """Forward recurrence over time-major x (L, B, D) from h = 0.
-
-    ``discretize(s, e)`` gives the (abar, bbar) blocks of tokens [s, e);
-    c_seq is (L, B, N) or (L, B, N, D). The states live in one chunk
-    buffer (chunk + 1, B, N, D), reused per chunk with row 0 carrying h
-    across chunks. ``starts``, when given, is a (ceil(L / chunk), B, N, D)
-    array whose row k receives chunk k's start state. Returns y (B, L, D).
-    """
-    L, bsz, d = x.shape
-    states = np.zeros((min(chunk, L) + 1, bsz, c_seq.shape[2], d),
-                      dtype=np.float64)
-    y = np.empty((bsz, L, d), dtype=np.float64)
-    yt = np.swapaxes(y, 0, 1)
-    for k, s in enumerate(range(0, L, chunk)):
-        e = min(s + chunk, L)
-        h = states[:e - s + 1]
-        if starts is not None:
-            starts[k] = h[0]
-        abar, bbar = discretize(s, e)
-        np.multiply(bbar, x[s:e, :, None, :], out=h[1:])
-        _scan_core(abar, h[1:], h[0])
-        _readout(c_seq[s:e], h[1:], yt[s:e])
-        _check_state(yt[s:e], s)
-        states[0] = h[-1]
-    return y
+def _chunk_states(av, dt, bt, ut, sl, h, buf):
+    """States of the tokens ``sl`` from h[0]: the chunk's ZOH into buf[0]
+    and buf[1], the drive growth * b * u into h[1:], then the recurrence.
+    The forward and the backward's rebuild both run it, so the backward
+    sees the forward's states bit for bit. Returns (abar, growth)."""
+    abar, growth = _zoh(av, dt[sl, :, None, :], *buf[:2, :len(h) - 1])
+    np.multiply(growth, bt[sl, :, :, None], out=h[1:])
+    h[1:] *= ut[sl, :, None, :]
+    _scan_core(abar, h[1:], h[0])
+    return abar, growth
 
 
 def _check_state(y: np.ndarray, offset: int):
@@ -153,7 +137,8 @@ def scan_recurrent(abar, bbar, c, x):
 
     Time-invariant mode: abar/bbar (D, N), c (D, N). Per-token
     mode: abar/bbar (L, D, N), c (L, N). x is (L, D); h starts at zero and
-    y(t) depends only on x(1..t). Returns y (L, D).
+    y(t) depends only on x(1..t). Returns y (L, D). An oracle: it runs
+    the selective scan's kernels on the whole sequence's states at once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -180,8 +165,12 @@ def scan_recurrent(abar, bbar, c, x):
     else:
         raise ShapeError(f"scan_recurrent: c shape {c.shape}")
 
-    return _chunked_scan(lambda s, e: (a_seq[s:e], b_seq[s:e]), c_seq,
-                         x[:, None], _chunk_len(1, d, n))[0]
+    h, y = np.zeros((L + 1, 1, n, d)), np.empty((L, 1, d))
+    np.multiply(b_seq, x[:, None, None, :], out=h[1:])
+    _scan_core(a_seq, h[1:], h[0])
+    _readout(c_seq, h[1:], y)
+    _check_state(y, 0)
+    return y[:, 0]
 
 
 def scan_convolutional(abar, bbar, c, x):
@@ -248,13 +237,13 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
 
     u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
     Abar/Bbar and the states exist one chunk at a time (``_chunk_len``
-    tokens, derived from the shape). When the op is recorded, the only
-    array kept for the backward is h at the chunk starts,
-    (ceil(L / chunk), B, N, D). The backward walks the chunks in
-    reverse: it recomputes the chunk's ZOH, rebuilds its states from the
-    start state exactly as the forward made them, runs the recurrence in
-    reverse time for dL/dh and forms every input gradient from them. Its
-    temporaries share one buffer of 5 chunk blocks, reused per chunk.
+    tokens, derived from the shape), made by ``_chunk_states``. When the
+    op is recorded, the only array kept for the backward is h at the
+    chunk starts, (ceil(L / chunk), B, N, D). The backward walks the
+    chunks in reverse: ``_chunk_states`` rebuilds the chunk's ZOH and
+    states from its start state, the recurrence runs in reverse time for
+    dL/dh, and every input gradient is formed from them. Its temporaries
+    share one buffer of 5 chunk blocks, reused per chunk.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"selective_scan: u {u.shape} vs delta {delta.shape}")
@@ -274,16 +263,20 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
     # the state and a run N-major, (..., N, D)
     av = np.ascontiguousarray(a.data.T)
     ut, dt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, delta, bmat, cmat))
-    zoh_buf = np.empty((2, c, bsz, n, d), dtype=np.float64)
-
-    def discretize(s, e):
-        abar, bbar = _zoh(av, dt[s:e, :, None, :], *zoh_buf[:, :e - s])
-        bbar *= bt[s:e, :, :, None]
-        return abar, bbar
-
+    buf = np.zeros((3, c + 1, bsz, n, d))  # abar, growth, h (row 0: carry)
     starts = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
               if recording else None)
-    y = _chunked_scan(discretize, ct, ut, chunk, starts)
+    y = np.empty((bsz, L, d), dtype=np.float64)
+    yt = np.swapaxes(y, 0, 1)
+    for k, s in enumerate(range(0, L, chunk)):
+        sl = slice(s, min(s + chunk, L))
+        h = buf[2, :sl.stop - s + 1]
+        if recording:
+            starts[k] = h[0]
+        _chunk_states(av, dt, bt, ut, sl, h, buf)
+        _readout(ct[sl], h[1:], yt[sl])
+        _check_state(yt[sl], s)
+        h[0] = h[-1]
     if not recording:
         return Tensor(y)
 
@@ -302,13 +295,9 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
         for k in reversed(range(len(starts))):
             s, e = k * chunk, min(k * chunk + chunk, L)
             sl = slice(s, e)
-            abar, growth = _zoh(av, dt[sl, :, None, :], *buf[:2, :e - s])
-            # the chunk's states h_{s-1} .. h_{e-1}, as the forward made them
-            h = buf[2, :e - s + 1]
+            h = buf[2, :e - s + 1]  # h_{s-1} .. h_{e-1}, the forward's
             h[0] = starts[k]
-            np.multiply(growth, bt[sl, :, :, None], out=h[1:])
-            h[1:] *= ut[sl, :, None, :]
-            _scan_core(abar, h[1:], h[0])
+            abar, growth = _chunk_states(av, dt, bt, ut, sl, h, buf)
             # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
             gh = np.multiply(ct[sl, :, :, None], gyt[sl, :, None, :], out=buf[3, :e - s])
             gh[-1] += carry

@@ -53,7 +53,7 @@ FORMAT_VERSION = 1  # of a clip's meta.json
 _HEADER = {"format_version": lambda v: is_count(v) and v == FORMAT_VERSION,
            "dtype": lambda v: v == "<f4",
            "fs": lambda v: type(v) in (int, float) and v > 0,
-           "frames_shape": lambda v: is_shape(v) and len(v) == 4,
+           "frames_shape": lambda v: is_shape(v) and len(v) == 4 and min(v[2:]) > 0,
            "label_shape": lambda v: is_shape(v) and len(v) == 1,
            "frames_crc32": lambda v: isinstance(v, str),
            "label_crc32": lambda v: isinstance(v, str)}
@@ -222,7 +222,7 @@ def _write_blob(path: Path, arr: np.ndarray) -> str:
 def _check_size(path: Path, shape) -> int:
     if not path.exists():
         raise FormatError(f"missing tensor file {path}")
-    expected = int(np.prod(shape)) * 4
+    expected = math.prod(shape) * 4
     size = path.stat().st_size
     if size != expected:
         raise FormatError(f"{path}: {size} bytes, expected {expected}")

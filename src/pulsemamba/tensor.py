@@ -4,7 +4,8 @@ The operation set is exactly what the network, its loss and its checks
 use: 3D/1D convolutions (one kernel: a ring of kt input planes, each
 gathered once straight from the unpadded input, and kt GEMMs per output
 slice; an input gradient is a transposed conv, itself a stride-1 conv
-with the flipped kernel that skips the stride's zero planes), pooling,
+with the flipped kernel that skips the stride's zero planes, or, for the
+depthwise causal conv, its own kernel run backwards in time), pooling,
 affine maps, norms (batch and layer norm are front ends of one kernel),
 sum/mean, the pointwise ops they apply and a handful of shape
 movers. Computation is float64 throughout; float32 appears only at
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import GraphError, NumericError, ShapeError
 
 __all__ = [
-    "Tensor", "tensor", "zeros", "ones", "no_grad", "is_grad_enabled",
+    "Tensor", "tensor", "no_grad", "is_grad_enabled",
     "tape_size", "backward",
     "add", "sub", "mul", "div",
     "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
@@ -149,14 +150,6 @@ class Tensor:
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
 def _records(parents: Iterable[Tensor]) -> bool:
@@ -538,27 +531,15 @@ def _conv_input_grad(g, w, stride, padding, size):
                  pad, tuple(size), tuple(stride))
 
 
-def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel causal 1D conv: x (B, L, D), w (D, K), bias (D,), left
-    pad K-1.
-
-    y[b, l, d] = sum_k w[d, k] * x[b, l + k - (K-1), d] + bias[d], zeros
-    before t=0, so sequences shorter than K are handled by the padding,
-    never an error.
-    """
-    if x.ndim != 3 or w.ndim != 2 or x.shape[2] != w.shape[0]:
-        raise ShapeError(f"depthwise conv1d: x {x.shape} vs w {w.shape}")
-    b, L, d = x.shape
-    K = w.shape[1]
-    if bias.shape != (d,):
-        raise ShapeError("depthwise conv1d: bias must be (D,)")
-    xd, wd = x.data, w.data
+def _causal_dw(x, w, bias):
+    """``conv1d_depthwise_causal``'s formula into a new array, over
+    cache-sized blocks of output rows [r0, r1); per element: 0, then the
+    taps in k order, then the bias. Tap k reads x shifted K-1-k steps
+    right; the zeros before t=0 add nothing."""
+    (b, L, d), K = x.shape, w.shape[1]
     out = np.empty(x.shape)
     rows = max(1, BLOCK_BYTES // (3 * 8 * b * d))  # x, tap and out blocks
     tap = np.empty((b, min(rows, L), d))
-    # cache-sized blocks of output rows [r0, r1); per element: 0, then
-    # taps in k order, then bias. Tap k reads x shifted K-1-k steps
-    # right; the zero pad adds nothing
     for r0 in range(0, L, rows):
         r1 = min(r0 + rows, L)
         blk = out[:, r0:r1]
@@ -568,22 +549,39 @@ def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             if lo >= r1:
                 continue
             n = r1 - lo
-            np.multiply(xd[:, lo - (K - 1 - k):r1 - (K - 1 - k)],
-                        wd[:, k], out=tap[:, :n])
+            np.multiply(x[:, lo - (K - 1 - k):r1 - (K - 1 - k)], w[:, k],
+                        out=tap[:, :n])
             blk[:, lo - r0:] += tap[:, :n]
-        blk += bias.data
+        blk += bias
+    return out
+
+
+def conv1d_depthwise_causal(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel causal 1D conv: x (B, L, D), w (D, K), bias (D,), left
+    pad K-1.
+
+    y[b, l, d] = sum_k w[d, k] * x[b, l + k - (K-1), d] + bias[d], zeros
+    before t=0, so sequences shorter than K are handled by the padding,
+    never an error. The input gradient is the same kernel on the
+    time-reversed gradient with a zero bias, reversed back.
+    """
+    if x.ndim != 3 or w.ndim != 2 or x.shape[2] != w.shape[0]:
+        raise ShapeError(f"depthwise conv1d: x {x.shape} vs w {w.shape}")
+    L, K = x.shape[1], w.shape[1]
+    if bias.shape != (x.shape[2],):
+        raise ShapeError("depthwise conv1d: bias must be (D,)")
+    xd, wd = x.data, w.data
 
     def bwd(g):
-        xp = np.pad(xd, ((0, 0), (K - 1, 0), (0, 0)))
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wd)
+        gw = np.empty_like(wd)
         for k in range(K):
-            gxp[:, k:k + L, :] += g * wd[:, k]
-            gw[:, k] = np.einsum("bld,bld->d", g, xp[:, k:k + L, :])
-        gx = gxp[:, K - 1:, :]
+            n = max(L - (K - 1 - k), 0)  # output rows tap k reaches
+            gw[:, k] = np.einsum("bld,bld->d", g[:, L - n:], xd[:, :n])
+        gx = _causal_dw(g[:, ::-1], wd, 0.0)[:, ::-1]
         return [gx, gw, g.sum(axis=(0, 1))]
 
-    return apply_op("conv1d_dw", out, [x, w, bias], bwd)
+    return apply_op("conv1d_dw", _causal_dw(xd, wd, bias.data), [x, w, bias],
+                    bwd)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor,

@@ -210,7 +210,7 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     arrays = {}
     for i, entry in enumerate(meta["entries"]):
         check_header(entry, _ENTRY, f"{meta_path}: entry {i}")
-        size = int(np.prod(entry["shape"])) * 4 if entry["shape"] else 4
+        size = math.prod(entry["shape"]) * 4
         raw = blob[entry["offset"]:entry["offset"] + size]
         if len(raw) != size:
             raise FormatError(f"{path}/state.bin truncated at {entry['name']}")

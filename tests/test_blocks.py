@@ -132,7 +132,7 @@ def test_channel_attention_zero_weights_halve_input(rng):
 def test_channel_attention_zero_input(rng):
     ca = ChannelAttention(8, ratio=4, rng=rng)
     with T.no_grad():
-        y = ca(T.zeros((1, 8, 2, 2, 2))).data
+        y = ca(T.tensor(np.zeros((1, 8, 2, 2, 2)))).data
     np.testing.assert_array_equal(y, 0.0)
 
 
@@ -242,7 +242,7 @@ def test_stem_zero_input_gives_zero_in_eval(rng):
     stem = Stem((4, 6, 8), rng=rng)
     stem.eval()
     with T.no_grad():
-        y = stem(T.zeros((1, 3, 4, 16, 16)))
+        y = stem(T.tensor(np.zeros((1, 3, 4, 16, 16))))
     np.testing.assert_array_equal(y.data, 0.0)
 
 
@@ -360,7 +360,7 @@ def test_lateral_shape_and_zero_behaviour(rng):
     lat = LateralConnection(4, rng=rng)
     with T.no_grad():
         y = lat(Tensor(rng.normal(size=(1, 4, 8, 5, 5))))
-        zero = lat(T.zeros((1, 4, 8, 5, 5)))
+        zero = lat(T.tensor(np.zeros((1, 4, 8, 5, 5))))
     assert y.shape == (1, 8, 4, 5, 5)
     np.testing.assert_array_equal(zero.data, 0.0)
 

@@ -99,6 +99,29 @@ def test_malformed_dataset_header_exits_3(key, value, tiny_dataset, tmp_path,
     assert f"bad {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape,what", [
+    ([3, 120, 0, 0], "bad frames_shape"),
+    ([2 ** 32, 2 ** 32, 1, 1], "expected 73786976294838206464"),
+], ids=["no_pixels", "overflowing_size"])
+def test_clip_shape_without_frames_exits_3(shape, what, tiny_dataset, tmp_path,
+                                           capsys):
+    # an empty frames file whose checksum matches, under a shape that has
+    # no pixels or whose element count a wrapping product would make 0
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    clip = data / "clip_0000"
+    meta = json.loads((clip / "meta.json").read_text())
+    meta.update(frames_shape=shape, frames_crc32="00000000")
+    (clip / "meta.json").write_text(json.dumps(meta))
+    (clip / "frames.f32").write_bytes(b"")
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt")
+    code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                    "--out", str(tmp_path / "eval"), "--set", "chunk_len=32",
+                    "--set", "input_h=16", "--set", "input_w=16"])
+    assert code == cli.EXIT_IO
+    assert what in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("what", ["dataset", "checkpoint"])
 def test_undecodable_header_exits_3(what, tiny_dataset, tmp_path, capsys):
     # a meta.json that is not UTF-8 is a malformed header, like bad JSON
@@ -326,6 +349,11 @@ def _entries_not_a_list(meta):
     meta["entries"] = 7
 
 
+def _overflowing_shape(meta):
+    # 2**64 elements: a wrapping product would size the entry as empty
+    meta["entries"][0].update(shape=[2 ** 32, 2 ** 32], crc32="00000000")
+
+
 def _set_header(key, value):
     def corrupt(meta):
         meta[key] = value
@@ -353,6 +381,7 @@ def _set_model_config(key, value):
     (_string_offset, "eval", "bad offset"),
     (_string_shape, "eval", "bad shape"),
     (_entries_not_a_list, "eval", "bad entries"),
+    (_overflowing_shape, "eval", "truncated"),
     (_set_header("epoch", "x"), "train", "bad epoch"),
     (_set_header("global_step", 1.5), "train", "bad global_step"),
     (_set_header("format_version", True), "eval", "bad format_version"),
@@ -366,6 +395,7 @@ def _set_model_config(key, value):
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
         "no_buffers", "no_buffers_on_resume",
         "string_offset", "string_shape", "entries_not_a_list",
+        "overflowing_shape",
         "string_epoch", "float_global_step",
         "boolean_format_version", "old_format_version", "stored_theta_5",
         "stored_theta_5_on_resume", "contradicting_config_hash",

@@ -224,6 +224,14 @@ def test_selective_scan_constant_projection_bitwise():
     assert result.passed, result.line()
 
 
+def test_constant_projection_bitwise_across_chunks(monkeypatch):
+    # 7-token chunks: the op runs 7 chunks of L = 48 against the
+    # whole-sequence scan_recurrent, so a chunk edge changes no bit
+    monkeypatch.setattr(ssm, "_chunk_len", lambda *_: 7)
+    result = checks.constant_projection_bitwise(seed=11)
+    assert result.passed, result.line()
+
+
 def test_selective_scan_batched_consistency(rng):
     params = SSMParams(3, 8, 1, rng)
     x = rng.normal(size=(2, 10, 3))

@@ -2,8 +2,10 @@
 for conv/linear/pooling, analytic values for the pointwise ops, shape
 algebra, and the error contracts."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +82,8 @@ def maxpool_oracle(x, kernel, stride):
 
 
 def test_conv3d_all_ones_summation():
-    out = T.conv3d(T.ones((1, 1, 3, 1, 1)), T.ones((1, 1, 3, 1, 1)))
+    ones = T.tensor(np.ones((1, 1, 3, 1, 1)))
+    out = T.conv3d(ones, ones)
     assert out.shape == (1, 1, 1, 1, 1)
     assert out.item() == 3.0
 
@@ -210,7 +213,7 @@ def conv_transpose1d_oracle(x, w, stride, pad):
 
 
 def _conv_transpose1d_zero_bias(x, w, **kw):
-    return T.conv_transpose1d(x, w, T.zeros(w.shape[1]), **kw)
+    return T.conv_transpose1d(x, w, T.tensor(np.zeros(w.shape[1])), **kw)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -542,6 +545,17 @@ def _seed_conv1d(x, w, bias):
     return out + bias
 
 
+def _padded_conv1d_backward(g, x, w):
+    # the gradients through a zero-padded copy of x, tap by tap
+    L, K = x.shape[1], w.shape[1]
+    xp = np.pad(x, ((0, 0), (K - 1, 0), (0, 0)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for k in range(K):
+        gxp[:, k:k + L, :] += g * w[:, k]
+        gw[:, k] = np.einsum("bld,bld->d", g, xp[:, k:k + L, :])
+    return gxp[:, K - 1:, :], gw, g.sum(axis=(0, 1))
+
+
 @pytest.mark.parametrize("block_rows", [None, 5])
 @pytest.mark.parametrize("L", [1, 3, 4, 23])
 def test_conv1d_depthwise_causal_bit_equal_to_seed_formula(L, block_rows, rng,
@@ -551,8 +565,32 @@ def test_conv1d_depthwise_causal_bit_equal_to_seed_formula(L, block_rows, rng,
     x = rng.normal(size=(2, L, 3))
     x[0, 0] = [0.0, -0.0, 1e-300]
     w, bias = rng.normal(size=(3, 4)), rng.normal(size=3)
-    out = T.conv1d_depthwise_causal(T.tensor(x), T.tensor(w), T.tensor(bias))
+    params = [T.tensor(a, requires_grad=True) for a in (x, w, bias)]
+    out = T.conv1d_depthwise_causal(*params)
     assert _bits_equal(out.data, _seed_conv1d(x, w, bias))
+    g = rng.normal(size=x.shape)
+    g[1, -1] = [0.0, -0.0, 1e-300]
+    T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+    for p, want in zip(params, _padded_conv1d_backward(g, x, w)):
+        assert _bits_equal(p.grad, want)
+
+
+def test_conv1d_depthwise_causal_backward_peak_memory(rng):
+    # no padded copy of x or of g and no full-size temporary per tap: the
+    # input gradient is the only full-size array the rule makes
+    x, w, bias = (T.tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((1, 2048, 128), (128, 4), (128,)))
+    out = T.conv1d_depthwise_causal(x, w, bias)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out._node.bwd(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g.nbytes
 
 
 def test_silu_blocks_bit_equal_to_seed_formula(rng, monkeypatch):
@@ -600,7 +638,8 @@ def test_mean_and_population_std():
     x = T.tensor([1.0, 2.0, 3.0])
     assert T.reduce_mean(x).item() == 2.0
     # the norms divide by the population std (1/n variance), eps inside
-    xhat = T.layer_norm(T.reshape(x, (1, 3)), T.ones(3), T.zeros(3)).data
+    xhat = T.layer_norm(T.reshape(x, (1, 3)), T.tensor(np.ones(3)),
+                        T.tensor(np.zeros(3))).data
     np.testing.assert_allclose(
         xhat[0], np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0 / 3.0 + 1e-5),
         rtol=1e-12)
@@ -608,21 +647,21 @@ def test_mean_and_population_std():
 
 def test_layer_norm_constant_vector_is_zero():
     x = T.tensor(np.full((4, 6), 3.7))
-    out = T.layer_norm(x, T.ones(6), T.zeros(6))
+    out = T.layer_norm(x, T.tensor(np.ones(6)), T.tensor(np.zeros(6)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_layer_norm_standardizes_last_axis(rng):
     x = T.tensor(rng.normal(2.0, 3.0, size=(5, 32)))
-    out = T.layer_norm(x, T.ones(32), T.zeros(32)).data
+    out = T.layer_norm(x, T.tensor(np.ones(32)), T.tensor(np.zeros(32))).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
 
 def test_batch_norm_eval_identity_statistics(rng):
     x = T.tensor(rng.normal(size=(2, 4, 3, 2, 2)))
-    out = T.batch_norm(x, T.ones(4), T.zeros(4), np.zeros(4), np.ones(4),
-                       training=False)
+    out = T.batch_norm(x, T.tensor(np.ones(4)), T.tensor(np.zeros(4)),
+                       np.zeros(4), np.ones(4), training=False)
     np.testing.assert_allclose(out.data, x.data / np.sqrt(1.0 + T.NORM_EPS),
                                rtol=1e-15)
 
@@ -630,7 +669,8 @@ def test_batch_norm_eval_identity_statistics(rng):
 def test_batch_norm_train_updates_running_stats(rng):
     x = T.tensor(rng.normal(3.0, 2.0, size=(4, 2, 3, 2, 2)))
     rm, rv = np.zeros(2), np.ones(2)
-    T.batch_norm(x, T.ones(2), T.zeros(2), rm, rv, training=True)
+    T.batch_norm(x, T.tensor(np.ones(2)), T.tensor(np.zeros(2)), rm, rv,
+                 training=True)
     assert T.BN_MOMENTUM == 0.1
     axes = (0, 2, 3, 4)
     np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=axes))
@@ -645,8 +685,8 @@ def test_batch_norm_train_updates_running_stats(rng):
        st.integers(1, 10))
 def test_conv_extent_formula(k, stride, pad, extra):
     size = k + extra
-    x = T.zeros((1, 1, size, size, size))
-    w = T.zeros((1, 1, k, k, k))
+    x = T.tensor(np.zeros((1, 1, size, size, size)))
+    w = T.tensor(np.zeros((1, 1, k, k, k)))
     out = T.conv3d(x, w, stride=(stride,) * 3, padding=(pad,) * 3)
     expected = (size + 2 * pad - k) // stride + 1
     assert out.shape == (1, 1, expected, expected, expected)
@@ -654,22 +694,24 @@ def test_conv_extent_formula(k, stride, pad, extra):
 
 def test_conv_kernel_must_fit():
     with pytest.raises(ShapeError):
-        T.conv3d(T.zeros((1, 1, 2, 2, 2)), T.zeros((1, 1, 3, 3, 3)))
+        T.conv3d(T.tensor(np.zeros((1, 1, 2, 2, 2))),
+                 T.tensor(np.zeros((1, 1, 3, 3, 3))))
 
 
 def test_conv_cin_mismatch():
     with pytest.raises(ShapeError):
-        T.conv3d(T.zeros((1, 2, 4, 4, 4)), T.zeros((1, 3, 3, 3, 3)))
+        T.conv3d(T.tensor(np.zeros((1, 2, 4, 4, 4))),
+                 T.tensor(np.zeros((1, 3, 3, 3, 3))))
 
 
 def test_linear_din_mismatch():
     with pytest.raises(ShapeError):
-        T.linear(T.zeros((2, 3)), T.zeros((4, 5)))
+        T.linear(T.tensor(np.zeros((2, 3))), T.tensor(np.zeros((4, 5))))
 
 
 def test_narrow_bounds():
     with pytest.raises(ShapeError):
-        T.narrow(T.zeros((2, 3)), 1, 2, 2)
+        T.narrow(T.tensor(np.zeros((2, 3))), 1, 2, 2)
 
 
 def test_invariant_product_shape_equals_data_length(rng):
@@ -683,3 +725,20 @@ def test_determinism_bit_identical(rng):
     a = T.conv3d(T.tensor(x), T.tensor(w), padding=(1, 1, 1)).data
     b = T.conv3d(T.tensor(x), T.tensor(w), padding=(1, 1, 1)).data
     assert np.array_equal(a, b)
+
+
+def test_every_tensor_op_has_a_user_in_src():
+    # the op set is exactly what the network, its loss and its checks use:
+    # each public name is read as T.<name> or imported from .tensor by
+    # another module; tape_size is read only by the benchmark's tracer
+    used = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "T"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                used.update(alias.name for alias in node.names)
+    assert set(T.__all__) - used == {"tape_size"}
