@@ -3,8 +3,9 @@
 Each clip embeds a known waveform (fundamental plus a 0.3-amplitude second
 harmonic, so HR estimators must lock to the fundamental) into an
 elliptical skin region with a green-dominant channel mix, optional
-Gaussian noise and slow sinusoidal mask motion. Everything is a pure
-function of the seed.
+Gaussian noise and slow sinusoidal mask motion along x. Everything is a
+pure function of the seed, and a clip is rendered in one broadcast (see
+``generate_clip``).
 
 On disk, a clip is a directory holding ``meta.json`` (shape, dtype tag,
 fs, seed, checksums) plus ``frames.f32`` and ``label.f32`` as raw
@@ -52,7 +53,7 @@ FORMAT_VERSION = 1  # of a clip's meta.json
 # every meta.json key that reading a clip uses, with its value check
 _HEADER = {"format_version": lambda v: is_count(v) and v == FORMAT_VERSION,
            "dtype": lambda v: v == "<f4",
-           "fs": lambda v: type(v) in (int, float) and v > 0,
+           "fs": lambda v: type(v) in (int, float) and 0 < v < math.inf,
            "frames_shape": lambda v: is_shape(v) and len(v) == 4 and min(v[2:]) > 0,
            "label_shape": lambda v: is_shape(v) and len(v) == 1,
            "frames_crc32": lambda v: isinstance(v, str),
@@ -168,18 +169,15 @@ def _pulse_waveform(cfg: SynthConfig, t: np.ndarray) -> np.ndarray:
     return np.sin(phase) + SECOND_HARMONIC * np.sin(2.0 * phase)
 
 
-def _ellipse_mask(h: int, w: int, frac: float, dy: float, dx: float) -> np.ndarray:
-    cy, cx = (h - 1) / 2.0 + dy, (w - 1) / 2.0 + dx
-    ry, rx = frac * h / 2.0, frac * w / 2.0
-    yy, xx = np.mgrid[0:h, 0:w]
-    return (((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2) <= 1.0
-
-
 def generate_clip(cfg: SynthConfig) -> ClipRecord:
     """Render one synthetic clip; same seed, same bits.
 
-    Rendered in float64, returned at the stored float32 precision: the
-    frames are those ``read_dataset`` gives back after ``write_dataset``.
+    One broadcast: each pixel of each frame takes its channel's skin level
+    for that frame inside the frame's ellipse, else the base colour. The
+    motion shift moves each frame's ellipse along x, so a still clip is
+    the zero-shift case. Rendered in float64, returned at the stored
+    float32 precision: the frames are those ``read_dataset`` gives back
+    after ``write_dataset``.
     """
     rng = np.random.default_rng(cfg.seed)
     h, w = cfg.resolution
@@ -187,19 +185,15 @@ def generate_clip(cfg: SynthConfig) -> ClipRecord:
     t = np.arange(n) / cfg.fs
     pulse = _pulse_waveform(cfg, t)
 
-    frames = np.empty((3, n, h, w), dtype=np.float64)
     base = np.asarray(cfg.base_color, dtype=np.float64)
-    static_mask = cfg.motion_amplitude_px == 0.0
-    mask = _ellipse_mask(h, w, cfg.skin_mask, 0.0, 0.0) if static_mask else None
-    for i in range(n):
-        if not static_mask:
-            dx = cfg.motion_amplitude_px * np.sin(2.0 * np.pi * MOTION_FREQ_HZ * t[i])
-            mask = _ellipse_mask(h, w, cfg.skin_mask, 0.0, dx)
-        for ch in range(3):
-            level = base[ch] * (1.0 + cfg.pulse_amplitude * CHANNEL_MIX[ch] * pulse[i])
-            frame = np.full((h, w), base[ch])
-            frame[mask] = level
-            frames[ch, i] = frame
+    mix = cfg.pulse_amplitude * np.asarray(CHANNEL_MIX)
+    level = base[:, None] * (1.0 + mix[:, None] * pulse)  # (3, T)
+    dx = cfg.motion_amplitude_px * np.sin(2.0 * np.pi * MOTION_FREQ_HZ * t)
+    ry, rx = cfg.skin_mask * h / 2.0, cfg.skin_mask * w / 2.0
+    ey = ((np.arange(h) - (h - 1) / 2.0) / ry) ** 2
+    ex = ((np.arange(w) - ((w - 1) / 2.0 + dx)[:, None]) / rx) ** 2  # (T, W)
+    frames = np.where(ey[:, None] + ex[:, None, :] <= 1.0,  # (T, H, W) ellipse
+                      level[:, :, None, None], base[:, None, None, None])
     if cfg.noise_sigma > 0.0:
         frames += rng.normal(0.0, cfg.noise_sigma, frames.shape)
     np.clip(frames, 0.0, 1.0, out=frames)

@@ -1,10 +1,11 @@
 """Adam, the training/evaluation loops, and bit-exact checkpoint I/O.
 
 Determinism contract: batch order and chunk windows derive from the
-seed alone (every epoch draws the same ones), and parameters, Adam
-moments and BN buffers are round-tripped through float32 at every epoch
-checkpoint, so resuming from any epoch reproduces the uninterrupted run
-bit for bit.
+seed alone (every epoch draws the same ones), a fresh model's parameters
+are rounded through float32 before epoch 0, and each epoch continues
+from the checkpoint it just wrote (parameters, Adam moments and BN
+buffers as float32, loaded back), so the uninterrupted run goes on from
+exactly what resuming from that epoch loads, bit for bit.
 
 A checkpoint stores the network's own ``config`` and the epoch, and
 stores ``AdamState.t``, the one step counter, as ``global_step``.
@@ -127,17 +128,6 @@ def prepare_chunk(chunk: ClipRecord) -> Tuple[np.ndarray, np.ndarray]:
     label = diff_normalize_label(chunk.label)
     label = np.concatenate([label, [0.0]])
     return frames, label
-
-
-def _quantize_state(model: Module, state: AdamState) -> None:
-    """Round-trip everything through float32, as the checkpoint does."""
-    for _, p in model.named_parameters():
-        p.data = p.data.astype(np.float32).astype(np.float64)
-    for store in (state.m, state.v):
-        for k in store:
-            store[k] = store[k].astype(np.float32).astype(np.float64)
-    for _, buf in model.named_buffers():
-        buf[:] = buf.astype(np.float32).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +282,14 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     """Train on a dataset directory; returns (final_ckpt_path, loss_log).
 
     Per epoch: seeded shuffle, one random chunk per clip, NegPearson on
-    diff-normalized signals, Adam update, checkpoint save plus float32
-    round-trip. Windows are drawn from the epoch's rng in clip order, but
-    each batch's chunks are cut only when that batch runs. loss_log rows
-    are (epoch, step, loss), also written to ``loss_log.csv``. An epoch of
-    no step (no clip holds a window) is an InsufficientDataError. The run
-    starts from ``start``, a ``start_state`` result (a resume is one), or
-    else from a fresh network.
+    diff-normalized signals, Adam update, then a checkpoint saved and
+    loaded back, so the next epoch starts from its float32 image. Windows
+    are drawn from the epoch's rng in clip order, but each batch's chunks
+    are cut only when that batch runs. loss_log rows are (epoch, step,
+    loss), also written to ``loss_log.csv``. An epoch of no step (no clip
+    holds a window) is an InsufficientDataError. The run starts from
+    ``start``, a ``start_state`` result (a resume is one), or else from a
+    fresh network.
     """
     model, state, start_epoch = start or start_state(model_cfg, train_cfg)
     out_dir = Path(out_dir)
@@ -310,9 +301,10 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
     named = list(model.named_parameters())
     loss_log: List[Tuple[int, int, float]] = []
     model.train()
-    # start from float32-representable parameters so every epoch (fresh or
-    # resumed) sees the same checkpoint-boundary precision
-    _quantize_state(model, state)
+    # start from float32-representable parameters, as a resume does; a
+    # fresh model's buffers are 0 or 1 and its Adam state is empty
+    for _, p in named:
+        p.data = p.data.astype(np.float32).astype(np.float64)
 
     for epoch in range(start_epoch, train_cfg.epochs):
         # seeded per epoch from the seed alone: every epoch sees identical
@@ -345,7 +337,7 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
                                         f"holds a {train_cfg.chunk_len}-frame window")
         epoch_ckpt = out_dir / f"checkpoint_epoch_{epoch:03d}"
         save_checkpoint(epoch_ckpt, model, state, epoch + 1)
-        _quantize_state(model, state)
+        state = restore_model(*load_checkpoint(epoch_ckpt), model)
 
     with open(out_dir / "loss_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -83,8 +83,9 @@ def test_train_missing_data_dir_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("frames_shape", "ab"), ("fs", "x"),
+                                       ("fs", float("inf")),
                                        ("format_version", 2)],
-                         ids=["string_frames_shape", "string_fs",
+                         ids=["string_frames_shape", "string_fs", "infinite_fs",
                               "format_version_2"])
 def test_malformed_dataset_header_exits_3(key, value, tiny_dataset, tmp_path,
                                           capsys):

@@ -31,13 +31,29 @@ def test_generate_clip_determinism():
     assert np.array_equal(a.label, b.label)
 
 
-def test_generate_clip_returns_its_stored_float32_frames():
+@pytest.mark.parametrize("noise,motion,crc", [(0.01, 1.0, "55eacf48"),
+                                              (0.0, 0.0, "57339ee8")],
+                         ids=["moving_noisy", "still"])
+def test_generate_clip_returns_its_stored_float32_frames(noise, motion, crc):
     clip = generate_clip(SynthConfig(seed=7, duration_s=1.0, resolution=(16, 16),
-                                     hr_start_bpm=80.0, noise_sigma=0.01,
-                                     motion_amplitude_px=1.0))
+                                     hr_start_bpm=80.0, noise_sigma=noise,
+                                     motion_amplitude_px=motion))
     assert clip.frames.dtype == np.float32 and clip.label.dtype == np.float64
     # the checksum of the frames when they were rendered and kept in float64
-    assert f"{zlib.crc32(clip.frames.tobytes()):08x}" == "55eacf48"
+    assert f"{zlib.crc32(clip.frames.tobytes()):08x}" == crc
+
+
+def test_render_peaks_near_twice_the_float64_buffer():
+    # the premise of MAX_CLIP_BYTES: the render buffer plus the noise draw
+    cfg = small_cfg(duration_s=2.0, noise_sigma=0.01, motion_amplitude_px=3.0)
+    buffer = 3 * cfg.num_frames * 24 * 24 * 8
+    tracemalloc.start()
+    try:
+        generate_clip(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * buffer
 
 
 def test_distinct_seeds_distinct_frames():

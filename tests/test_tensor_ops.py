@@ -742,3 +742,39 @@ def test_every_tensor_op_has_a_user_in_src():
             elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
                 used.update(alias.name for alias in node.names)
     assert set(T.__all__) - used == {"tape_size"}
+
+
+def test_every_private_module_name_has_a_reader_in_src():
+    # a module-level _name that no src/pulsemamba code reads is a dead
+    # helper; reads inside the statement that defines it (recursion, a
+    # docstring mention) do not count
+    defined, reads = {}, {}
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            where = (path.name, i)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = where
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = [node.id]
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    read = [alias.name for alias in node.names]
+                else:
+                    read = []
+                for name in read:
+                    reads.setdefault(name, set()).add(where)
+    assert defined
+    dead = sorted(f"{where[0]}:{name}" for name, where in defined.items()
+                  if not reads.get(name, set()) - {where})
+    assert dead == []
