@@ -231,37 +231,37 @@ class SSMParams(Module):
         self.c_bias: Optional[Tensor] = None
 
 
-def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
+def selective_scan_op(u: Tensor, delta: Tensor, a_log: Tensor,
                       bmat: Tensor, cmat: Tensor) -> Tensor:
     """Fused input-dependent scan: per-token ZOH then the recurrence.
 
-    u, delta: (B, L, D); a: (D, N) negative; bmat, cmat: (B, L, N).
+    u, delta: (B, L, D); a_log: (D, N), a = -exp(a_log); bmat, cmat: (B, L, N).
     Abar/Bbar and the states exist one chunk at a time (``_chunk_len``
     tokens, derived from the shape), made by ``_chunk_states``. When the
     op is recorded, the only array kept for the backward is h at the
     chunk starts, (ceil(L / chunk), B, N, D). The backward walks the
     chunks in reverse: ``_chunk_states`` rebuilds the chunk's ZOH and
     states from its start state, the recurrence runs in reverse time for
-    dL/dh, and every input gradient is formed from them. Its temporaries
-    share one buffer of 5 chunk blocks, reused per chunk.
+    dL/dh, and every input gradient is formed from them (a_log's as
+    dL/da * a). Its temporaries share one buffer of 5 chunk blocks.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"selective_scan: u {u.shape} vs delta {delta.shape}")
     bsz, L, d = u.shape
-    n = a.shape[1]
+    n = a_log.shape[1]
     if bmat.shape != (bsz, L, n) or cmat.shape != (bsz, L, n):
         raise ShapeError(f"selective_scan: B {bmat.shape} / C {cmat.shape} "
                          f"inconsistent with (B={bsz}, L={L}, N={n})")
     if np.any(delta.data <= 0.0):
         raise NumericError("selective_scan requires delta > 0 (softplus upstream)")
 
-    parents = [u, delta, a, bmat, cmat]
+    parents = [u, delta, a_log, bmat, cmat]
     recording = T._records(parents)
     chunk = _chunk_len(bsz, d, n)
     c = min(chunk, L)
     # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
     # the state and a run N-major, (..., N, D)
-    av = np.ascontiguousarray(a.data.T)
+    av = np.ascontiguousarray(-T._check_finite(np.exp(a_log.data), "exp(a_log)").T)
     ut, dt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, delta, bmat, cmat))
     buf = np.zeros((3, c + 1, bsz, n, d))  # abar, growth, h (row 0: carry)
     starts = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
@@ -315,12 +315,11 @@ def selective_scan_op(u: Tensor, delta: Tensor, a: Tensor,
             q *= gh
             q *= abar
             q.sum(axis=2, out=gdt[sl])
-            # dL/da = (delta * q - gg * b * u) / a, divided after the loop
+            # dL/d(a_log) = dL/da * a = delta * q - gg * b * u
             q *= dt[sl, :, None, :]
             gg *= bu
             q -= gg
             ga += q.sum(axis=(0, 1))
-        ga /= av
         return [gu, gdelta, ga.T, gb, gc]
 
     return T.apply_op("selective_scan", y, parents, bwd)
@@ -338,8 +337,7 @@ def selective_scan(params: SSMParams, x: Tensor) -> Tensor:
     cmat = T.linear(x, params.w_c, params.c_bias)
     delta = T.softplus(T.linear(T.linear(x, params.w_dt_down),
                                 params.w_dt_up, params.dt_bias))
-    a = T.mul(T.exp(params.a_log), T.tensor(-1.0))
-    return selective_scan_op(x, delta, a, bmat, cmat)
+    return selective_scan_op(x, delta, params.a_log, bmat, cmat)
 
 
 def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
@@ -393,10 +391,9 @@ class MambaLayer(Module):
 
     Each full-size (B, L, E*C) array dies with its last reader: x once
     both directions' convs have read it, each conv output once its scan
-    has, and z is projected only after both scans. At E*C = 64, N = 16 a
-    no_grad call peaks at 5.4 such arrays (8.0 when the whole (L, 2*E*C)
-    projection lived through the call and each direction was gated
-    apart).
+    has, and z is projected only after both scans. At C = 32, E = 2, N = 16,
+    L = 16,384 a no_grad call peaks at 5.40 such arrays over its entry
+    (tracemalloc; 8.0 with the (L, 2*E*C) projection held and gating apart).
     """
 
     def __init__(self, c_model: int, state_dim: int, expand: int,

@@ -43,9 +43,8 @@ SECOND_HARMONIC = 0.3
 MOTION_FREQ_HZ = 0.2
 HR_BAND_BPM = (48.0, 144.0)
 CRC_BLOCK = 1 << 20  # bytes per read when checksumming a file
-# cap on generate_clip's float64 (3, T, H, W) render buffer, whose render
-# peaks near twice it: the largest test or benchmark clip (paper-eval's 129
-# frames of 128x128, 51 MB) is under a tenth of it, and 2x it fits in 7 GB
+# cap on generate_clip's float64 (3, T, H, W) buffer (a render peaks near 1.5x
+# it); the largest test or benchmark clip, paper-eval's (51 MB), is under 1/10 of it
 MAX_CLIP_BYTES = 1 << 29
 
 
@@ -194,8 +193,9 @@ def generate_clip(cfg: SynthConfig) -> ClipRecord:
     ex = ((np.arange(w) - ((w - 1) / 2.0 + dx)[:, None]) / rx) ** 2  # (T, W)
     frames = np.where(ey[:, None] + ex[:, None, :] <= 1.0,  # (T, H, W) ellipse
                       level[:, :, None, None], base[:, None, None, None])
-    if cfg.noise_sigma > 0.0:
-        frames += rng.normal(0.0, cfg.noise_sigma, frames.shape)
+    if cfg.noise_sigma > 0.0:  # one channel's draw at a time
+        for channel in frames:
+            channel += rng.normal(0.0, cfg.noise_sigma, channel.shape)
     np.clip(frames, 0.0, 1.0, out=frames)
 
     meta = {"seed": cfg.seed, "config_hash": cfg.content_hash(),

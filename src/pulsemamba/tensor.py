@@ -7,9 +7,9 @@ slice; an input gradient is a transposed conv, itself a stride-1 conv
 with the flipped kernel that skips the stride's zero planes, or, for the
 depthwise causal conv, its own kernel run backwards in time), pooling,
 affine maps, norms (batch and layer norm are front ends of one kernel),
-sum/mean, the pointwise ops they apply and a handful of shape
-movers. Computation is float64 throughout; float32 appears only at
-checkpoint/dataset boundaries.
+sum/mean, the pointwise ops they apply (the sigmoid-based ones in
+cache-sized blocks) and a handful of shape movers. Computation is
+float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 
 Every recorded op hangs a node, numbered in execution order, off its
 output; nothing else holds it. A node links to its parents' nodes (or to
@@ -45,7 +45,7 @@ __all__ = [
     "Tensor", "tensor", "no_grad", "is_grad_enabled",
     "tape_size", "backward",
     "add", "sub", "mul", "div",
-    "exp", "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
+    "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
     "linear", "conv3d", "conv1d_depthwise_causal",
     "conv_transpose1d", "maxpool3d", "batch_norm", "layer_norm",
     "reduce_sum", "reduce_mean",
@@ -58,8 +58,8 @@ _SEQ = itertools.count()
 _recorded = 0  # ops recorded since the last backward
 
 # Cache-resident working set of one block of float64 work: one state
-# block of the SSM scan, all block temporaries of SiLU and of the
-# depthwise causal conv.
+# block of the SSM scan, all block temporaries of a pointwise activation
+# and of the depthwise causal conv.
 BLOCK_BYTES = 1 << 20
 
 BN_MOMENTUM = 0.1  # batch norm's running-statistic update rate
@@ -289,11 +289,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # unary elementwise
 
-def exp(x: Tensor) -> Tensor:
-    out = _check_finite(np.exp(x.data), "exp")
-    return apply_op("exp", out, [x], lambda g: [g * out])
-
-
 def sqrt(x: Tensor) -> Tensor:
     out = _check_finite(np.sqrt(x.data), "sqrt")
     return apply_op("sqrt", out, [x], lambda g: [g * (0.5 / out)])
@@ -306,36 +301,29 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid_np(x.data)
-    return apply_op("sigmoid", s, [x], lambda g: [g * s * (1.0 - s)])
+    s = _blocked(_sigmoid_np, x.data)
+    return apply_op("sigmoid", s, [x],
+                    lambda g: [_blocked(lambda g, s: g * s * (1.0 - s), g, s)])
 
 
 def silu(x: Tensor) -> Tensor:
-    # cache-sized blocks keep the sigmoid's ~8 temporaries out of memory;
-    # the backward recomputes the sigmoid
     xd = x.data
-    xf = np.ascontiguousarray(xd).reshape(-1)
-    out = np.empty(xd.shape)
-    of = out.reshape(-1)
-    step = BLOCK_BYTES // (8 * 8)
-    for i in range(0, xf.size, step):
-        blk = xf[i:i + step]
-        np.multiply(blk, _sigmoid_np(blk), out=of[i:i + step])
 
-    def bwd(g):
-        s = _sigmoid_np(xd)
-        return [g * (s * (1.0 + xd * (1.0 - s)))]
+    def rule(g, x):  # recomputes the sigmoid rather than keep it
+        s = _sigmoid_np(x)
+        return g * (s * (1.0 + x * (1.0 - s)))
 
-    return apply_op("silu", out, [x], bwd)
+    return apply_op("silu", _blocked(lambda x: x * _sigmoid_np(x), xd), [x],
+                    lambda g: [_blocked(rule, g, xd)])
 
 
 def softplus(x: Tensor) -> Tensor:
     # log(1 + e^x) as max(x, 0) + log1p(e^-|x|): no overflow, and vector
     # kernels where np.logaddexp runs a scalar loop
     xd = x.data
-    out = np.log1p(np.exp(-np.abs(xd)))
-    out += np.maximum(xd, 0.0)
-    return apply_op("softplus", out, [x], lambda g: [g * _sigmoid_np(xd)])
+    out = _blocked(lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), xd)
+    return apply_op("softplus", out, [x],
+                    lambda g: [_blocked(lambda g, x: g * _sigmoid_np(x), g, xd)])
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
@@ -349,6 +337,17 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # one division
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _blocked(formula, *arrays) -> np.ndarray:
+    """``formula(*arrays)`` into a new array, over cache-sized blocks of the
+    same-shape ``arrays`` read in C order: up to 8 block temporaries."""
+    flat = [np.ascontiguousarray(a).reshape(-1) for a in arrays]
+    out = np.empty(flat[0].size)
+    step = BLOCK_BYTES // (8 * 8)
+    for i in range(0, out.size, step):
+        out[i:i + step] = formula(*(f[i:i + step] for f in flat))
+    return out.reshape(np.shape(arrays[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -192,10 +192,14 @@ _ENTRY = {"name": lambda v: isinstance(v, str), "shape": is_shape,
 
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a checkpoint directory, verifying its header and entries against
-    ``_META`` and ``_ENTRY`` and every checksum; any defect is a FormatError."""
+    ``_META`` and ``_ENTRY`` and every checksum; any defect is a FormatError.
+    An epoch takes at least one step: ``0 < epoch <= global_step``, or both 0."""
     path = Path(path)
     meta_path = path / "meta.json"
     meta = read_header(meta_path, _META)
+    epoch, step = meta["epoch"], meta["global_step"]
+    if not (0 < epoch <= step or epoch == step == 0):
+        raise FormatError(f"{meta_path}: epoch {epoch} disagrees with global_step {step}")
     blob = (path / "state.bin").read_bytes()
     arrays = {}
     for i, entry in enumerate(meta["entries"]):

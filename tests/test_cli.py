@@ -393,6 +393,10 @@ def _set_model_config(key, value):
     (_set_header("config_hash", "0" * 16), "train", "config_hash"),
     (_set_model_config("channels", 0), "eval", "channels"),
     (_set_entry("dtype", "<f8"), "eval", "bad dtype"),
+    (_set_header("epoch", 0), "eval", "disagrees with global_step"),
+    (_set_header("epoch", 0), "train", "disagrees with global_step"),
+    (_set_header("epoch", 2), "eval", "disagrees with global_step"),
+    (_set_header("epoch", 2), "train", "disagrees with global_step"),
 ], ids=["unknown_config_key", "unpaired_adam_moment", "reshaped_buffer",
         "no_buffers", "no_buffers_on_resume",
         "string_offset", "string_shape", "entries_not_a_list",
@@ -401,7 +405,9 @@ def _set_model_config(key, value):
         "boolean_format_version", "old_format_version", "stored_theta_5",
         "stored_theta_5_on_resume", "contradicting_config_hash",
         "contradicting_config_hash_on_resume",
-        "stored_channels_0", "float64_entry"])
+        "stored_channels_0", "float64_entry",
+        "epoch_0_after_a_step", "epoch_0_after_a_step_on_resume",
+        "epoch_2_after_one_step", "epoch_2_after_one_step_on_resume"])
 def test_malformed_checkpoint_contents_exit_3(corrupt, subcommand, what,
                                               tiny_dataset, tmp_path, capsys):
     cfg = ModelConfig(channels=16, blocks_per_stream=2, ca_ratio=4)

@@ -182,6 +182,15 @@ def test_scan_reports_nan_step_index(rng):
 # ---------------------------------------------------------------------------
 # selective scan
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_selective_scan_refuses_an_overflowing_a(rng):
+    # a = -exp(a_log) = -inf would zero that state's drive without a word
+    params = SSMParams(3, 4, 1, rng)
+    params.a_log.data[1, 2] = 1000.0
+    with pytest.raises(NumericError, match="exp"):
+        selective_scan(params, Tensor(rng.normal(size=(1, 5, 3))))
+
+
 def test_selective_scan_zero_input_is_zero(rng):
     params = SSMParams(4, 16, 1, rng)
     with T.no_grad():
@@ -246,17 +255,17 @@ def test_selective_scan_batched_consistency(rng):
 def test_selective_scan_gradients(rng):
     u = Tensor(rng.normal(size=(1, 7, 3)), requires_grad=True)
     delta = Tensor(rng.uniform(0.05, 0.6, (1, 7, 3)), requires_grad=True)
-    a = Tensor(-rng.uniform(0.3, 2.0, (3, 5)), requires_grad=True)
+    a_log = Tensor(np.log(rng.uniform(0.3, 2.0, (3, 5))), requires_grad=True)
     bm = Tensor(rng.normal(size=(1, 7, 5)), requires_grad=True)
     cm = Tensor(rng.normal(size=(1, 7, 5)), requires_grad=True)
     weights = np.sin(np.arange(21)).reshape(1, 7, 3)
 
     def build():
-        y = ssm.selective_scan_op(u, delta, a, bm, cm)
+        y = ssm.selective_scan_op(u, delta, a_log, bm, cm)
         return T.reduce_sum(T.mul(y, Tensor(weights)))
 
     result = checks.gradcheck("selective", build,
-                              [("u", u), ("delta", delta), ("a", a),
+                              [("u", u), ("delta", delta), ("a_log", a_log),
                                ("B", bm), ("C", cm)],
                               np.random.default_rng(0), samples_per_leaf=6)
     assert result.passed, result.line()
@@ -293,13 +302,13 @@ def test_recorded_scan_keeps_only_chunk_start_states(rng):
     assert L // chunk >= 16  # many chunks, so the full history would dwarf one
     u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
     delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)))
-    a = Tensor(-np.tile(np.arange(1.0, n + 1.0), (d, 1)))
+    a_log = Tensor(np.log(np.tile(np.arange(1.0, n + 1.0), (d, 1))))
     bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n))) for _ in range(2))
     state = bsz * n * d * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        y = ssm.selective_scan_op(u, delta, a, bmat, cmat)
+        y = ssm.selective_scan_op(u, delta, a_log, bmat, cmat)
         held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
     finally:
         tracemalloc.stop()
@@ -318,10 +327,11 @@ def _backward_peak_in_token_rows(rng, monkeypatch, bsz, chunk):
     L, d, n = 1024, 64, 16
     u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
     delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)), requires_grad=True)
-    a = Tensor(-np.tile(np.arange(1.0, n + 1.0), (d, 1)), requires_grad=True)
+    a_log = Tensor(np.log(np.tile(np.arange(1.0, n + 1.0), (d, 1))),
+                   requires_grad=True)
     bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n)), requires_grad=True)
                   for _ in range(2))
-    y = ssm.selective_scan_op(u, delta, a, bmat, cmat)
+    y = ssm.selective_scan_op(u, delta, a_log, bmat, cmat)
     gy = rng.normal(size=y.shape)
     tracemalloc.start()
     try:
