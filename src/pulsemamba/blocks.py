@@ -135,7 +135,9 @@ class ModelConfig:
 
 
 class Conv3d(Module):
-    """3D conv without bias, as every conv of the network is."""
+    """3D conv without bias, as every conv of the network is. A ``pool``
+    window is passed on to ``T.conv3d``, which then max-pools each output
+    frame as it makes it (unrecorded calls only)."""
 
     def __init__(self, cin: int, cout: int, kernel, stride=(1, 1, 1),
                  padding=(0, 0, 0), *, rng: np.random.Generator):
@@ -147,8 +149,8 @@ class Conv3d(Module):
         self.stride = tuple(stride)
         self.padding = tuple(padding)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv3d(x, self.weight, self.stride, self.padding)
+    def __call__(self, x: Tensor, pool=None) -> Tensor:
+        return T.conv3d(x, self.weight, self.stride, self.padding, pool)
 
 
 class BatchNorm3d(Module):
@@ -258,12 +260,13 @@ class Stem(Module):
     Eval BN, ((x - mean) * inv) * gamma + beta with inv > 0 and
     gamma >= 0, is non-decreasing per channel in each rounding step, so
     for finite conv outputs the result is bit for bit that of pooling
-    last, and a NaN still propagates. Every other forward keeps the op
-    order, so the recorded graph and the batch statistics are unchanged.
-    Each op's output replaces the only reference to its input, so a
-    stage's input dies once its conv returns, and a halving stage's
-    full-resolution conv output once it is pooled (a recorded forward
-    keeps what the backward rules read).
+    last, and a NaN still propagates. That pool runs inside the conv
+    (``Conv3d``'s ``pool``), one output frame at a time, so such a stage
+    never holds its full-resolution conv output. Every other forward
+    keeps the op order, so the recorded graph and the batch statistics
+    are unchanged. Each op's output replaces the only reference to its
+    input, so a stage's input dies once its conv returns (a recorded
+    forward keeps what the backward rules read).
     """
 
     def __init__(self, widths: Tuple[int, int, int], rng: np.random.Generator):
@@ -280,11 +283,9 @@ class Stem(Module):
         for conv, bn, halve in ((self.conv1, self.bn1, True),
                                 (self.conv2, self.bn2, False),
                                 (self.conv3, self.bn3, True)):
-            x = conv(x)
             pool_first = halve and not (T.is_grad_enabled() or bn.training
                                         or (bn.gamma.data < 0).any())
-            if pool_first:
-                x = T.maxpool3d(x, POOL)
+            x = conv(x, POOL) if pool_first else conv(x)
             x = bn(x)
             x = T.relu(x)
             if halve and not pool_first:

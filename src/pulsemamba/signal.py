@@ -42,16 +42,21 @@ def diff_normalize(frames: np.ndarray) -> np.ndarray:
 
     d_t = (X_{t+1} - X_t) / (X_t + X_{t+1} + eps), then the whole clip is
     divided by the population std of all d values (+ eps). Non-finite
-    entries become 0. Output has T-1 frames.
+    entries become 0. Output has T-1 frames. Each step runs in place on
+    the output, with one denominator buffer that dies before the std, so
+    at most two output-size float64 arrays are alive at once.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4 or frames.shape[1] < 2:
         raise ShapeError(f"diff_normalize expects (3, T>=2, H, W), got {frames.shape}")
-    num = frames[:, 1:] - frames[:, :-1]
-    den = frames[:, 1:] + frames[:, :-1] + DIFF_EPS
-    d = num / den
+    later, earlier = frames[:, 1:], frames[:, :-1]
+    d = np.subtract(later, earlier)
+    den = np.add(later, earlier)
+    den += DIFF_EPS
+    d /= den
+    del den
     d[~np.isfinite(d)] = 0.0
-    d = d / (d.std() + DIFF_EPS)
+    d /= d.std() + DIFF_EPS
     d[~np.isfinite(d)] = 0.0
     return d
 

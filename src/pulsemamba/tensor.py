@@ -5,7 +5,8 @@ use: 3D/1D convolutions (one kernel: a ring of kt input planes, each
 gathered once straight from the unpadded input, and kt GEMMs per output
 slice; an input gradient is a transposed conv, itself a stride-1 conv
 with the flipped kernel that skips the stride's zero planes, or, for the
-depthwise causal conv, its own kernel run backwards in time), pooling,
+depthwise causal conv, its own kernel run backwards in time; an
+unrecorded 3D conv can max-pool each output frame as it makes it), pooling,
 affine maps, norms (batch and layer norm are front ends of one kernel),
 sum/mean, the pointwise ops they apply (the sigmoid-based ones in
 cache-sized blocks) and a handful of shape movers. Computation is
@@ -15,8 +16,9 @@ Every recorded op hangs a node, numbered in execution order, off its
 output; nothing else holds it. A node links to its parents' nodes (or to
 a leaf that needs a gradient), never to their tensors, and its backward
 rule captures only the arrays and shapes it reads: ``relu`` keeps a bool
-mask, ``maxpool3d`` a small-int index of each window's max. So an
-activation no rule reads dies as soon as the forward drops it.
+mask, ``maxpool3d`` a small-int index of each window's max, and a pooled
+``conv3d`` keeps nothing, as it is never recorded. So an activation no
+rule reads dies as soon as the forward drops it.
 ``backward`` runs the nodes a gradient reaches from the loss in
 decreasing number, which is reverse execution order; running a node twice
 without a fresh forward is a ``GraphError``. Nodes do not refer to their
@@ -388,7 +390,8 @@ def _conv_out_len(size: int, k: int, stride: int, pad: int) -> int:
     return n
 
 
-def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
+def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0),
+           pool=None) -> Tensor:
     """Zero-padded 3D cross-correlation, without bias.
 
     x: (B, Cin, T, H, W), w: (Cout, Cin, kt, kh, kw). Output extents follow
@@ -401,6 +404,13 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     dilated by the stride. The recorded op keeps neither a padded input
     nor the planes, and forms no input gradient for an ``x`` that needs
     none.
+
+    With a ``pool`` window (1, ph, pw) the result is bit for bit
+    ``maxpool3d(conv3d(x, w, stride, padding), pool)``, NaN windows
+    included, but no full-resolution output is made: each output frame
+    lands in one reused buffer and is max-folded from there into the
+    pooled output. Such a call has no backward, so one that would be
+    recorded is a GraphError, and a window spanning time a ShapeError.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError("conv3d expects 5-D input and weight")
@@ -408,8 +418,14 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
         raise ShapeError(f"conv3d: Cin mismatch {x.shape[1]} vs {w.shape[1]}")
     if min(stride) < 1:
         raise ShapeError("conv3d: stride components must be >= 1")
+    if pool is not None:
+        if len(pool) != 3 or pool[0] != 1 or min(pool) < 1:
+            raise ShapeError(f"conv3d: pool window must be (1, ph, pw), got {pool}")
+        if _records([x, w]):
+            raise GraphError("conv3d: a pooled conv has no backward; "
+                             "pool the recorded output with maxpool3d")
     ext = tuple(map(_conv_out_len, x.shape[2:], w.shape[2:], stride, padding))
-    out = _conv(x.data, w.data, stride, padding, ext)
+    out = _conv(x.data, w.data, stride, padding, ext, pool=pool)
     xd, wd, need_gx = x.data, w.data, x.requires_grad
 
     def bwd(g):
@@ -480,16 +496,23 @@ def _planes(x, kernel, stride, pad, ext, dilation):
         yield ot, taps
 
 
-def _conv(x, w, stride, pad, ext, dilation=(1, 1, 1)):
+def _conv(x, w, stride, pad, ext, dilation=(1, 1, 1), pool=None):
     """Cross-correlation of x (B, Cin, T, H, W) with w (Cout, Cin, kt, kh,
     kw) into extents ``ext``, padding and dilation read on the fly (see
     ``_axis_taps``): output slice ot is the sum over its taps of the GEMMs
-    w[:, :, i] @ cols_i of ``_planes``' ring."""
+    w[:, :, i] @ cols_i of ``_planes``' ring. With a ``pool`` window (1,
+    ph, pw) each slice is summed in one reused frame buffer and max-folded
+    from there into a (B, Cout, T, H // ph, W // pw) output."""
     b, (cout, _, kt, *kernel) = x.shape[0], w.shape
     parts = [w[:, :, i].reshape(cout, -1) for i in range(kt)]
-    out = np.empty((b, cout) + tuple(ext))
+    if pool is None:
+        out = np.empty((b, cout) + tuple(ext))
+    else:
+        pooled = tuple(map(_conv_out_len, ext[1:], pool[1:], pool[1:], (0, 0)))
+        out = np.empty((b, cout, ext[0]) + pooled)
+        windows = _pool_windows(pool[1:], pooled)
     prod = np.empty((cout, b * ext[1] * ext[2]))
-    acc = np.empty_like(prod) if b > 1 else None
+    acc = np.empty_like(prod) if b > 1 or pool is not None else None
     for ot, taps in _planes(x, (kt, *kernel), stride, pad, ext, dilation):
         dst = out[:, :, ot].reshape(b, cout, -1).swapaxes(0, 1)
         # with one sample the GEMMs land in the output slice itself
@@ -500,7 +523,10 @@ def _conv(x, w, stride, pad, ext, dilation=(1, 1, 1)):
             np.matmul(parts[i], cols, out=prod if n else tgt)
             if n:
                 tgt += prod
-        if tgt is acc:
+        if pool is not None:
+            _max_fold(acc.reshape(cout, b, ext[1], ext[2]), windows,
+                      out[:, :, ot].swapaxes(0, 1))
+        elif tgt is acc:
             dst[...] = acc.reshape(dst.shape)
     return out
 
@@ -616,6 +642,26 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor,
     return apply_op("conv_transpose1d", out, [x, w, bias], bwd)
 
 
+def _pool_windows(kernel, ext):
+    """Per window offset, in scan order (last axis fastest): the index of
+    that offset of every window, for non-overlapping windows ``kernel``
+    over the trailing axes, pooled extents ``ext``, after two whole axes."""
+    whole = (slice(None), slice(None))
+    return [whole + tuple(slice(i, i + k * (n - 1) + 1, k)
+                          for i, k, n in zip(offset, kernel, ext))
+            for offset in itertools.product(*map(range, kernel))]
+
+
+def _max_fold(x, windows, out):
+    """Fill ``out`` with the max of x over the window views ``windows``:
+    the first copied, the rest folded in with ``np.maximum`` in order, so
+    a NaN in a window makes its output NaN."""
+    np.copyto(out, x[windows[0]])
+    for win in windows[1:]:
+        np.maximum(out, x[win], out=out)
+    return out
+
+
 def maxpool3d(x: Tensor, kernel) -> Tensor:
     """Max pooling over non-overlapping (T, H, W) windows (stride = kernel);
     extents follow the conv rule.
@@ -626,22 +672,11 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     keeping backward deterministic. The recorded op keeps, per output, the
     index of that offset (-1 for a NaN window), not the input.
     """
-    if x.ndim != 5:
-        raise ShapeError("maxpool3d expects (B, C, T, H, W)")
-    kt, kh, kw = kernel
-    b, c, t, h, wd = x.shape
-    to = _conv_out_len(t, kt, kt, 0)
-    ho = _conv_out_len(h, kh, kh, 0)
-    wo = _conv_out_len(wd, kw, kw, 0)
-    # one strided view of x per window offset, in scan order
-    windows = [(slice(None), slice(None), slice(i, i + kt * (to - 1) + 1, kt),
-                slice(j, j + kh * (ho - 1) + 1, kh),
-                slice(k, k + kw * (wo - 1) + 1, kw))
-               for i in range(kt) for j in range(kh) for k in range(kw)]
-
-    out = x.data[windows[0]].copy()
-    for win in windows[1:]:
-        np.maximum(out, x.data[win], out=out)
+    if x.ndim != 5 or len(kernel) != 3:
+        raise ShapeError("maxpool3d expects (B, C, T, H, W) and a (kt, kh, kw) window")
+    ext = tuple(_conv_out_len(n, k, k, 0) for n, k in zip(x.shape[2:], kernel))
+    windows = _pool_windows(kernel, ext)
+    out = _max_fold(x.data, windows, np.empty(x.shape[:2] + ext))
     first = None  # per output: the first offset holding its max, or -1
     if _records([x]):
         first = np.full(out.shape, -1, dtype=np.min_scalar_type(-len(windows)))

@@ -300,8 +300,8 @@ def test_eval_stem_pools_first_bit_equal_to_pooling_last(case, bn1_rows, rng,
 
 def test_eval_stem_drops_each_array_after_its_last_reader(rng, monkeypatch):
     """In an eval no_grad stem a stage's input is gone once its conv has
-    returned, and a halving stage's full-resolution conv output once it
-    is pooled: BN sees neither alive."""
+    returned, and a halving stage's conv returns its pooled output: no
+    full-resolution conv output is ever made, and no separate pool runs."""
     stem = Stem((4, 6, 8), rng=rng).eval()
     x = Tensor(rng.normal(size=(1, 3, 4, 16, 16)))
     convs, alive_at_bn = [], []
@@ -309,51 +309,85 @@ def test_eval_stem_drops_each_array_after_its_last_reader(rng, monkeypatch):
 
     def conv(h, *args):
         out = real_conv(h, *args)
-        convs.append((weakref.ref(h.data), weakref.ref(out.data)))
+        convs.append((weakref.ref(h.data), weakref.ref(out.data), out.shape))
         return out
 
     def bn(h, *args):
-        alive_at_bn.append([[r() is not None for r in pair] for pair in convs])
+        alive_at_bn.append([[r() is not None for r in c[:2]] for c in convs])
         return real_bn(h, *args)
+
+    def pool(*args):
+        raise AssertionError("the eval stem pools inside its convs")
 
     monkeypatch.setattr(T, "conv3d", conv)
     monkeypatch.setattr(T, "batch_norm", bn)
+    monkeypatch.setattr(T, "maxpool3d", pool)
     with T.no_grad():
         stem(x)
+    assert [c[2] for c in convs] == [(1, 4, 4, 8, 8), (1, 6, 4, 8, 8),
+                                     (1, 8, 4, 4, 4)]
     # [input, output] of each conv so far; the stem's input is the caller's
-    assert alive_at_bn == [[[True, False]],
+    # and each conv's output is the BN input
+    assert alive_at_bn == [[[True, True]],
                            [[True, False], [False, True]],
-                           [[True, False], [False, False], [False, False]]]
+                           [[True, False], [False, False], [False, True]]]
 
 
-def test_eval_stem_halving_stage_peak(rng, monkeypatch):
-    """The last halving stage holds at most its input, the conv's output
-    and ring of planes, and the pooled output: no padded input copy."""
-    widths = (4, 6, 8)
-    stem = Stem(widths, rng=rng).eval()
-    x = Tensor(rng.normal(size=(1, 3, 16, 128, 128)))
-    t, h, w = 16, 64, 64  # extents of conv3's input, after one halving
-    stage_in = 8 * widths[1] * t * h * w
-    conv_out = 8 * widths[2] * t * h * w
-    ring = 8 * 3 * widths[1] * 9 * h * w
-    real_conv = T.conv3d
-    start = []
+def _eval_stem_stage_peaks(stem, x, monkeypatch):
+    """Per stage of an eval no_grad stem forward of ``x``: the tracemalloc
+    peak from its conv's call to the next stage's (the last stage's: to
+    the stem's return), over what was held at that call less the stage's
+    input, which its caller holds."""
+    real_conv, held, peaks = T.conv3d, [], []
 
-    def conv(h_, w_, *args):
-        if w_ is stem.conv3.weight:  # the stage's input is all that is held
-            start.append(tracemalloc.get_traced_memory()[0] - h_.data.nbytes)
-            tracemalloc.reset_peak()
-        return real_conv(h_, w_, *args)
+    def close_stage():
+        if held:
+            peaks.append(tracemalloc.get_traced_memory()[1] - held[-1])
+
+    def conv(h_, *args):
+        close_stage()
+        held.append(tracemalloc.get_traced_memory()[0] - h_.data.nbytes)
+        tracemalloc.reset_peak()
+        return real_conv(h_, *args)
 
     monkeypatch.setattr(T, "conv3d", conv)
     tracemalloc.start()
     try:
         with T.no_grad():
             stem(x)
-        peak = tracemalloc.get_traced_memory()[1] - start[0]
+        close_stage()
     finally:
         tracemalloc.stop()
-    assert peak < stage_in + conv_out + conv_out // 4 + ring
+    return peaks
+
+
+def _assert_halving_stage_peak(stage, rng, monkeypatch):
+    """A halving stage holds at most its input, its conv's ring of planes,
+    the pooled output and the conv's two frame buffers (the frame sum and
+    the GEMM product): no full-resolution conv output, no padded input."""
+    widths = (4, 6, 8)
+    stem = Stem(widths, rng=rng).eval()
+    x = Tensor(rng.normal(size=(1, 3, 16, 128, 128)))
+    cin, cout, (kt, kh, kw) = ((3, widths[0], (1, 5, 5)) if stage == 0
+                               else (widths[1], widths[2], (3, 3, 3)))
+    t, h, w = (16, 128, 128) if stage == 0 else (16, 64, 64)
+    stage_in = 8 * cin * t * h * w
+    pooled = 8 * cout * t * h * w // 4
+    ring = 8 * kt * cin * kh * kw * h * w
+    frame = 8 * cout * h * w
+    # NumPy's ufunc buffers (8192 values per operand), the kernel's parts
+    # and bookkeeping
+    margin = 3 * 8192 * 8 + 8 * cout * cin * kt * kh * kw + (16 << 10)
+    peak = _eval_stem_stage_peaks(stem, x, monkeypatch)[stage]
+    assert peak < stage_in + pooled + ring + 2 * frame + margin
+
+
+def test_eval_stem_first_halving_stage_peak(rng, monkeypatch):
+    _assert_halving_stage_peak(0, rng, monkeypatch)
+
+
+def test_eval_stem_halving_stage_peak(rng, monkeypatch):
+    _assert_halving_stage_peak(2, rng, monkeypatch)
 
 
 def test_lateral_shape_and_zero_behaviour(rng):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pulsemamba import tensor as T
 from pulsemamba.errors import InsufficientDataError, ShapeError
-from pulsemamba.signal import (MetricsReport, compute_metrics,
+from pulsemamba.signal import (DIFF_EPS, MetricsReport, compute_metrics,
                                diff_normalize, diff_normalize_label,
                                estimate_hr, neg_pearson_loss, pearson,
                                write_metrics_csv)
@@ -48,6 +48,23 @@ def test_diff_normalize_unit_variance(rng):
     frames = rng.uniform(0.2, 0.8, (3, 8, 6, 6))
     out = diff_normalize(frames)
     assert abs(out.std() - 1.0) <= 1e-6
+
+
+def test_diff_normalize_bit_equal_to_the_out_of_place_formula(rng):
+    frames = rng.uniform(0.2, 0.8, (3, 9, 5, 5))
+    frames[:, 3:5] = 0.0  # 0/eps differences and a 0/0
+    frames[1, 6] = np.inf
+    frames[2, 7, 1] = np.nan
+    num = frames[:, 1:] - frames[:, :-1]
+    den = frames[:, 1:] + frames[:, :-1] + DIFF_EPS
+    with np.errstate(invalid="ignore"):
+        want = num / den
+    want[~np.isfinite(want)] = 0.0
+    want = want / (want.std() + DIFF_EPS)
+    want[~np.isfinite(want)] = 0.0
+    with np.errstate(invalid="ignore"):
+        got = diff_normalize(frames)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_diff_normalize_label_mirrors_frames(rng):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pulsemamba import synth, training
 from pulsemamba import tensor as T
-from pulsemamba.errors import NumericError, ShapeError
+from pulsemamba.errors import GraphError, NumericError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,40 @@ def test_maxpool_propagates_nan_and_routes_ties_first():
     # a NaN window routes nowhere; a tie goes to the earlier offset
     np.testing.assert_array_equal(t.grad.reshape(4, 2),
                                   [[0, 0], [2, 0], [2, 0], [2, 0]])
+
+
+# the stem's convs: conv1's (1, 5, 5) kernel and conv3's (3, 3, 3)
+@pytest.mark.parametrize("kernel, padding", [((1, 5, 5), (0, 2, 2)),
+                                             ((3, 3, 3), (1, 1, 1))])
+@pytest.mark.parametrize("b", [1, 2])  # B = 2 sums in _conv's accumulator
+def test_pooled_conv3d_bit_equal_to_pooling_its_output(kernel, padding, b, rng):
+    x = rng.normal(size=(b, 3, 4, 9, 11))  # odd H and W: a row and column drop
+    x[-1, 1, 2, 4, 5] = np.nan  # NaN in the windows its 5x5 or 3x3 reach
+    x[0, :, 1, :4, :4] = 0.25  # a flat patch: tied windows
+    w = rng.normal(size=(5, 3) + kernel)
+    xt, wt = T.tensor(x), T.tensor(w, requires_grad=True)
+    with T.no_grad():
+        got = T.conv3d(xt, wt, (1, 1, 1), padding, (1, 2, 2)).data
+        want = T.maxpool3d(T.conv3d(xt, wt, (1, 1, 1), padding), (1, 2, 2)).data
+    assert got.shape == (b, 5, 4, 4, 5)
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    assert _bits_equal(got, want)
+
+
+def test_pooled_conv3d_is_never_recorded(rng):
+    x = T.tensor(rng.normal(size=(1, 2, 2, 4, 4)))
+    w = T.tensor(rng.normal(size=(3, 2, 1, 3, 3)), requires_grad=True)
+    with pytest.raises(GraphError):
+        T.conv3d(x, w, (1, 1, 1), (0, 1, 1), (1, 2, 2))
+    with T.no_grad():
+        assert T.conv3d(x, w, (1, 1, 1), (0, 1, 1), (1, 2, 2)).shape == (1, 3, 2, 2, 2)
+
+
+def test_pooled_conv3d_window_must_not_span_time(rng):
+    x = T.tensor(rng.normal(size=(1, 2, 2, 4, 4)))
+    w = T.tensor(rng.normal(size=(3, 2, 1, 3, 3)))
+    with pytest.raises(ShapeError):
+        T.conv3d(x, w, (1, 1, 1), (0, 1, 1), (2, 2, 2))
 
 
 # ---------------------------------------------------------------------------

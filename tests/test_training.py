@@ -2,6 +2,7 @@
 resume behaviour."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from pulsemamba import tensor as T
 from pulsemamba import training
 from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba.errors import ConfigError, FormatError, NumericError
-from pulsemamba.synth import (SynthConfig, chunk_and_resize, generate_clip,
-                              read_dataset, write_dataset)
+from pulsemamba.synth import (ClipRecord, SynthConfig, chunk_and_resize,
+                              generate_clip, read_dataset, write_dataset)
 from pulsemamba.tensor import Tensor
 from pulsemamba.training import (AdamState, TrainConfig, adam_step,
                                  config_hash, evaluate_checkpoint,
@@ -210,6 +211,23 @@ def test_prepare_chunk_alignment():
     assert frames.shape[1] == clip.frames.shape[1]
     assert label.shape[0] == clip.label.shape[0]
     assert frames[:, -1].max() == 0.0 and label[-1] == 0.0
+
+
+def test_prepare_chunk_peak_is_at_most_two_and_a_quarter_chunks(rng):
+    # the diff-normalized frames and one temporary at a time (the
+    # denominator, the std's deviations or the zero-padded copy), plus
+    # bool masks; the out-of-place formula peaked near 4 chunks
+    t = 32
+    clip = ClipRecord(rng.uniform(0.2, 0.8, (3, t, 32, 32)),
+                      np.sin(np.arange(float(t))), 30.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepare_chunk(clip)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * clip.frames.nbytes
 
 
 # ---------------------------------------------------------------------------
