@@ -214,14 +214,13 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("broadcast_size1_axes", lambda: _weighted_sum(T.mul(xg, gg)),
         [("x", xg), ("g", gg)])
 
-    u = leaf((2, 9, 3))
-    dl = Tensor(rng.uniform(0.05, 0.8, (2, 9, 3)), requires_grad=True)
-    a_log = Tensor(np.log(rng.uniform(0.3, 2.0, (3, 4))), requires_grad=True)
-    bm = leaf((2, 9, 4))
-    cm = leaf((2, 9, 4))
+    scan = [("u", leaf((2, 9, 3))), ("dt_low", leaf((2, 9, 2))),
+            ("a_log", Tensor(np.log(rng.uniform(0.3, 2.0, (3, 4))),
+                             requires_grad=True)),
+            ("B", leaf((2, 9, 4))), ("C", leaf((2, 9, 4))),
+            ("w_dt_up", leaf((3, 2))), ("dt_bias", leaf((3,)))]
     run("selective_scan", lambda: _weighted_sum(
-        ssm.selective_scan_op(u, dl, a_log, bm, cm)),
-        [("u", u), ("delta", dl), ("a_log", a_log), ("B", bm), ("C", cm)])
+        ssm.selective_scan_op(*(t for _, t in scan))), scan)
 
     pr, tg = leaf((2, 8)), leaf((2, 8))
     run("neg_pearson", lambda: neg_pearson_loss(pr, tg),
@@ -310,7 +309,9 @@ def constant_projection_bitwise(seed: int = 0) -> CheckResult:
         y_sel = ssm.selective_scan(params, Tensor(x[None])).data[0]
 
     a = -np.exp(params.a_log.data)
-    dt_bias = params.dt_bias.data  # softplus(dt_bias), as T.softplus forms it
+    # dt_low is 0, so each step is softplus(dt_bias), as the op forms
+    # every chunk's steps through T.softplus
+    dt_bias = params.dt_bias.data
     delta_const = np.maximum(dt_bias, 0.0) + np.log1p(np.exp(-np.abs(dt_bias)))
     delta_seq = np.broadcast_to(delta_const, (L, d))
     abar, bbar = ssm.discretize_zoh(a, params.b_bias.data, delta_seq)

@@ -16,11 +16,15 @@ one transcendental.
 
 The selective scan works through time-major (chunk, B, N, D) blocks,
 the chunk sized from the operand shape so one block stays about 1 MiB
-(cache resident). One chunk routine makes a chunk's states for the
-forward and for the backward's rebuild, and one recurrence kernel runs
-in both time directions. The state is held N-major, so every per-token
-broadcast (delta, u, B) and the readout y_t = C_t h_t run along the
-contiguous channel axis D; ``a`` keeps its (D, N) shape at the API.
+(cache resident). It takes the step's low-rank input and forms each
+chunk's step delta = softplus(dt_low @ w_dt_up^T + dt_bias) itself, so
+no full-size delta exists, and a recorded scan keeps only its inputs and
+the states at chunk starts. One chunk routine makes a chunk's steps and
+states for the forward and for the backward's rebuild, and one
+recurrence kernel runs in both time directions. The state is held
+N-major, so every per-token broadcast (delta, u, B) and the readout
+y_t = C_t h_t run along the contiguous channel axis D; ``a`` keeps its
+(D, N) shape at the API.
 """
 
 from __future__ import annotations
@@ -113,14 +117,30 @@ def _readout(c, h, y) -> None:
         np.einsum("tbnd,tbnd->tbd", c, h, out=y)
 
 
-def _chunk_states(av, dt, bt, ut, sl, h, buf):
-    """States of the tokens ``sl`` from h[0]: the chunk's ZOH into buf[0]
-    and buf[1], the drive growth * b * u into h[1:], then the recurrence.
-    The forward and the backward's rebuild both run it, so the backward
-    sees the forward's states bit for bit. Returns (abar, growth)."""
-    abar, growth = _zoh(av, dt[sl, :, None, :], *buf[:2, :len(h) - 1])
-    np.multiply(growth, bt[sl, :, :, None], out=h[1:])
-    h[1:] *= ut[sl, :, None, :]
+def _chunk_delta(lt, s, e, w_up, dt_bias):
+    """(raw, delta) of the tokens [s, e), time-major (e - s, B, D), from
+    the time-major (L, B, r) ``lt``: raw = dt_low @ w_up^T + dt_bias and
+    delta = ``T.softplus(raw)``. One 2-D GEMM over the chunk's rows gives
+    each row the bits ``T.linear`` gives it over the whole sequence; a
+    3-D matmul does not, nor a 1-row one (NumPy's gemv path), so a lone
+    row is multiplied with the row before it."""
+    bsz = lt.shape[1]
+    lo = s - 1 if s > 0 and (e - s) * bsz == 1 else s
+    raw = lt[lo:e].reshape(-1, lt.shape[2]) @ w_up.T
+    raw = raw[(s - lo) * bsz:].reshape(e - s, bsz, -1)
+    raw += dt_bias
+    return raw, T.softplus(Tensor(raw)).data
+
+
+def _chunk_states(av, dt, bt, ut, h, buf):
+    """States of one chunk's tokens from h[0], given their delta, b and u
+    blocks: the chunk's ZOH into buf[0] and buf[1], the drive
+    growth * b * u into h[1:], then the recurrence. The forward and the
+    backward's rebuild both run it, so the backward sees the forward's
+    states bit for bit. Returns (abar, growth)."""
+    abar, growth = _zoh(av, dt[:, :, None, :], *buf[:2, :len(h) - 1])
+    np.multiply(growth, bt[:, :, :, None], out=h[1:])
+    h[1:] *= ut[:, :, None, :]
     _scan_core(abar, h[1:], h[0])
     return abar, growth
 
@@ -231,51 +251,66 @@ class SSMParams(Module):
         self.c_bias: Optional[Tensor] = None
 
 
-def selective_scan_op(u: Tensor, delta: Tensor, a_log: Tensor,
-                      bmat: Tensor, cmat: Tensor) -> Tensor:
-    """Fused input-dependent scan: per-token ZOH then the recurrence.
+def selective_scan_op(u: Tensor, dt_low: Tensor, a_log: Tensor,
+                      bmat: Tensor, cmat: Tensor, w_dt_up: Tensor,
+                      dt_bias: Tensor) -> Tensor:
+    """Fused input-dependent scan: per-token step and ZOH, then the
+    recurrence.
 
-    u, delta: (B, L, D); a_log: (D, N), a = -exp(a_log); bmat, cmat: (B, L, N).
+    u: (B, L, D); dt_low: (B, L, r); a_log: (D, N), a = -exp(a_log);
+    bmat, cmat: (B, L, N); w_dt_up: (D, r); dt_bias: (D,). The step is
+    delta = softplus(raw), raw = dt_low @ w_dt_up^T + dt_bias. Delta,
     Abar/Bbar and the states exist one chunk at a time (``_chunk_len``
-    tokens, derived from the shape), made by ``_chunk_states``. When the
-    op is recorded, the only array kept for the backward is h at the
-    chunk starts, (ceil(L / chunk), B, N, D). The backward walks the
-    chunks in reverse: ``_chunk_states`` rebuilds the chunk's ZOH and
-    states from its start state, the recurrence runs in reverse time for
-    dL/dh, and every input gradient is formed from them (a_log's as
-    dL/da * a). Its temporaries share one buffer of 5 chunk blocks.
+    tokens, derived from the shape), made by ``_chunk_delta`` and
+    ``_chunk_states``; a step <= 0 is a NumericError naming its token.
+
+    A recorded op keeps its inputs and h at the chunk starts,
+    (ceil(L / chunk), B, N, D), and no full-size delta or raw. The
+    backward walks the chunks in reverse, rebuilds each chunk's delta,
+    ZOH and states, and runs the recurrence in reverse time for dL/dh.
+    It returns the gradients of u, dt_low, a_log (as dL/da * a), B, C,
+    w_dt_up and dt_bias; the last three are ``T.linear``'s backward of
+    dL/d(raw), so they are bitwise those of a linear-then-softplus graph.
+    Its chunk temporaries share one buffer of 5 chunk blocks.
     """
-    if u.ndim != 3 or delta.shape != u.shape:
-        raise ShapeError(f"selective_scan: u {u.shape} vs delta {delta.shape}")
+    if u.ndim != 3 or dt_low.ndim != 3 or dt_low.shape[:2] != u.shape[:2]:
+        raise ShapeError(f"selective_scan: u {u.shape} vs dt_low {dt_low.shape}")
     bsz, L, d = u.shape
     n = a_log.shape[1]
     if bmat.shape != (bsz, L, n) or cmat.shape != (bsz, L, n):
         raise ShapeError(f"selective_scan: B {bmat.shape} / C {cmat.shape} "
                          f"inconsistent with (B={bsz}, L={L}, N={n})")
-    if np.any(delta.data <= 0.0):
-        raise NumericError("selective_scan requires delta > 0 (softplus upstream)")
+    if w_dt_up.shape != (d, dt_low.shape[2]) or dt_bias.shape != (d,):
+        raise ShapeError(f"selective_scan: w_dt_up {w_dt_up.shape} / dt_bias "
+                         f"{dt_bias.shape} vs (D={d}, r={dt_low.shape[2]})")
 
-    parents = [u, delta, a_log, bmat, cmat]
+    parents = [u, dt_low, a_log, bmat, cmat, w_dt_up, dt_bias]
     recording = T._records(parents)
     chunk = _chunk_len(bsz, d, n)
     c = min(chunk, L)
     # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
     # the state and a run N-major, (..., N, D)
     av = np.ascontiguousarray(-T._check_finite(np.exp(a_log.data), "exp(a_log)").T)
-    ut, dt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, delta, bmat, cmat))
+    ut, lt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, dt_low, bmat, cmat))
+    low, w_up, bias = dt_low.data, w_dt_up.data, dt_bias.data
     buf = np.zeros((3, c + 1, bsz, n, d))  # abar, growth, h (row 0: carry)
     starts = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
               if recording else None)
     y = np.empty((bsz, L, d), dtype=np.float64)
     yt = np.swapaxes(y, 0, 1)
     for k, s in enumerate(range(0, L, chunk)):
-        sl = slice(s, min(s + chunk, L))
-        h = buf[2, :sl.stop - s + 1]
+        e = min(s + chunk, L)
+        h = buf[2, :e - s + 1]
         if recording:
             starts[k] = h[0]
-        _chunk_states(av, dt, bt, ut, sl, h, buf)
-        _readout(ct[sl], h[1:], yt[sl])
-        _check_state(yt[sl], s)
+        dt = _chunk_delta(lt, s, e, w_up, bias)[1]
+        stepless = (dt <= 0.0).reshape(e - s, -1).any(axis=1)
+        if stepless.any():
+            raise NumericError("selective_scan requires delta > 0: step <= 0 "
+                               f"at token {s + int(np.argmax(stepless))}")
+        _chunk_states(av, dt, bt[s:e], ut[s:e], h, buf)
+        _readout(ct[s:e], h[1:], yt[s:e])
+        _check_state(yt[s:e], s)
         h[0] = h[-1]
     if not recording:
         return Tensor(y)
@@ -284,43 +319,49 @@ def selective_scan_op(u: Tensor, delta: Tensor, a_log: Tensor,
         gyt = np.swapaxes(gy, 0, 1)
         # returned batch-major, (B, L, .), written through time-major views
         gu = np.empty((bsz, L, d), dtype=np.float64)
-        gdelta = np.empty_like(gu)
+        graw = np.empty_like(gu)  # dL/d(delta), then dL/d(raw)
         gb = np.empty((bsz, L, n), dtype=np.float64)
         gc = np.empty_like(gb)
-        gut, gdt, gbt, gct = (np.swapaxes(g, 0, 1) for g in (gu, gdelta, gb, gc))
+        gut, grt, gbt, gct = (np.swapaxes(g, 0, 1) for g in (gu, graw, gb, gc))
         ga = np.zeros_like(av)
         # abar, growth, h (q once gc has read h), gh, bu
         buf = np.empty((5, c + 1, bsz, n, d), dtype=np.float64)
         carry = np.zeros((bsz, n, d), dtype=np.float64)  # abar_e * dL/dh_e
         for k in reversed(range(len(starts))):
             s, e = k * chunk, min(k * chunk + chunk, L)
-            sl = slice(s, e)
             h = buf[2, :e - s + 1]  # h_{s-1} .. h_{e-1}, the forward's
             h[0] = starts[k]
-            abar, growth = _chunk_states(av, dt, bt, ut, sl, h, buf)
+            raw, dt = _chunk_delta(lt, s, e, w_up, bias)
+            bs, us = bt[s:e], ut[s:e]
+            abar, growth = _chunk_states(av, dt, bs, us, h, buf)
             # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
-            gh = np.multiply(ct[sl, :, :, None], gyt[sl, :, None, :], out=buf[3, :e - s])
+            gh = np.multiply(ct[s:e, :, :, None], gyt[s:e, :, None, :], out=buf[3, :e - s])
             gh[-1] += carry
             _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
             np.multiply(abar[0], gh[0], out=carry)
-            np.matmul(h[1:], gyt[sl, :, :, None], out=gct[sl, :, :, None])
+            np.matmul(h[1:], gyt[s:e, :, :, None], out=gct[s:e, :, :, None])
             # drive = growth * b * u
             gg = np.multiply(gh, growth, out=growth)
-            np.matmul(bt[sl, :, None, :], gg, out=gut[sl, :, None, :])
-            np.matmul(gg, ut[sl, :, :, None], out=gbt[sl, :, :, None])
-            bu = np.multiply(bt[sl, :, :, None], ut[sl, :, None, :], out=buf[4, :e - s])
+            np.matmul(bs[:, :, None, :], gg, out=gut[s:e, :, None, :])
+            np.matmul(gg, us[:, :, :, None], out=gbt[s:e, :, :, None])
+            bu = np.multiply(bs[:, :, :, None], us[:, :, None, :], out=buf[4, :e - s])
             # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
             q = np.multiply(av, h[:-1], out=h[:-1])
             q += bu
             q *= gh
             q *= abar
-            q.sum(axis=2, out=gdt[sl])
+            q.sum(axis=2, out=grt[s:e])
+            grt[s:e] *= T._sigmoid_np(raw)  # dL/d(raw): softplus' = sigmoid
             # dL/d(a_log) = dL/da * a = delta * q - gg * b * u
-            q *= dt[sl, :, None, :]
+            q *= dt[:, :, None, :]
+            del raw, dt  # the rest of the chunk runs without them
             gg *= bu
             q -= gg
             ga += q.sum(axis=(0, 1))
-        return [gu, gdelta, ga.T, gb, gc]
+        # raw = dt_low @ w_up^T + dt_bias: T.linear's backward
+        g2 = graw.reshape(-1, d)
+        return [gu, (g2 @ w_up).reshape(low.shape), ga.T, gb, gc,
+                g2.T @ low.reshape(-1, low.shape[2]), g2.sum(axis=0)]
 
     return T.apply_op("selective_scan", y, parents, bwd)
 
@@ -328,16 +369,17 @@ def selective_scan_op(u: Tensor, delta: Tensor, a_log: Tensor,
 def selective_scan(params: SSMParams, x: Tensor) -> Tensor:
     """Input-dependent scan over the (B, L, D) Tensor x; returns (B, L, D).
 
-    B(t), C(t), delta(t) come from the parameter projections of x itself,
-    delta through a softplus; with constant-output projections this
+    B(t), C(t) and delta's low-rank input come from the parameter
+    projections of x itself; the op forms delta chunk by chunk through
+    a softplus. With constant-output projections this
     reduces exactly (bitwise) to the time-invariant recurrence on the same
     discretized values.
     """
     bmat = T.linear(x, params.w_b, params.b_bias)
     cmat = T.linear(x, params.w_c, params.c_bias)
-    delta = T.softplus(T.linear(T.linear(x, params.w_dt_down),
-                                params.w_dt_up, params.dt_bias))
-    return selective_scan_op(x, delta, params.a_log, bmat, cmat)
+    dt_low = T.linear(x, params.w_dt_down)
+    return selective_scan_op(x, dt_low, params.a_log, bmat, cmat,
+                             params.w_dt_up, params.dt_bias)
 
 
 def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
@@ -391,9 +433,11 @@ class MambaLayer(Module):
 
     Each full-size (B, L, E*C) array dies with its last reader: x once
     both directions' convs have read it, each conv output once its scan
-    has, and z is projected only after both scans. At C = 32, E = 2, N = 16,
-    L = 16,384 a no_grad call peaks at 5.40 such arrays over its entry
-    (tracemalloc; 8.0 with the (L, 2*E*C) projection held and gating apart).
+    has, and z once its SiLU has; z is projected only after both scans.
+    At C = 32, E = 2, N = 16, L = 16,384 a no_grad call peaks at 4.46
+    such arrays over its entry (tracemalloc; 5.40 with each scan's step
+    formed whole before the scan, 8.0 with the (L, 2*E*C) projection held
+    and gating apart).
     """
 
     def __init__(self, c_model: int, state_dim: int, expand: int,
@@ -416,21 +460,29 @@ class MambaLayer(Module):
         self.w_out = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_inner),
                                        (c_model, d_inner)), requires_grad=True)
 
-    def _conv_silu(self, x: Tensor) -> Tensor:
-        return T.silu(T.conv1d_depthwise_causal(x, self.conv_w, self.conv_b))
+    def _conv(self, x: Tensor) -> Tensor:
+        return T.conv1d_depthwise_causal(x, self.conv_w, self.conv_b)
 
     def __call__(self, h: Tensor) -> Tensor:
         """h: (B, L, C) -> (B, L, C); the residual add is the caller's."""
         d = self.d_inner
         hn = T.layer_norm(h, self.ln_gamma, self.ln_beta)
         x = T.linear(hn, T.narrow(self.w_in, 0, 0, d))
-        # the backward direction scans x time-reversed and flips back
-        xf, xb = self._conv_silu(x), self._conv_silu(T.flip(x, axis=1))
-        del x  # each full-size array is dropped once its last reader ran
+        # each full-size array is dropped right after its last reader; the
+        # backward direction scans x time-reversed and flips back
+        xf = T.silu(self._conv(x))
+        xb = self._conv(T.flip(x, axis=1))
+        del x
+        xb = T.silu(xb)
         y = selective_scan(self.ssm_fwd, xf)
         del xf
-        y = T.add(y, T.flip(selective_scan(self.ssm_bwd, xb), axis=1))
+        yb = T.flip(selective_scan(self.ssm_bwd, xb), axis=1)
         del xb
+        y = T.add(y, yb)
+        del yb
         # z is projected only now, and gates the directions' sum once
         z = T.linear(hn, T.narrow(self.w_in, 0, d, d))
-        return T.linear(T.mul(y, T.silu(z)), self.w_out)
+        del hn
+        gate = T.silu(z)
+        del z
+        return T.linear(T.mul(y, gate), self.w_out)

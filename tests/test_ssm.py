@@ -252,23 +252,59 @@ def test_selective_scan_batched_consistency(rng):
     np.testing.assert_array_equal(y_batched[1], y1)
 
 
-def test_selective_scan_gradients(rng):
-    u = Tensor(rng.normal(size=(1, 7, 3)), requires_grad=True)
-    delta = Tensor(rng.uniform(0.05, 0.6, (1, 7, 3)), requires_grad=True)
-    a_log = Tensor(np.log(rng.uniform(0.3, 2.0, (3, 5))), requires_grad=True)
-    bm = Tensor(rng.normal(size=(1, 7, 5)), requires_grad=True)
-    cm = Tensor(rng.normal(size=(1, 7, 5)), requires_grad=True)
+def _scan_operands(rng, bsz, L, d, n, r, requires_grad):
+    """Operands of ``selective_scan_op`` with steps of about 0.01 to 0.6."""
+    def leaf(data):
+        return Tensor(data, requires_grad=requires_grad)
+
+    return [leaf(rng.normal(size=(bsz, L, d))),                     # u
+            leaf(rng.normal(0.0, 0.5, (bsz, L, r))),                # dt_low
+            leaf(np.log(np.tile(np.arange(1.0, n + 1.0), (d, 1)))),  # a_log
+            leaf(rng.normal(size=(bsz, L, n))),                     # B
+            leaf(rng.normal(size=(bsz, L, n))),                     # C
+            leaf(rng.uniform(-1.0, 1.0, (d, r))),                   # w_dt_up
+            leaf(np.log(np.expm1(rng.uniform(0.02, 0.2, d))))]      # dt_bias
+
+
+SCAN_OPERANDS = ("u", "dt_low", "a_log", "B", "C", "w_dt_up", "dt_bias")
+
+
+def _check_scan_gradients(rng):
+    operands = _scan_operands(rng, 1, 7, 3, 5, 2, requires_grad=True)
     weights = np.sin(np.arange(21)).reshape(1, 7, 3)
 
     def build():
-        y = ssm.selective_scan_op(u, delta, a_log, bm, cm)
+        y = ssm.selective_scan_op(*operands)
         return T.reduce_sum(T.mul(y, Tensor(weights)))
 
     result = checks.gradcheck("selective", build,
-                              [("u", u), ("delta", delta), ("a_log", a_log),
-                               ("B", bm), ("C", cm)],
+                              list(zip(SCAN_OPERANDS, operands)),
                               np.random.default_rng(0), samples_per_leaf=6)
     assert result.passed, result.line()
+
+
+def test_selective_scan_gradients(rng):
+    _check_scan_gradients(rng)
+
+
+def test_selective_scan_gradients_across_chunk_edges(rng, monkeypatch):
+    # 3-token chunks: L = 7 ends in a 1-token chunk, and the backward's
+    # rebuild of each chunk's delta crosses two chunk edges
+    monkeypatch.setattr(ssm, "_chunk_len", lambda *_: 3)
+    _check_scan_gradients(rng)
+
+
+def test_selective_scan_names_the_token_whose_step_is_not_positive(
+        rng, monkeypatch):
+    # softplus(-1e4) underflows to 0 at token 9, inside the third of
+    # the 4-token chunks
+    monkeypatch.setattr(ssm, "_chunk_len", lambda *_: 4)
+    operands = _scan_operands(rng, 2, 16, 3, 4, 1, requires_grad=False)
+    operands[1].data[1, 9] = -1e4
+    operands[6].data[:] = 0.0
+    operands[5].data[:] = 1.0
+    with pytest.raises(NumericError, match="delta > 0.*token 9$"):
+        ssm.selective_scan_op(*operands)
 
 
 @pytest.mark.parametrize("bsz", [1, 2])
@@ -300,15 +336,14 @@ def test_recorded_scan_keeps_only_chunk_start_states(rng):
     bsz, L, d, n = 1, 4096, 64, 16
     chunk = ssm._chunk_len(bsz, d, n)
     assert L // chunk >= 16  # many chunks, so the full history would dwarf one
-    u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
-    delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)))
-    a_log = Tensor(np.log(np.tile(np.arange(1.0, n + 1.0), (d, 1))))
-    bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n))) for _ in range(2))
+    operands = _scan_operands(rng, bsz, L, d, n, 1, requires_grad=False)
+    u = operands[0]
+    u.requires_grad = True
     state = bsz * n * d * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        y = ssm.selective_scan_op(u, delta, a_log, bmat, cmat)
+        y = ssm.selective_scan_op(*operands)
         held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
     finally:
         tracemalloc.stop()
@@ -319,19 +354,37 @@ def test_recorded_scan_keeps_only_chunk_start_states(rng):
     assert u.grad is not None and np.isfinite(u.grad).all()
 
 
+def test_recorded_selective_scan_holds_no_full_size_delta(rng):
+    """What a recorded ``selective_scan(params, x)`` holds above its output
+    is the chunk starts, dt_low, B and C, within one chunk block: no
+    (B, L, D) step or softplus input."""
+    bsz, L, d, n, r = 1, 4096, 64, 16, 4
+    params = SSMParams(d, n, r, rng)
+    x = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
+    chunk = ssm._chunk_len(bsz, d, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = selective_scan(params, x)
+        held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+    finally:
+        tracemalloc.stop()
+    starts = -(-L // chunk) * bsz * n * d * 8
+    dt_low, b_and_c = bsz * L * r * 8, 2 * bsz * L * n * 8
+    block = chunk * bsz * n * d * 8
+    assert held <= starts + dt_low + b_and_c + block
+    T.backward(T.reduce_sum(y))
+    assert np.isfinite(x.grad).all() and np.isfinite(params.w_dt_up.grad).all()
+
+
 def _backward_peak_in_token_rows(rng, monkeypatch, bsz, chunk):
-    """The scan rule's tracemalloc peak above its returned gradients, in
-    (B, N, D) token rows, at L = 1024, D = 64, N = 16, with ``chunk``-token
-    chunks."""
+    """The scan rule's tracemalloc peak above its returned gradients and
+    its (B, L, D) dL/d(raw) buffer, in (B, N, D) token rows, at L = 1024,
+    D = 64, N = 16, with ``chunk``-token chunks."""
     monkeypatch.setattr(ssm, "_chunk_len", lambda *_: chunk)
     L, d, n = 1024, 64, 16
-    u = Tensor(rng.normal(size=(bsz, L, d)), requires_grad=True)
-    delta = Tensor(rng.uniform(0.01, 0.1, (bsz, L, d)), requires_grad=True)
-    a_log = Tensor(np.log(np.tile(np.arange(1.0, n + 1.0), (d, 1))),
-                   requires_grad=True)
-    bmat, cmat = (Tensor(rng.normal(size=(bsz, L, n)), requires_grad=True)
-                  for _ in range(2))
-    y = ssm.selective_scan_op(u, delta, a_log, bmat, cmat)
+    y = ssm.selective_scan_op(*_scan_operands(rng, bsz, L, d, n, 1,
+                                              requires_grad=True))
     gy = rng.normal(size=y.shape)
     tracemalloc.start()
     try:
@@ -341,7 +394,8 @@ def _backward_peak_in_token_rows(rng, monkeypatch, bsz, chunk):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    return (peak - sum(g.nbytes for g in grads)) / (bsz * n * d * 8)
+    graw = bsz * L * d * 8
+    return (peak - graw - sum(g.nbytes for g in grads)) / (bsz * n * d * 8)
 
 
 def test_scan_backward_keeps_its_temporaries_in_five_chunk_blocks(rng,
@@ -425,9 +479,9 @@ def test_mamba_layer_gradients_with_flip_view_equal_a_copying_flip(rng, monkeypa
 
 
 def test_no_grad_mamba_layer_peak_in_inner_arrays(rng):
-    """At L = 16,384 a no_grad call holds under 7.5 (L, d_inner) arrays at
-    its peak: holding the (L, 2 d_inner) input projection and gating
-    each direction apart comes to about 8."""
+    """At L = 16,384 a no_grad call holds under 4.75 (L, d_inner) arrays
+    at its peak (4.46 measured): with each scan's step formed before the
+    scan, as a full-size softplus input and output, it comes to 5.40."""
     layer = MambaLayer(32, state_dim=16, expand=2, rng=rng)
     L = 1 << 14
     x = Tensor(rng.normal(size=(1, L, 32)))
@@ -439,7 +493,7 @@ def test_no_grad_mamba_layer_peak_in_inner_arrays(rng):
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert peak < 7.5 * L * layer.d_inner * 8
+    assert peak < 4.75 * L * layer.d_inner * 8
 
 
 def test_mamba_layer_shape_contract(rng):

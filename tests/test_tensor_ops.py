@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsemamba import synth, training
+from pulsemamba.blocks import ModelConfig, PulseMambaNet
 from pulsemamba import tensor as T
 from pulsemamba.errors import GraphError, NumericError, ShapeError
 
@@ -831,6 +832,36 @@ def test_every_benchmark_row_names_a_public_function():
             assert name in modules[mod].__all__, row["name"]
             named += 1
     assert named
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["recorded", "no_grad"])
+def test_a_desk_forward_calls_every_timed_benchmark_op(recording, monkeypatch):
+    # a traced benchmark run fails when a ``tensor.<op>.self_s`` row reads
+    # nothing, so every such op must stay on the forward's path: a
+    # training forward (recorded) and an eval one (no_grad)
+    bench = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCHMARK.json").read_text())
+    timed = {m.group(1) for row in bench["per_layer"]
+             if (m := re.fullmatch(r"tensor\.(\w+)\.self_s", row["name"]))}
+    assert timed
+    called = set()
+
+    def watch(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in timed:
+        monkeypatch.setattr(T, name, watch(name, getattr(T, name)))
+    net = PulseMambaNet(ModelConfig(channels=32, blocks_per_stream=2), seed=0)
+    x = T.Tensor(np.random.default_rng(0).normal(size=(1, 3, 32, 16, 16)))
+    if recording:
+        net.train()(x)
+    else:
+        with T.no_grad():
+            net.eval()(x)
+    assert timed - called == set()
 
 
 def test_every_private_module_name_has_a_reader_in_src():
