@@ -222,6 +222,24 @@ def test_block_gradients(rng):
     assert result.passed, result.line()
 
 
+@pytest.mark.parametrize("kwargs, shape", [
+    (dict(channels=32, blocks_per_stream=2), (4, 3, 32, 16, 16)),
+    (dict(), (1, 3, 32, 64, 64)),
+], ids=["desk_config", "long_train_shape"])
+def test_network_gradient_along_a_random_direction(kwargs, shape):
+    # the benchmark's training shapes, whose scans cross chunk edges (the
+    # long-train fast block-0 scan has L = 4096); every parameter moves
+    from pulsemamba import checks
+    net = PulseMambaNet(ModelConfig(**kwargs), seed=0).train()
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=shape))
+    y = Tensor(rng.normal(size=(shape[0], shape[2])))
+    result = checks.directional_gradcheck(
+        "network_direction", lambda: neg_pearson_loss(net(x), y),
+        list(net.parameters()), rng)
+    assert result.passed, result.line()
+
+
 # ---------------------------------------------------------------------------
 # stem / streams / head
 

@@ -332,6 +332,45 @@ def test_selective_scan_chunking_invariance(bsz, rng, monkeypatch):
         assert checks.signal_rel_err(a, b) <= 1e-12
 
 
+def _longdouble_scan(u, raw, a, b, c):
+    """The selective recurrence in ``np.longdouble`` (80-bit on x86-64):
+    u, raw (L, D), a (D, N), b, c (L, N); delta = softplus(raw). The ZOH
+    is formed per block of tokens, the recurrence token by token."""
+    ld = np.longdouble
+    u, raw, a, b, c = (np.asarray(v, dtype=ld) for v in (u, raw, a, b, c))
+    delta = np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, ld(0))
+    y = np.empty(u.shape, dtype=ld)
+    h = np.zeros(a.shape, dtype=ld)
+    for s in range(0, len(u), 4096):
+        da = delta[s:s + 4096, :, None] * a
+        abar = np.exp(da)
+        drive = np.expm1(da) / a * b[s:s + 4096, None, :] * u[s:s + 4096, :, None]
+        for t in range(len(da)):
+            h = abar[t] * h + drive[t]
+            y[s + t] = h @ c[s + t]
+    return y
+
+
+def test_scan_at_paper_length_matches_a_longdouble_recurrence(rng):
+    # L = 65,536 as the fast block-0 scan at paper scale, in both time
+    # directions (the backward one reads reversed views); float64 error
+    # that grew with L would pass every short oracle and fail here
+    bsz, L, d, n = 1, 1 << 16, 4, 16
+    u, low, a_log, b, c, w_up, bias = (
+        p.data for p in _scan_operands(rng, bsz, L, d, n, 1,
+                                       requires_grad=False))
+    a = -np.exp(a_log)
+    for rev in (slice(None), slice(None, None, -1)):
+        ops = [Tensor(v[:, rev]) for v in (u, low, b, c)]
+        with T.no_grad():
+            y = ssm.selective_scan_op(ops[0], ops[1], Tensor(a_log), ops[2],
+                                      ops[3], Tensor(w_up), Tensor(bias)).data[0]
+        raw = low[0, rev] @ w_up.T + bias
+        ref = _longdouble_scan(u[0, rev], raw, a, b[0, rev], c[0, rev])
+        err = np.abs(y - ref).max() / np.abs(ref).max()
+        assert err <= 1e-13
+
+
 def test_recorded_scan_keeps_only_chunk_start_states(rng):
     bsz, L, d, n = 1, 4096, 64, 16
     chunk = ssm._chunk_len(bsz, d, n)
