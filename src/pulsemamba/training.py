@@ -280,17 +280,36 @@ def start_state(model_cfg: ModelConfig, train_cfg: TrainConfig,
     return model, state, meta["epoch"]
 
 
+def _log_rows_before(path: Path, global_step: int) -> List[List[str]]:
+    """The rows of the loss log at ``path`` for steps before
+    ``global_step``, as text: what a run resumed from a checkpoint at that
+    step keeps of its out dir's log. Empty for a fresh run (step 0) or an
+    out dir without a log; a row that does not parse is a FormatError."""
+    if global_step == 0 or not path.exists():
+        return []
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    try:
+        return [row for row in rows if int(row[1]) < global_step]
+    except (IndexError, ValueError):
+        raise FormatError(f"{path}: malformed loss log row") from None
+
+
 def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
                out_dir, log_fn: Optional[Callable[[str], None]] = None,
                start: Optional[Tuple[PulseMambaNet, AdamState, int]] = None):
     """Train on a dataset directory; returns (final_ckpt_path, loss_log).
 
     Per epoch: seeded shuffle, one random chunk per clip, NegPearson on
-    diff-normalized signals, Adam update, then a checkpoint saved and
-    loaded back, so the next epoch starts from its float32 image. Windows
-    are drawn from the epoch's rng in clip order, but each batch's chunks
-    are cut only when that batch runs. loss_log rows are (epoch, step,
-    loss), also written to ``loss_log.csv``. An epoch of no step (no clip
+    diff-normalized signals, Adam update, then its (epoch, step, loss)
+    rows appended to ``loss_log.csv``, then a checkpoint saved and loaded
+    back, so the next epoch starts from its float32 image. Windows are
+    drawn from the epoch's rng in clip order, but each batch's chunks are
+    cut only when that batch runs. The first epoch a process runs starts
+    the log over, keeping the rows of the steps before its start state's
+    step count: a resume into the run's own out dir continues the log as
+    the uninterrupted run wrote it. The returned loss_log holds this
+    process's rows. An epoch of no step (no clip
     holds a window) is an InsufficientDataError. The run starts from
     ``start``, a ``start_state`` result (a resume is one), or else from a
     fresh network.
@@ -304,6 +323,8 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
 
     named = list(model.named_parameters())
     loss_log: List[Tuple[int, int, float]] = []
+    log_path = out_dir / "loss_log.csv"
+    kept = _log_rows_before(log_path, state.t)
     model.train()
     # start from float32-representable parameters, as a resume does; a
     # fresh model's buffers are 0 or 1 and its Adam state is empty
@@ -320,6 +341,7 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
                    for chunk in chunk_and_resize(
                        records[idx], train_cfg.chunk_len, train_cfg.input_hw,
                        mode="train", rng=rng))
+        first = len(loss_log)
         while batch := list(itertools.islice(windows, train_cfg.batch_size)):
             pairs = [prepare_chunk(ch) for ch in batch]
             x = Tensor(np.stack([f for f, _ in pairs]))
@@ -339,15 +361,16 @@ def train_loop(model_cfg: ModelConfig, data_dir, train_cfg: TrainConfig,
         if not loss_log:  # every epoch cuts windows from the same clips
             raise InsufficientDataError(f"epoch {epoch} ran no step: no clip "
                                         f"holds a {train_cfg.chunk_len}-frame window")
+        # the epoch's rows are on file before its checkpoint is
+        with open(log_path, "w" if epoch == start_epoch else "a",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            if epoch == start_epoch:
+                writer.writerows([["epoch", "step", "loss"]] + kept)
+            writer.writerows([e, s, f"{v:.10f}"] for e, s, v in loss_log[first:])
         epoch_ckpt = out_dir / f"checkpoint_epoch_{epoch:03d}"
         save_checkpoint(epoch_ckpt, model, state, epoch + 1)
         state = restore_model(*load_checkpoint(epoch_ckpt), model)
-
-    with open(out_dir / "loss_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "step", "loss"])
-        for row in loss_log:
-            writer.writerow([row[0], row[1], f"{row[2]:.10f}"])
 
     final = out_dir / "checkpoint_final"
     save_checkpoint(final, model, state, train_cfg.epochs)

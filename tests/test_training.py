@@ -146,6 +146,23 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert a == b
 
 
+def test_resume_in_place_continues_the_loss_log(tmp_path):
+    # a run that got to epoch 3, resumed in its own out dir from the
+    # checkpoint of epoch 1: the log is cut back to that checkpoint's
+    # step and continued, so it reads as the uninterrupted run's
+    make_dataset(tmp_path / "data", 4)
+    cfg = ModelConfig(**TOY_MODEL)
+    train_loop(cfg, tmp_path / "data", toy_train_cfg(epochs=4),
+               tmp_path / "straight")
+    run = tmp_path / "run"
+    train_loop(cfg, tmp_path / "data", toy_train_cfg(epochs=3), run)
+    train_loop(cfg, tmp_path / "data", toy_train_cfg(epochs=4), run,
+               start=start_state(cfg, toy_train_cfg(epochs=4),
+                                 run / "checkpoint_epoch_001"))
+    assert ((run / "loss_log.csv").read_bytes()
+            == (tmp_path / "straight" / "loss_log.csv").read_bytes())
+
+
 def test_single_clip_overfit(tmp_path):
     """One clean clip, 200 optimizer steps, NegPearson below 0.1."""
     make_dataset(tmp_path / "data", 1, seed0=7, duration_s=4.0)
