@@ -182,7 +182,6 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("silu", lambda: _weighted_sum(T.silu(x)), [("x", x)])
     run("sigmoid", lambda: _weighted_sum(T.sigmoid(x)), [("x", x)])
     run("softplus", lambda: _weighted_sum(T.softplus(x)), [("x", x)])
-    run("flip", lambda: _weighted_sum(T.flip(x, 1)), [("x", x)])
 
     xl = leaf((2, 3, 4))
     wl = leaf((5, 4))
@@ -251,13 +250,16 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("broadcast_size1_axes", lambda: _weighted_sum(T.mul(xg, gg)),
         [("x", xg), ("g", gg)])
 
-    scan = [("u", leaf((2, 9, 3))), ("dt_low", leaf((2, 9, 2))),
-            ("a_log", Tensor(np.log(rng.uniform(0.3, 2.0, (3, 4))),
-                             requires_grad=True)),
-            ("B", leaf((2, 9, 4))), ("C", leaf((2, 9, 4))),
-            ("w_dt_up", leaf((3, 2))), ("dt_bias", leaf((3,)))]
-    run("selective_scan", lambda: _weighted_sum(
-        ssm.selective_scan_op(*(t for _, t in scan))), scan)
+    xs, conv = leaf((2, 9, 3)), (leaf((3, ssm.CONV_KERNEL)), leaf((3,)))
+    dirs = [ssm.SSMParams(3, 4, 2, rng) for _ in range(2)]
+    for p in dirs:  # steps of order 1, so every gradient is well above FD noise
+        p.a_log.data = np.log(rng.uniform(0.3, 2.0, (3, 4)))
+        p.dt_bias.data = rng.normal(0.0, 1.0, 3)
+    scan = ([("x", xs), ("conv_w", conv[0]), ("conv_b", conv[1])]
+            + [(f"{tag}.{name}", t) for tag, p in zip(("fwd", "bwd"), dirs)
+               for name, t in p.named_parameters()])
+    run("selective_scan", lambda: _weighted_sum(ssm.selective_scan_op(
+        xs, conv, *dirs[0].operands(), reverse=dirs[1].operands())), scan)
 
     pr, tg = leaf((2, 8)), leaf((2, 8))
     run("neg_pearson", lambda: neg_pearson_loss(pr, tg),
@@ -314,18 +316,29 @@ def scan_equivalence_suite(n_systems: int = 100, seed: int = 0) -> CheckResult:
                        n_systems)
 
 
+def _conv(rng, d):
+    """A random causal depthwise conv: (w (D, K), bias (D,)) Tensors."""
+    return (Tensor(rng.uniform(-0.5, 0.5, (d, ssm.CONV_KERNEL))),
+            Tensor(rng.uniform(-0.5, 0.5, d)))
+
+
 def selective_oracle_suite(n_cases: int = 20, seed: int = 0) -> CheckResult:
-    """Vectorized selective scan vs the straight-line reference interpreter."""
+    """Vectorized selective scan, both directions, vs the straight-line
+    reference interpreter run forward and on the time-reversed input."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
         d = int(rng.integers(2, 5))
         L = int(rng.integers(4, 33))
-        params = ssm.SSMParams(d, 16, max(1, d // 2), rng)
+        fwd, bwd = (ssm.SSMParams(d, 16, max(1, d // 2), rng) for _ in range(2))
+        conv = _conv(rng, d)
         x = rng.normal(size=(L, d))
         with T.no_grad():
-            y = ssm.selective_scan(params, Tensor(x[None])).data[0]
-        y_ref = ssm.selective_scan_reference(params, x)
+            y = ssm.selective_scan_op(Tensor(x[None]), conv, *fwd.operands(),
+                                      reverse=bwd.operands()).data[0]
+        arrays = [t.data for t in conv]
+        y_ref = (ssm.selective_scan_reference(fwd, arrays, x)
+                 + ssm.selective_scan_reference(bwd, arrays, x[::-1])[::-1])
         worst = max(worst, signal_rel_err(y, y_ref))
     return CheckResult("selective_scan_vs_reference", worst, ORACLE_TOL,
                        n_cases)
@@ -341,9 +354,11 @@ def constant_projection_bitwise(seed: int = 0) -> CheckResult:
     params.w_dt_down.data[:] = 0.0
     params.b_bias = Tensor(rng.normal(size=n))
     params.c_bias = Tensor(rng.normal(size=n))
-    x = rng.normal(size=(L, d))
+    conv = _conv(rng, d)
+    x = Tensor(rng.normal(size=(1, L, d)))
     with T.no_grad():
-        y_sel = ssm.selective_scan(params, Tensor(x[None])).data[0]
+        y_sel = ssm.selective_scan_op(x, conv, *params.operands()).data[0]
+        u = T.silu(T.conv1d_depthwise_causal(x, *conv)).data[0]
 
     a = -np.exp(params.a_log.data)
     # dt_low is 0, so each step is softplus(dt_bias), as the op forms
@@ -353,7 +368,7 @@ def constant_projection_bitwise(seed: int = 0) -> CheckResult:
     delta_seq = np.broadcast_to(delta_const, (L, d))
     abar, bbar = ssm.discretize_zoh(a, params.b_bias.data, delta_seq)
     c_seq = np.broadcast_to(params.c_bias.data, (L, n))
-    y_lti = ssm.scan_recurrent(abar, bbar, c_seq, x)
+    y_lti = ssm.scan_recurrent(abar, bbar, c_seq, u)
     exact = float(np.array_equal(y_sel, y_lti))
     return CheckResult("constant_projection_bitwise", 0.0 if exact else 1.0,
                        0.0, L * d)

@@ -16,11 +16,15 @@ one transcendental.
 
 The selective scan works through time-major (chunk, B, N, D) blocks,
 the chunk sized from the operand shape so one block stays about 1 MiB
-(cache resident). It takes the step's low-rank input and forms each
-chunk's step delta = softplus(dt_low @ w_dt_up^T + dt_bias) itself, so
-no full-size delta exists, and a recorded scan keeps only its inputs and
-the states at chunk starts. One chunk routine makes a chunk's steps and
-states for the forward and for the backward's rebuild, and one
+(cache resident). It is the Mamba layer's whole inner path as one op:
+from the layer's x it forms each chunk's causal depthwise conv (reading
+the K - 1 tokens before the chunk), SiLU, the B/C/delta-down projections
+and the step delta = softplus(dt_low @ w_dt_up^T + dt_bias) itself, for
+one direction or for both, the backward direction walking reversed views
+of x and adding into the same output. So no full-size conv output, SiLU
+output, projection or delta exists, and a recorded op keeps only x and
+the states at chunk starts. One chunk routine makes a chunk's inputs and
+one its states, for the forward and for the backward's rebuild, and one
 recurrence kernel runs in both time directions. The state is held
 N-major, so every per-token broadcast (delta, u, B) and the readout
 y_t = C_t h_t run along the contiguous channel axis D; ``a`` keeps its
@@ -30,7 +34,7 @@ y_t = C_t h_t run along the contiguous channel axis D; ``a`` keeps its
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,12 +46,15 @@ from .tensor import BLOCK_BYTES, Tensor
 __all__ = [
     "discretize_zoh",
     "scan_recurrent", "scan_convolutional", "SSMParams",
-    "selective_scan", "selective_scan_op", "selective_scan_reference",
+    "selective_scan_op", "selective_scan_reference",
     "MambaLayer",
 ]
 
 DT_MIN, DT_MAX = 1e-3, 1e-1  # range of the initial step softplus(dt_bias)
 CONV_KERNEL = 4  # width of the Mamba layer's causal depthwise conv
+# one scan direction's parameters, in ``selective_scan_op``'s order
+SCAN_PARAMS = ("a_log", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias",
+               "b_bias", "c_bias")
 
 
 def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
@@ -58,8 +65,10 @@ def _zoh(a: np.ndarray, delta: np.ndarray, abar=None, growth=None):
     (D, N) with (..., D, 1), or (N, D) with (..., 1, D); Bbar is
     growth * b. ``a`` is never 0 (a = -exp(a_log)).
     ``abar``/``growth`` are optional output buffers of the result shape.
+    The product delta*a is an einsum: NumPy's broadcasting multiply
+    buffers its broadcast operands, einsum does not, and is faster.
     """
-    growth = np.multiply(delta, a, out=growth)
+    growth = np.einsum("...,...->...", delta, a, out=growth)
     np.expm1(growth, out=growth)
     abar = np.add(growth, 1.0, out=abar)
     growth *= 1.0 / a
@@ -84,6 +93,11 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta):
                          f"delta {delta.shape}")
     abar, growth = _zoh(a, delta[..., None])
     return abar, growth * b
+
+
+def _timed(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """A (B, L, ...) array in one scan direction's time order: a view."""
+    return a[:, ::-1] if reverse else a
 
 
 def _chunk_len(bsz: int, d: int, n: int) -> int:
@@ -117,19 +131,45 @@ def _readout(c, h, y) -> None:
         np.einsum("tbnd,tbnd->tbd", c, h, out=y)
 
 
-def _chunk_delta(lt, s, e, w_up, dt_bias):
-    """(raw, delta) of the tokens [s, e), time-major (e - s, B, D), from
-    the time-major (L, B, r) ``lt``: raw = dt_low @ w_up^T + dt_bias and
-    delta = ``T.softplus(raw)``. One 2-D GEMM over the chunk's rows gives
-    each row the bits ``T.linear`` gives it over the whole sequence; a
-    3-D matmul does not, nor a 1-row one (NumPy's gemv path), so a lone
-    row is multiplied with the row before it."""
-    bsz = lt.shape[1]
-    lo = s - 1 if s > 0 and (e - s) * bsz == 1 else s
-    raw = lt[lo:e].reshape(-1, lt.shape[2]) @ w_up.T
-    raw = raw[(s - lo) * bsz:].reshape(e - s, bsz, -1)
+def _times(rows, w):
+    """rows @ w^T for a 2-D (m, k) block of rows. NumPy takes a 1-row
+    product down its gemv path, which rounds differently from the GEMM a
+    longer block takes, so a lone row is multiplied as two."""
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ w.T)[:1]
+    return rows @ w.T
+
+
+def _chunk_inputs(xv, s, e, conv, proj, n, w_up, dt_bias):
+    """The scan inputs of the tokens [s, e) of ``xv``, a (B, L, D) view of
+    x in one direction's time order: the causal depthwise conv, reading
+    the K - 1 tokens before s from ``xv`` itself (they may span several
+    chunks), SiLU, one GEMM for the B, C and delta-down projections
+    (``proj``: their stacked weights and the optional B and C biases),
+    then raw = low @ w_up^T + dt_bias and delta = ``T.softplus(raw)``.
+
+    Returns time-major (e - s, B, .) blocks (sig, u, b, c, low, delta),
+    sig being the sigmoid of the conv output. The forward and the
+    backward's rebuild both run it, so the backward sees the forward's
+    values bit for bit.
+    """
+    w_proj, b_bias, c_bias = proj
+    lo = max(0, s - (conv[0].shape[1] - 1))
+    v = T.conv1d_depthwise_causal(Tensor(xv[:, lo:e]), *conv).data[:, s - lo:]
+    v = np.ascontiguousarray(np.swapaxes(v, 0, 1))
+    sig = T._sigmoid_np(v)
+    u = np.multiply(v, sig, out=v)  # T.silu's formula, over the conv output
+    d = u.shape[2]
+    p = _times(u.reshape(-1, d), w_proj).reshape(e - s, -1, w_proj.shape[0])
+    b, c, low = p[..., :n], p[..., n:2 * n], p[..., 2 * n:]
+    if b_bias is not None:
+        b += b_bias
+    if c_bias is not None:
+        c += c_bias
+    low = low.reshape(-1, low.shape[2])
+    raw = _times(low, w_up).reshape(u.shape)
     raw += dt_bias
-    return raw, T.softplus(Tensor(raw)).data
+    return sig, u, b, c, low, T.softplus(Tensor(raw)).data
 
 
 def _chunk_states(av, dt, bt, ut, h, buf):
@@ -250,146 +290,219 @@ class SSMParams(Module):
         self.b_bias: Optional[Tensor] = None
         self.c_bias: Optional[Tensor] = None
 
+    def operands(self) -> tuple:
+        """The direction's ``selective_scan_op`` operands (``SCAN_PARAMS``)."""
+        return tuple(getattr(self, name) for name in SCAN_PARAMS)
 
-def selective_scan_op(u: Tensor, dt_low: Tensor, a_log: Tensor,
-                      bmat: Tensor, cmat: Tensor, w_dt_up: Tensor,
-                      dt_bias: Tensor) -> Tensor:
-    """Fused input-dependent scan: per-token step and ZOH, then the
-    recurrence.
 
-    u: (B, L, D); dt_low: (B, L, r); a_log: (D, N), a = -exp(a_log);
-    bmat, cmat: (B, L, N); w_dt_up: (D, r); dt_bias: (D,). The step is
-    delta = softplus(raw), raw = dt_low @ w_dt_up^T + dt_bias. Delta,
-    Abar/Bbar and the states exist one chunk at a time (``_chunk_len``
-    tokens, derived from the shape), made by ``_chunk_delta`` and
-    ``_chunk_states``; a step <= 0 is a NumericError naming its token.
+def selective_scan_op(x: Tensor, conv: Sequence[Tensor], a_log: Tensor,
+                      w_b: Tensor, w_c: Tensor, w_dt_down: Tensor,
+                      w_dt_up: Tensor, dt_bias: Tensor,
+                      b_bias: Optional[Tensor] = None,
+                      c_bias: Optional[Tensor] = None,
+                      reverse: Optional[Sequence[Optional[Tensor]]] = None
+                      ) -> Tensor:
+    """The Mamba layer's inner path, streamed chunk by chunk: causal
+    depthwise conv, SiLU, B/C/delta projections, ZOH and the recurrence,
+    for one scan direction or two.
 
-    A recorded op keeps its inputs and h at the chunk starts,
-    (ceil(L / chunk), B, N, D), and no full-size delta or raw. The
-    backward walks the chunks in reverse, rebuilds each chunk's delta,
-    ZOH and states, and runs the recurrence in reverse time for dL/dh.
-    It returns the gradients of u, dt_low, a_log (as dL/da * a), B, C,
-    w_dt_up and dt_bias; the last three are ``T.linear``'s backward of
-    dL/d(raw), so they are bitwise those of a linear-then-softplus graph.
-    Its chunk temporaries share one buffer of 5 chunk blocks.
+    x: (B, L, D); conv: (w (D, K), bias (D,)), shared by the directions;
+    then one direction's parameters (``SSMParams.operands()``): a_log
+    (D, N), a = -exp(a_log); w_b, w_c (N, D); w_dt_down (r, D); w_dt_up
+    (D, r); dt_bias (D,); optional b_bias, c_bias (N,). Per token,
+    u = silu(conv(x)), B = w_b u + b_bias, C = w_c u + c_bias and
+    delta = softplus(w_dt_up w_dt_down u + dt_bias); then
+    h_t = Abar_t h_{t-1} + Bbar_t u_t and y_t = C_t h_t. ``reverse``
+    holds a second direction's parameters in the same order: it scans x
+    in reverse time, conv included, through reversed views, and adds its
+    output into the same y. Each chunk (``_chunk_len`` tokens, derived
+    from the shape) is made by ``_chunk_inputs`` and ``_chunk_states``;
+    a step <= 0 is a NumericError naming its token.
+
+    A recorded op keeps x and each direction's h at its chunk starts,
+    (ceil(L / chunk), B, N, D), and nothing else of full size. The
+    backward walks each direction's chunks in reverse, rebuilds each
+    chunk's inputs and states, runs the recurrence in reverse time for
+    dL/dh, and back through delta, the projections, SiLU and the conv;
+    the weight gradients are summed chunk by chunk, and both directions
+    write dL/dx into one buffer. Its chunk temporaries fit in 5 chunk
+    blocks (the states, abar, growth, dL/dh and b * u) and a few
+    (chunk, B, D) arrays.
     """
-    if u.ndim != 3 or dt_low.ndim != 3 or dt_low.shape[:2] != u.shape[:2]:
-        raise ShapeError(f"selective_scan: u {u.shape} vs dt_low {dt_low.shape}")
-    bsz, L, d = u.shape
-    n = a_log.shape[1]
-    if bmat.shape != (bsz, L, n) or cmat.shape != (bsz, L, n):
-        raise ShapeError(f"selective_scan: B {bmat.shape} / C {cmat.shape} "
-                         f"inconsistent with (B={bsz}, L={L}, N={n})")
-    if w_dt_up.shape != (d, dt_low.shape[2]) or dt_bias.shape != (d,):
-        raise ShapeError(f"selective_scan: w_dt_up {w_dt_up.shape} / dt_bias "
-                         f"{dt_bias.shape} vs (D={d}, r={dt_low.shape[2]})")
+    dirs = [(a_log, w_b, w_c, w_dt_down, w_dt_up, dt_bias, b_bias, c_bias)]
+    if reverse is not None:
+        dirs.append(tuple(reverse))
+    if x.ndim != 3 or a_log.ndim != 2 or w_dt_down.ndim != 2:
+        raise ShapeError(f"selective_scan: x {x.shape}, a_log {a_log.shape}, "
+                         f"w_dt_down {w_dt_down.shape}")
+    bsz, L, d = x.shape
+    n, r = a_log.shape[1], w_dt_down.shape[0]
+    conv_w, conv_b = conv
+    if conv_w.ndim != 2 or conv_w.shape[0] != d or conv_b.shape != (d,):
+        raise ShapeError(f"selective_scan: conv {conv_w.shape} / "
+                         f"{conv_b.shape} vs D={d}")
+    want = [(d, n), (n, d), (n, d), (r, d), (d, r), (d,), (n,), (n,)]
+    for ops in dirs:
+        for name, t, shape in zip(SCAN_PARAMS, ops, want):
+            if t is not None and t.shape != shape:
+                raise ShapeError(f"selective_scan: {name} {t.shape} vs "
+                                 f"{shape} for (D={d}, N={n}, r={r})")
 
-    parents = [u, dt_low, a_log, bmat, cmat, w_dt_up, dt_bias]
+    parents = [x, conv_w, conv_b] + [t for ops in dirs for t in ops
+                                     if t is not None]
     recording = T._records(parents)
     chunk = _chunk_len(bsz, d, n)
     c = min(chunk, L)
-    # time-major (L, B, ...) views: chunks and scan steps slice axis 0;
-    # the state and a run N-major, (..., N, D)
-    av = np.ascontiguousarray(-T._check_finite(np.exp(a_log.data), "exp(a_log)").T)
-    ut, lt, bt, ct = (np.swapaxes(p.data, 0, 1) for p in (u, dt_low, bmat, cmat))
-    low, w_up, bias = dt_low.data, w_dt_up.data, dt_bias.data
-    buf = np.zeros((3, c + 1, bsz, n, d))  # abar, growth, h (row 0: carry)
-    starts = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
-              if recording else None)
+    conv = (Tensor(conv_w.data), Tensor(conv_b.data))  # never recorded
+    # per direction: (reversed?, a N-major, projection weights and biases,
+    # w_dt_up, dt_bias)
+    const = [(i == 1,
+              np.ascontiguousarray(-T._check_finite(np.exp(ops[0].data),
+                                                    "exp(a_log)").T),
+              (np.concatenate([ops[1].data, ops[2].data, ops[3].data]),
+               *(None if t is None else t.data for t in ops[6:])),
+              ops[4].data, ops[5].data) for i, ops in enumerate(dirs)]
+    buf = np.empty((3, c + 1, bsz, n, d))  # abar, growth, h (row 0: carry)
     y = np.empty((bsz, L, d), dtype=np.float64)
-    yt = np.swapaxes(y, 0, 1)
-    for k, s in enumerate(range(0, L, chunk)):
-        e = min(s + chunk, L)
-        h = buf[2, :e - s + 1]
-        if recording:
-            starts[k] = h[0]
-        dt = _chunk_delta(lt, s, e, w_up, bias)[1]
-        stepless = (dt <= 0.0).reshape(e - s, -1).any(axis=1)
-        if stepless.any():
-            raise NumericError("selective_scan requires delta > 0: step <= 0 "
-                               f"at token {s + int(np.argmax(stepless))}")
-        _chunk_states(av, dt, bt[s:e], ut[s:e], h, buf)
-        _readout(ct[s:e], h[1:], yt[s:e])
-        _check_state(yt[s:e], s)
-        h[0] = h[-1]
+    yb = np.empty((c, bsz, d))  # a reverse chunk's output, before its add
+    starts = []
+    for rev, av, proj, w_up, bias in const:
+        xv, yt = _timed(x.data, rev), np.swapaxes(_timed(y, rev), 0, 1)
+        st = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
+              if recording else None)
+        buf[2, 0] = 0.0
+        for k, s in enumerate(range(0, L, chunk)):
+            e = min(s + chunk, L)
+            h = buf[2, :e - s + 1]
+            if recording:
+                st[k] = h[0]
+            _, u, b, cm, _, dt = _chunk_inputs(xv, s, e, conv, proj, n,
+                                               w_up, bias)
+            stepless = (dt <= 0.0).reshape(e - s, -1).any(axis=1)
+            if stepless.any():
+                raise NumericError("selective_scan requires delta > 0: step <= 0 "
+                                   f"at token {s + int(np.argmax(stepless))}")
+            _chunk_states(av, dt, b, u, h, buf)
+            out = yb[:e - s] if rev else yt[s:e]
+            _readout(cm, h[1:], out)
+            _check_state(out, s)
+            if rev:
+                yt[s:e] += out
+            h[0] = h[-1]
+        starts.append(st)
     if not recording:
         return Tensor(y)
+    xd, cw = x.data, conv_w.data
+    K = cw.shape[1]
 
     def bwd(gy):
-        gyt = np.swapaxes(gy, 0, 1)
-        # returned batch-major, (B, L, .), written through time-major views
-        gu = np.empty((bsz, L, d), dtype=np.float64)
-        graw = np.empty_like(gu)  # dL/d(delta), then dL/d(raw)
-        gb = np.empty((bsz, L, n), dtype=np.float64)
-        gc = np.empty_like(gb)
-        gut, grt, gbt, gct = (np.swapaxes(g, 0, 1) for g in (gu, graw, gb, gc))
-        ga = np.zeros_like(av)
-        # abar, growth, h (q once gc has read h), gh, bu
-        buf = np.empty((5, c + 1, bsz, n, d), dtype=np.float64)
-        carry = np.zeros((bsz, n, d), dtype=np.float64)  # abar_e * dL/dh_e
-        for k in reversed(range(len(starts))):
-            s, e = k * chunk, min(k * chunk + chunk, L)
-            h = buf[2, :e - s + 1]  # h_{s-1} .. h_{e-1}, the forward's
-            h[0] = starts[k]
-            raw, dt = _chunk_delta(lt, s, e, w_up, bias)
-            bs, us = bt[s:e], ut[s:e]
-            abar, growth = _chunk_states(av, dt, bs, us, h, buf)
-            # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
-            gh = np.multiply(ct[s:e, :, :, None], gyt[s:e, :, None, :], out=buf[3, :e - s])
-            gh[-1] += carry
-            _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
-            np.multiply(abar[0], gh[0], out=carry)
-            np.matmul(h[1:], gyt[s:e, :, :, None], out=gct[s:e, :, :, None])
-            # drive = growth * b * u
-            gg = np.multiply(gh, growth, out=growth)
-            np.matmul(bs[:, :, None, :], gg, out=gut[s:e, :, None, :])
-            np.matmul(gg, us[:, :, :, None], out=gbt[s:e, :, :, None])
-            bu = np.multiply(bs[:, :, :, None], us[:, :, None, :], out=buf[4, :e - s])
-            # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
-            q = np.multiply(av, h[:-1], out=h[:-1])
-            q += bu
-            q *= gh
-            q *= abar
-            q.sum(axis=2, out=grt[s:e])
-            grt[s:e] *= T._sigmoid_np(raw)  # dL/d(raw): softplus' = sigmoid
-            # dL/d(a_log) = dL/da * a = delta * q - gg * b * u
-            q *= dt[:, :, None, :]
-            del raw, dt  # the rest of the chunk runs without them
-            gg *= bu
-            q -= gg
-            ga += q.sum(axis=(0, 1))
-        # raw = dt_low @ w_up^T + dt_bias: T.linear's backward
-        g2 = graw.reshape(-1, d)
-        return [gu, (g2 @ w_up).reshape(low.shape), ga.T, gb, gc,
-                g2.T @ low.reshape(-1, low.shape[2]), g2.sum(axis=0)]
+        gx = np.zeros((bsz, L, d), dtype=np.float64)
+        gcw, gcb = np.zeros_like(cw), np.zeros(d)
+        grads = [gx, gcw, gcb]
+        # h (q once C's gradient has read it), then abar, growth, gh, bu
+        h_buf = np.empty((c + 1, bsz, n, d), dtype=np.float64)
+        buf = np.empty((4, c, bsz, n, d), dtype=np.float64)
+        m = 2 * n + r  # rows of the stacked B, C and delta-down weights
+        for (rev, av, proj, w_up, bias), st in zip(const, starts):
+            w_proj = proj[0]
+            xv, gxv = _timed(xd, rev), _timed(gx, rev)
+            gyt = np.swapaxes(_timed(gy, rev), 0, 1)
+            ga, gw_proj = np.zeros_like(av), np.zeros_like(w_proj)
+            gw_up, g_bias = np.zeros_like(w_up), np.zeros(d)
+            g_bc = [(i, np.zeros(n)) for i, t in enumerate(proj[1:])
+                    if t is not None]  # the B and C biases given
+            carry = np.zeros((bsz, n, d), dtype=np.float64)  # abar_e * dL/dh_e
+            for k in reversed(range(len(st))):
+                s, e = k * chunk, min(k * chunk + chunk, L)
+                h = h_buf[:e - s + 1]  # h_{s-1} .. h_{e-1}, the forward's
+                h[0] = st[k]
+                sig, us, bs, cs, low, dt = _chunk_inputs(xv, s, e, conv, proj,
+                                                         n, w_up, bias)
+                abar, growth = _chunk_states(av, dt, bs, us, h, buf)
+                gys = gyt[s:e]
+                # dL/dh_t = C_t (x) gy_t + abar_{t+1} * dL/dh_{t+1}
+                gh = np.einsum("tbn,tbd->tbnd", cs, gys, out=buf[2, :e - s])
+                gh[-1] += carry
+                _scan_core(abar[:0:-1], gh[-2::-1], gh[-1])
+                np.multiply(abar[0], gh[0], out=carry)
+                # dL/d(B, C, low), as one (e - s, B, 2N + r) block
+                gp = np.empty((e - s, bsz, m))
+                np.matmul(h[1:], gys[..., None], out=gp[..., n:2 * n, None])
+                # (einsum forms these outer products without NumPy's
+                # broadcast buffers)
+                bu = np.einsum("tbn,tbd->tbnd", bs, us, out=buf[3, :e - s])
+                # dL/d(delta) per (n, d): abar * gh * (a * h_{t-1} + b * u)
+                q = np.multiply(av, h[:-1], out=h[:-1])
+                q += bu
+                q *= gh
+                q *= abar
+                g = q.sum(axis=2)  # dL/d(delta), then dL/d(raw), then dL/du
+                # dL/d(a_log) = dL/da * a = delta * q - gg * b * u, with
+                # gg = gh * growth the gradient of the drive growth * b * u
+                ga += np.einsum("tbd,tbnd->nd", dt, q)
+                gg = np.multiply(gh, growth, out=growth)
+                ga -= np.einsum("tbnd,tbnd->nd", gg, bu)
+                gu = np.matmul(bs[:, :, None, :], gg)[:, :, 0]
+                np.matmul(gg, us[..., None], out=gp[..., :n, None])
+                # softplus' = sigmoid(raw) = -expm1(-delta), formed in place
+                g *= np.expm1(np.negative(dt, out=dt), out=dt)
+                np.negative(g, out=g)
+                del bs, cs, dt
+                # raw = low @ w_up^T + dt_bias; (B, C, low) = u @ w_proj^T
+                g2, gp2 = g.reshape(-1, d), gp.reshape(-1, m)
+                g_bias += g2.sum(axis=0)
+                gw_up += g2.T @ low
+                np.matmul(g2, w_up, out=gp2[:, 2 * n:])
+                gw_proj += gp2.T @ us.reshape(-1, d)
+                for i, gbc in g_bc:
+                    gbc += gp[..., i * n:(i + 1) * n].sum(axis=(0, 1))
+                gu += np.matmul(gp2, w_proj, out=g2).reshape(gu.shape)
+                # u = v * sig(v): silu' = sig * (1 + v * (1 - sig)), which
+                # is sig + u * (1 - sig); then the conv's backward
+                np.subtract(1.0, sig, out=g)
+                g *= us
+                g += sig
+                gu *= g
+                del sig, us
+                gv, tmp = np.swapaxes(gu, 0, 1), np.swapaxes(g, 0, 1)
+                gcb += gv.sum(axis=(0, 1))
+                for j in range(K):  # tap j reads x shifted K-1-j steps right
+                    sh = K - 1 - j
+                    t0 = max(s, sh)  # first token the tap reaches
+                    if t0 >= e:
+                        continue
+                    gcw[:, j] += np.einsum("bld,bld->d", gv[:, t0 - s:],
+                                           xv[:, t0 - sh:e - sh])
+                    gxv[:, t0 - sh:e - sh] += np.multiply(
+                        gv[:, t0 - s:], cw[:, j], out=tmp[:, t0 - s:])
+                # so the next chunk's temporaries do not sit beside these
+                del low, gp, gp2, g, g2, gu, gv, tmp
+            grads += [ga.T, gw_proj[:n], gw_proj[n:2 * n], gw_proj[2 * n:],
+                      gw_up, g_bias] + [gbc for _, gbc in g_bc]
+        return grads
 
     return T.apply_op("selective_scan", y, parents, bwd)
 
 
-def selective_scan(params: SSMParams, x: Tensor) -> Tensor:
-    """Input-dependent scan over the (B, L, D) Tensor x; returns (B, L, D).
-
-    B(t), C(t) and delta's low-rank input come from the parameter
-    projections of x itself; the op forms delta chunk by chunk through
-    a softplus. With constant-output projections this
-    reduces exactly (bitwise) to the time-invariant recurrence on the same
-    discretized values.
-    """
-    bmat = T.linear(x, params.w_b, params.b_bias)
-    cmat = T.linear(x, params.w_c, params.c_bias)
-    dt_low = T.linear(x, params.w_dt_down)
-    return selective_scan_op(x, dt_low, params.a_log, bmat, cmat,
-                             params.w_dt_up, params.dt_bias)
-
-
-def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
-    """Straight-line interpreter of the selective scan, for oracle tests.
+def selective_scan_reference(params: SSMParams, conv, x) -> np.ndarray:
+    """Straight-line interpreter of one forward ``selective_scan_op``
+    direction, for oracle tests.
 
     Deliberately independent of the vectorized path: plain Python loops,
-    math.exp/expm1/log1p, explicit recurrence. Accepts x of shape (L, D).
+    math.exp/expm1/log1p, explicit conv taps and recurrence. ``conv`` is
+    the causal depthwise conv's (w (D, K), bias (D,)) as arrays; x is
+    (L, D).
     """
     x = np.asarray(x, dtype=np.float64)
     L, d = x.shape
+    conv_w, conv_b = (np.asarray(p, dtype=np.float64) for p in conv)
+    K = conv_w.shape[1]
+    u = [[0.0] * d for _ in range(L)]
+    for t in range(L):
+        for i in range(d):
+            v = conv_b[i] + sum(conv_w[i][k] * x[t + k - (K - 1)][i]
+                                for k in range(K) if t + k >= K - 1)
+            u[t][i] = v / (1.0 + math.exp(-v))  # silu
     n = params.a_log.shape[1]
     r = params.w_dt_down.shape[0]
     w_b = params.w_b.data
@@ -404,9 +517,9 @@ def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
     y = np.zeros((L, d), dtype=np.float64)
     h = [[0.0] * n for _ in range(d)]
     for t in range(L):
-        bt = [b_bias[j] + sum(w_b[j][k] * x[t][k] for k in range(d)) for j in range(n)]
-        ct = [c_bias[j] + sum(w_c[j][k] * x[t][k] for k in range(d)) for j in range(n)]
-        low = [sum(w_down[j][k] * x[t][k] for k in range(d)) for j in range(r)]
+        bt = [b_bias[j] + sum(w_b[j][k] * u[t][k] for k in range(d)) for j in range(n)]
+        ct = [c_bias[j] + sum(w_c[j][k] * u[t][k] for k in range(d)) for j in range(n)]
+        low = [sum(w_down[j][k] * u[t][k] for k in range(d)) for j in range(r)]
         for i in range(d):
             raw = dt_bias[i] + sum(w_up[i][j] * low[j] for j in range(r))
             # softplus, stable for large |raw|
@@ -416,7 +529,7 @@ def selective_scan_reference(params: SSMParams, x) -> np.ndarray:
                 dai = dt * a[i][j]
                 abar = math.exp(dai)
                 growth = math.expm1(dai) / a[i][j]
-                h[i][j] = abar * h[i][j] + growth * bt[j] * x[t][i]
+                h[i][j] = abar * h[i][j] + growth * bt[j] * u[t][i]
                 acc += ct[j] * h[i][j]
             y[t][i] = acc
     return y
@@ -431,13 +544,15 @@ class MambaLayer(Module):
     direction, SiLU gating of the two directions' sum by z, and a shared
     output projection back to C.
 
-    Each full-size (B, L, E*C) array dies with its last reader: x once
-    both directions' convs have read it, each conv output once its scan
-    has, and z once its SiLU has; z is projected only after both scans.
-    At C = 32, E = 2, N = 16, L = 16,384 a no_grad call peaks at 4.46
-    such arrays over its entry (tracemalloc; 5.40 with each scan's step
-    formed whole before the scan, 8.0 with the (L, 2*E*C) projection held
-    and gating apart).
+    The conv, SiLU, projections and both scan directions are one
+    ``selective_scan_op``, which streams them chunk by chunk, so of the
+    full-size (B, L, E*C) arrays only x and the directions' summed output
+    y exist until the gate; z is projected only after the scan, and each
+    array dies with its last reader. At C = 32, E = 2, N = 16,
+    L = 16,384 a no_grad call peaks at 3.07 such arrays over its entry
+    (tracemalloc), y, z and the gate; a recorded call holds 5.79 beyond
+    its output: x, y, z, the gate, their product, half an array for the
+    normalized input, and the chunk-start states.
     """
 
     def __init__(self, c_model: int, state_dim: int, expand: int,
@@ -460,29 +575,21 @@ class MambaLayer(Module):
         self.w_out = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_inner),
                                        (c_model, d_inner)), requires_grad=True)
 
-    def _conv(self, x: Tensor) -> Tensor:
-        return T.conv1d_depthwise_causal(x, self.conv_w, self.conv_b)
-
     def __call__(self, h: Tensor) -> Tensor:
         """h: (B, L, C) -> (B, L, C); the residual add is the caller's."""
         d = self.d_inner
         hn = T.layer_norm(h, self.ln_gamma, self.ln_beta)
         x = T.linear(hn, T.narrow(self.w_in, 0, 0, d))
-        # each full-size array is dropped right after its last reader; the
-        # backward direction scans x time-reversed and flips back
-        xf = T.silu(self._conv(x))
-        xb = self._conv(T.flip(x, axis=1))
+        # each full-size array is dropped right after its last reader
+        y = selective_scan_op(x, (self.conv_w, self.conv_b),
+                              *self.ssm_fwd.operands(),
+                              reverse=self.ssm_bwd.operands())
         del x
-        xb = T.silu(xb)
-        y = selective_scan(self.ssm_fwd, xf)
-        del xf
-        yb = T.flip(selective_scan(self.ssm_bwd, xb), axis=1)
-        del xb
-        y = T.add(y, yb)
-        del yb
         # z is projected only now, and gates the directions' sum once
         z = T.linear(hn, T.narrow(self.w_in, 0, d, d))
         del hn
         gate = T.silu(z)
         del z
-        return T.linear(T.mul(y, gate), self.w_out)
+        y = T.mul(y, gate)
+        del gate
+        return T.linear(y, self.w_out)

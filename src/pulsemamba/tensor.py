@@ -47,7 +47,7 @@ __all__ = [
     "Tensor", "tensor", "no_grad", "is_grad_enabled",
     "tape_size", "backward",
     "add", "sub", "mul", "div",
-    "sqrt", "relu", "silu", "sigmoid", "softplus", "flip",
+    "sqrt", "relu", "silu", "sigmoid", "softplus",
     "linear", "conv3d", "conv1d_depthwise_causal",
     "conv_transpose1d", "maxpool3d", "batch_norm", "layer_norm",
     "reduce_sum", "reduce_mean",
@@ -114,7 +114,7 @@ class _Node:
 class Tensor:
     """A float64 array with optional gradient tracking.
 
-    ``data`` is float64, possibly a strided view (``narrow``, ``flip``).
+    ``data`` is float64, possibly a strided view (``narrow``).
     ``grad`` is lazily allocated by the reverse pass and matches its shape.
     """
 
@@ -220,7 +220,7 @@ def backward(loss: Tensor) -> None:
                 src._accumulate(g)
             elif src in pending:
                 # into a fresh array, never +=: a rule may return an array
-                # it shares (add hands one g to both parents; reshape, flip,
+                # it shares (add hands one g to both parents; reshape,
                 # transpose and concat return views)
                 pending[src] = pending[src] + g
             else:
@@ -319,19 +319,21 @@ def silu(x: Tensor) -> Tensor:
                     lambda g: [_blocked(rule, g, xd)])
 
 
+def _softplus_np(x: np.ndarray) -> np.ndarray:
+    # log(1 + e^x) as log1p(e^-|x|) + max(x, 0): no overflow, and vector
+    # kernels where np.logaddexp runs a scalar loop; in place, so a block
+    # makes two temporaries
+    t = np.abs(x)
+    np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+    t += np.maximum(x, 0.0)
+    return t
+
+
 def softplus(x: Tensor) -> Tensor:
-    # log(1 + e^x) as max(x, 0) + log1p(e^-|x|): no overflow, and vector
-    # kernels where np.logaddexp runs a scalar loop
     xd = x.data
-    out = _blocked(lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), xd)
+    out = _blocked(_softplus_np, xd)
     return apply_op("softplus", out, [x],
                     lambda g: [_blocked(lambda g, x: g * _sigmoid_np(x), g, xd)])
-
-
-def flip(x: Tensor, axis: int) -> Tensor:
-    """Reverse one axis, as a view of ``x``'s data."""
-    return apply_op("flip", np.flip(x.data, axis=axis), [x],
-                    lambda g: [np.flip(g, axis=axis)])
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -343,10 +345,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def _blocked(formula, *arrays) -> np.ndarray:
     """``formula(*arrays)`` into a new array, over cache-sized blocks of the
-    same-shape ``arrays`` read in C order: up to 8 block temporaries."""
+    same-shape ``arrays`` read in C order: up to 8 block temporaries. An
+    array of one block is the formula's own result."""
     flat = [np.ascontiguousarray(a).reshape(-1) for a in arrays]
-    out = np.empty(flat[0].size)
     step = BLOCK_BYTES // (8 * 8)
+    if flat[0].size <= step:
+        return formula(*flat).reshape(np.shape(arrays[0]))
+    out = np.empty(flat[0].size)
     for i in range(0, out.size, step):
         out[i:i + step] = formula(*(f[i:i + step] for f in flat))
     return out.reshape(np.shape(arrays[0]))
