@@ -172,6 +172,17 @@ def _chunk_inputs(xv, s, e, conv, proj, n, w_up, dt_bias):
     return sig, u, b, c, low, T.softplus(Tensor(raw)).data
 
 
+def _direction_arrays(ops):
+    """One direction's ``selective_scan_op`` operands (``SCAN_PARAMS``) as
+    the chunk routines take them: (a N-major, (the stacked B, C and
+    delta-down weights, b_bias, c_bias), w_dt_up, dt_bias)."""
+    a_log, w_b, w_c, w_dt_down, w_dt_up, dt_bias, b_bias, c_bias = (
+        None if t is None else t.data for t in ops)
+    av = np.ascontiguousarray(-T._check_finite(np.exp(a_log), "exp(a_log)").T)
+    return (av, (np.concatenate([w_b, w_c, w_dt_down]), b_bias, c_bias),
+            w_dt_up, dt_bias)
+
+
 def _chunk_states(av, dt, bt, ut, h, buf):
     """States of one chunk's tokens from h[0], given their delta, b and u
     blocks: the chunk's ZOH into buf[0] and buf[1], the drive
@@ -354,15 +365,9 @@ def selective_scan_op(x: Tensor, conv: Sequence[Tensor], a_log: Tensor,
     chunk = _chunk_len(bsz, d, n)
     c = min(chunk, L)
     conv = (Tensor(conv_w.data), Tensor(conv_b.data))  # never recorded
-    # per direction: (reversed?, a N-major, projection weights and biases,
-    # w_dt_up, dt_bias)
-    const = [(i == 1,
-              np.ascontiguousarray(-T._check_finite(np.exp(ops[0].data),
-                                                    "exp(a_log)").T),
-              (np.concatenate([ops[1].data, ops[2].data, ops[3].data]),
-               *(None if t is None else t.data for t in ops[6:])),
-              ops[4].data, ops[5].data) for i, ops in enumerate(dirs)]
-    buf = np.empty((3, c + 1, bsz, n, d))  # abar, growth, h (row 0: carry)
+    const = [(i == 1, *_direction_arrays(ops)) for i, ops in enumerate(dirs)]
+    h_buf = np.empty((c + 1, bsz, n, d))  # row 0: the state before the chunk
+    buf = np.empty((2, c, bsz, n, d))  # abar, growth
     y = np.empty((bsz, L, d), dtype=np.float64)
     yb = np.empty((c, bsz, d))  # a reverse chunk's output, before its add
     starts = []
@@ -370,10 +375,10 @@ def selective_scan_op(x: Tensor, conv: Sequence[Tensor], a_log: Tensor,
         xv, yt = _timed(x.data, rev), np.swapaxes(_timed(y, rev), 0, 1)
         st = (np.empty((-(-L // chunk), bsz, n, d), dtype=np.float64)
               if recording else None)
-        buf[2, 0] = 0.0
+        h_buf[0] = 0.0
         for k, s in enumerate(range(0, L, chunk)):
             e = min(s + chunk, L)
-            h = buf[2, :e - s + 1]
+            h = h_buf[:e - s + 1]
             if recording:
                 st[k] = h[0]
             _, u, b, cm, _, dt = _chunk_inputs(xv, s, e, conv, proj, n,
