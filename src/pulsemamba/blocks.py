@@ -6,6 +6,10 @@ Layout convention is (B, C, T, H, W) for video features; Mamba blocks
 flatten to (B, L, C) with L = T*H*W in row-major (t, h, w) token order, so
 a temporal flip of the flattened sequence reverses the whole token axis.
 
+Every batch norm of the network (the stem's three, both temporal
+downsamples' and each block's) feeds a ReLU, so ``BatchNorm3d`` is the
+two as one op, and a conv-BN-ReLU stage is two calls.
+
 ``ModelConfig`` owns every layer setting's default and range: the layers
 take each setting and their weights' rng as required arguments.
 
@@ -154,7 +158,9 @@ class Conv3d(Module):
 
 
 class BatchNorm3d(Module):
-    """Channel batch norm with running statistics (see ``T.batch_norm``)."""
+    """Channel batch norm with running statistics, then ReLU, as one op
+    (``T.batch_norm`` with ``relu``): every batch norm of the network
+    feeds a ReLU, and the op keeps no ReLU mask."""
 
     def __init__(self, c: int):
         super().__init__()
@@ -165,7 +171,7 @@ class BatchNorm3d(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, self.training)
+                            self.running_var, self.training, relu=True)
 
 
 class LayerNorm(Module):
@@ -228,8 +234,8 @@ class ChannelAttention(Module):
 
 
 class TemporalDifferenceMambaBlock(Module):
-    """TDC -> BN -> ReLU -> flatten -> (Bi-Mamba + residual) -> LN -> CA;
-    input and output are both (B, C, T, H, W)."""
+    """TDC -> BN-ReLU (one op) -> flatten -> (Bi-Mamba + residual) -> LN
+    -> CA; input and output are both (B, C, T, H, W)."""
 
     def __init__(self, c: int, state_dim: int, expand: int, theta: float,
                  ca_ratio: int, rng: np.random.Generator):
@@ -244,7 +250,7 @@ class TemporalDifferenceMambaBlock(Module):
         b, c, t, h, w = x.shape
         seq_len = t * h * w
         # the conv features die here; h_k views their token-major copy
-        f = T.transpose(T.relu(self.bn(self.tdc(x))), (0, 2, 3, 4, 1))
+        f = T.transpose(self.bn(self.tdc(x)), (0, 2, 3, 4, 1))
         h_k = T.reshape(f, (b, seq_len, c))
         h_next = T.add(self.mamba(h_k), h_k)
         g = T.transpose(T.reshape(self.post_ln(h_next), (b, t, h, w, c)),
@@ -253,14 +259,15 @@ class TemporalDifferenceMambaBlock(Module):
 
 
 class Stem(Module):
-    """Three conv-BN-ReLU blocks, spatial halving after the first and last.
+    """Three conv then BN-ReLU stages (``BatchNorm3d`` is one op), spatial
+    halving after the first and last.
 
     With grads off, an eval-mode BN and no gamma < 0, a halving stage
-    max-pools its conv output before BN and ReLU, on a 4x smaller array.
+    max-pools its conv output before BN-ReLU, on a 4x smaller array.
     Eval BN, ((x - mean) * inv) * gamma + beta with inv > 0 and
-    gamma >= 0, is non-decreasing per channel in each rounding step, so
-    for finite conv outputs the result is bit for bit that of pooling
-    last, and a NaN still propagates. That pool runs inside the conv
+    gamma >= 0, is non-decreasing per channel in each rounding step, and
+    so is the ReLU, so for finite conv outputs the result is bit for bit
+    that of pooling last, and a NaN still propagates. That pool runs inside the conv
     (``Conv3d``'s ``pool``), one output frame at a time, so such a stage
     never holds its full-resolution conv output. Every other forward
     keeps the op order, so the recorded graph and the batch statistics
@@ -287,14 +294,13 @@ class Stem(Module):
                                         or (bn.gamma.data < 0).any())
             x = conv(x, POOL) if pool_first else conv(x)
             x = bn(x)
-            x = T.relu(x)
             if halve and not pool_first:
                 x = T.maxpool3d(x, POOL)
         return x
 
 
 class TemporalDownsample(Module):
-    """Strided temporal conv block (3x1x1) producing one stream."""
+    """Strided temporal conv (3x1x1) then BN-ReLU, producing one stream."""
 
     def __init__(self, cin: int, cout: int, stride_t: int,
                  rng: np.random.Generator):
@@ -304,7 +310,7 @@ class TemporalDownsample(Module):
         self.bn = BatchNorm3d(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.relu(self.bn(self.conv(x)))
+        return self.bn(self.conv(x))
 
 
 class LateralConnection(Module):

@@ -228,6 +228,13 @@ def op_gradient_suite(full: bool = False, seed: int = 0) -> List[CheckResult]:
     run("batch_norm_eval", lambda: _weighted_sum(
         T.batch_norm(xb, gb2, bb2, rm, rv, False)),
         [("x", xb), ("gamma", gb2), ("beta", bb2)])
+    br = leaf((4,), offset=0.3)  # shifts the outputs off the relu kink
+    run("batch_norm_relu_train", lambda: _weighted_sum(
+        T.batch_norm(xb, gb2, br, rm.copy(), rv.copy(), True, relu=True)),
+        [("x", xb), ("gamma", gb2), ("beta", br)])
+    run("batch_norm_relu_eval", lambda: _weighted_sum(
+        T.batch_norm(xb, gb2, br, rm, rv, False, relu=True)),
+        [("x", xb), ("gamma", gb2), ("beta", br)])
 
     xn = leaf((3, 5, 6))
     gn, bn = leaf((6,), positive=True), leaf((6,))

@@ -7,8 +7,9 @@ slice; an input gradient is a transposed conv, itself a stride-1 conv
 with the flipped kernel that skips the stride's zero planes, or, for the
 depthwise causal conv, its own kernel run backwards in time; an
 unrecorded 3D conv can max-pool each output frame as it makes it), pooling,
-affine maps, norms (batch and layer norm are front ends of one kernel),
-sum/mean, the pointwise ops they apply (the sigmoid-based ones in
+affine maps, norms (batch and layer norm are front ends of one kernel,
+run in cache-sized blocks of whole statistic groups; batch norm can end
+in a ReLU), sum/mean, the pointwise ops they apply (the sigmoid-based ones in
 cache-sized blocks) and a handful of shape movers. Computation is
 float64 throughout; float32 appears only at checkpoint/dataset boundaries.
 
@@ -16,9 +17,10 @@ Every recorded op hangs a node, numbered in execution order, off its
 output; nothing else holds it. A node links to its parents' nodes (or to
 a leaf that needs a gradient), never to their tensors, and its backward
 rule captures only the arrays and shapes it reads: ``relu`` keeps a bool
-mask, ``maxpool3d`` a small-int index of each window's max, and a pooled
-``conv3d`` keeps nothing, as it is never recorded. So an activation no
-rule reads dies as soon as the forward drops it.
+mask, ``batch_norm`` with its ReLU epilogue only its input (the mask is
+recomputed), ``maxpool3d`` a small-int index of each window's max, and a
+pooled ``conv3d`` keeps nothing, as it is never recorded. So an
+activation no rule reads dies as soon as the forward drops it.
 ``backward`` runs the nodes a gradient reaches from the loss in
 decreasing number, which is reverse execution order; running a node twice
 without a fresh forward is a ``GraphError``. Nodes do not refer to their
@@ -709,13 +711,15 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool) -> Tensor:
+               training: bool, relu: bool = False) -> Tensor:
     """Per-channel batch norm over axis 1 of (B, C, ...).
 
     Training mode normalizes by batch statistics (population variance) and
     updates the running buffers in place at rate ``BN_MOMENTUM``; eval mode
     uses (C,) copies of the buffers, so later changes to them do not reach
-    the backward. A front end of ``_normalize``, as ``layer_norm`` is.
+    the backward. With ``relu`` a ReLU follows, in the same op: the output
+    is ``relu(batch_norm(...))`` bit for bit and no mask is kept. A front
+    end of ``_normalize``, as ``layer_norm`` is, in blocks of whole channels.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects a channel axis at dim 1")
@@ -727,7 +731,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         bshape = (1, -1) + (1,) * (x.ndim - 2)
         mean = running_mean.reshape(bshape).copy()
         var = running_var.reshape(bshape)
-    out = _normalize("batch_norm", x, gamma, beta, 1, axes, mean, var, training)
+    out = _normalize("batch_norm", x, gamma, beta, 1, axes, mean, var, training,
+                     group_axis=1, relu=relu)
     if training:
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(-1)
@@ -739,28 +744,60 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    A front end of ``_normalize``, as ``batch_norm`` is.
+    A front end of ``_normalize``, as ``batch_norm`` is, in blocks of whole
+    rows along the next-to-last axis.
     """
     last = x.ndim - 1
     mean = x.data.mean(axis=last, keepdims=True)
     var = x.data.var(axis=last, keepdims=True)
     return _normalize("layer_norm", x, gamma, beta, last, (last,), mean, var,
-                      True)
+                      True, group_axis=last - 1 if last else None)
+
+
+def _group_blocks(x: np.ndarray, axis) -> list:
+    """Index tuples of consecutive runs along ``axis`` that cover ``x``, each
+    up to BLOCK_BYTES / 4 (at least one index), so that the 4 block
+    temporaries of ``_normalize``'s backward stay cache-sized. With
+    ``axis`` None, one block of everything."""
+    if axis is None:
+        return [()]
+    n = x.shape[axis]
+    per = max(1, BLOCK_BYTES // (4 * max(x.nbytes // max(n, 1), 1)))
+    lead = (slice(None),) * axis
+    return [lead + (slice(i, i + per),) for i in range(0, max(n, 1), per)]
+
+
+def _continued_sum(a: np.ndarray, carry, axes) -> np.ndarray:
+    """``a.sum(axis=axes)`` over every axis but the last, continuing the
+    sum ``carry`` of earlier rows (None: none). NumPy adds a C-order
+    array's rows one by one, in order, so sums continued block by block
+    equal one sum over all the blocks' rows."""
+    if carry is None:
+        return a.sum(axis=axes)
+    return np.concatenate([carry[None], a.reshape(-1, carry.size)]).sum(axis=0)
 
 
 def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
                stat_axes, mean: np.ndarray, var: np.ndarray,
-               batch_stats: bool) -> Tensor:
+               batch_stats: bool, group_axis, relu: bool = False) -> Tensor:
     """The one norm kernel: out = gamma * (x - mean) * inv + beta along
-    ``axis``, inv = 1 / sqrt(var + NORM_EPS).
+    ``axis``, inv = 1 / sqrt(var + NORM_EPS), then max(out, 0) with
+    ``relu``.
 
     ``mean``/``var`` are keepdims statistics over ``stat_axes``; with
     ``batch_stats`` they are statistics of ``x`` itself and the backward
-    differentiates through them. The output is the only full-size array
-    the forward makes: it is normalized in place, and the backward
-    recomputes the normalized input from ``x``. The backward makes 3
-    full-size arrays: x-hat, a product buffer and gscaled, which becomes
-    the input gradient in place, op for op as a fresh array per op would.
+    differentiates through them. Both passes run over the blocks of
+    ``_group_blocks`` along ``group_axis``, which no statistic group spans,
+    so each block holds whole groups and every mean the backward takes.
+    The output is the only full-size array the forward makes, and the
+    input gradient the only one the backward makes. Per block the backward
+    recomputes x-hat from ``x``; with ``relu`` it rebuilds the output op
+    for op and multiplies the gradient by its sign mask, as ``relu``'s
+    rule does, so signed zeros and NaN match the two ops run apart. Then
+    it forms the parameter sums and the input gradient, op for op as a
+    fresh array per op would. One block is the unblocked formula; the
+    parameter sums of several are added in block order when the
+    parameters lie across the blocks (layer norm).
     """
     c = x.shape[axis]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -769,28 +806,60 @@ def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     pshape = tuple(c if i == axis else 1 for i in range(x.ndim))
     param_axes = tuple(i for i in range(x.ndim) if i != axis)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xd, gam = x.data, gamma.data.reshape(pshape)
-    out = np.subtract(xd, mean)
-    out *= inv
-    out *= gam
-    out += beta.data.reshape(pshape)
+    xd, gam, bet = x.data, gamma.data.reshape(pshape), beta.data.reshape(pshape)
+    blocks = _group_blocks(xd, group_axis)
+    # batch norm's blocks each hold their own channels' parameters, layer
+    # norm's all of them
+    own = axis == group_axis
+
+    def params(sl):
+        return sl if own else ()
+
+    out = np.empty_like(xd)
+    for sl in blocks:
+        o = np.subtract(xd[sl], mean[sl], out=out[sl])
+        o *= inv[sl]
+        o *= gam[params(sl)]
+        o += bet[params(sl)]
+        if relu:
+            np.maximum(o, 0.0, out=o)
 
     def bwd(g):
-        xhat = np.subtract(xd, mean)
-        xhat *= inv
-        prod = g * xhat  # reused for gscaled * xhat
-        gg = prod.sum(axis=param_axes)
-        # summed in C order whatever g's layout, as the seed's layer norm did
-        gb = np.ascontiguousarray(g).sum(axis=param_axes)
-        gx = g * gam  # gscaled, turned into gx in place
-        if batch_stats:
-            m1 = gx.mean(axis=stat_axes, keepdims=True)
-            m2 = np.multiply(gx, xhat, out=prod).mean(axis=stat_axes, keepdims=True)
-            # inv * (gscaled - m1 - xhat * m2), op for op
-            gx -= m1
-            xhat *= m2
-            gx -= xhat
-        gx *= inv
+        gx = gg = gb = None
+        if own:
+            gg, gb = np.empty(c), np.empty(c)
+        for sl in blocks:
+            xhat = np.subtract(xd[sl], mean[sl])
+            xhat *= inv[sl]
+            gs = g[sl]
+            if relu:  # the rebuilt output's sign is the ReLU's mask
+                y = xhat * gam[params(sl)]
+                y += bet[params(sl)]
+                gs = gs * (y > 0.0)
+                del y
+            if gx is None:  # laid out as the unblocked gscaled, gs * gamma
+                gx = np.empty_like(gs, shape=g.shape)
+            prod = gs * xhat  # reused for gscaled * xhat
+            # gb summed in C order whatever g's layout, as the seed's layer
+            # norm did
+            gsc = np.ascontiguousarray(gs)
+            if own:
+                gg[sl[-1]] = prod.sum(axis=param_axes)
+                gb[sl[-1]] = gsc.sum(axis=param_axes)
+            else:  # each block adds its rows to every parameter's sum
+                gg = _continued_sum(prod, gg, param_axes)
+                gb = _continued_sum(gsc, gb, param_axes)
+            gxb = np.multiply(gs, gam[params(sl)], out=gx[sl])  # gscaled
+            if batch_stats:
+                m1 = gxb.mean(axis=stat_axes, keepdims=True)
+                m2 = np.multiply(gxb, xhat, out=prod).mean(axis=stat_axes,
+                                                           keepdims=True)
+                # inv * (gscaled - m1 - xhat * m2), op for op
+                gxb -= m1
+                xhat *= m2
+                gxb -= xhat
+            gxb *= inv[sl]
+            del xhat, gs, gsc, prod  # before the next block's are made
         return [gx, gg, gb]
 
     return apply_op(name, out, [x, gamma, beta], bwd)

@@ -23,6 +23,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import shutil
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -143,7 +145,14 @@ def save_checkpoint(path, model: PulseMambaNet, state: AdamState,
     """Write meta.json (``model.config`` and its hash, ``epoch`` and
     ``state.t`` as ``global_step``) and state.bin (parameters, Adam moments
     and BN buffers as float32). A value that is not finite in float32 is a
-    NumericError naming its entry, raised before either is written."""
+    NumericError naming its entry, raised before either is written.
+
+    Both files are written into the hidden sibling directory ``.NAME.new``,
+    which is then renamed to ``path``; a checkpoint already there is first
+    renamed to ``.NAME.old`` and removed once the new one is in place. So a
+    write that fails or is killed leaves at ``path`` the earlier checkpoint
+    (or, killed between the two renames, none), never a header beside
+    another state.bin."""
     entries = []
     blob = bytearray()
 
@@ -174,9 +183,20 @@ def save_checkpoint(path, model: PulseMambaNet, state: AdamState,
         "entries": entries,
     }
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    (path / "state.bin").write_bytes(bytes(blob))
+    new, old = (path.with_name(f".{path.name}.{s}") for s in ("new", "old"))
+    for stale in (new, old):  # left by a write that was killed
+        shutil.rmtree(stale, ignore_errors=True)
+    new.mkdir(parents=True)
+    try:
+        (new / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        (new / "state.bin").write_bytes(bytes(blob))
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    if path.exists():
+        os.replace(path, old)
+    os.replace(new, path)
+    shutil.rmtree(old, ignore_errors=True)
     return path
 
 

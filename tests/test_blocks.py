@@ -160,8 +160,8 @@ def test_block_zero_out_projection_leaves_residual_path(rng):
     with T.no_grad():
         y = block(x).data
         # residual-only reference: CA(reshape(LN(h_k))) with h_k the
-        # flattened TDC/BN/ReLU features
-        f = T.relu(block.bn(block.tdc(x)))
+        # flattened TDC/BN-ReLU features
+        f = block.bn(block.tdc(x))
         h_k = T.reshape(T.transpose(f, (0, 2, 3, 4, 1)), (1, 18, 4))
         g = T.transpose(T.reshape(block.post_ln(h_k), (1, 2, 3, 3, 4)),
                         (0, 4, 1, 2, 3))
@@ -298,10 +298,10 @@ def test_eval_stem_pools_first_bit_equal_to_pooling_last(case, bn1_rows, rng,
         got = stem(Tensor(x)).data
 
         def pool_last(conv, bn, h):
-            return T.maxpool3d(T.relu(bn(conv(h))), (1, 2, 2))
+            return T.maxpool3d(bn(conv(h)), (1, 2, 2))
 
         h = pool_last(ref.conv1, ref.bn1, Tensor(x))
-        h = T.relu(ref.bn2(ref.conv2(h)))
+        h = ref.bn2(ref.conv2(h))
         want = pool_last(ref.conv3, ref.bn3, h).data
     assert seen[0] == bn1_rows
     if case == "bn1_training":
@@ -330,9 +330,9 @@ def test_eval_stem_drops_each_array_after_its_last_reader(rng, monkeypatch):
         convs.append((weakref.ref(h.data), weakref.ref(out.data), out.shape))
         return out
 
-    def bn(h, *args):
+    def bn(h, *args, **kwargs):
         alive_at_bn.append([[r() is not None for r in c[:2]] for c in convs])
-        return real_bn(h, *args)
+        return real_bn(h, *args, **kwargs)
 
     def pool(*args):
         raise AssertionError("the eval stem pools inside its convs")
@@ -670,31 +670,30 @@ def test_recorded_graph_holds_no_intermediate_tensor():
 
 
 def test_activations_no_rule_reads_die_in_the_forward(monkeypatch):
-    """A BN output (read by ReLU through a mask) and a ReLU output that
-    feeds a max-pool or a transpose are freed once the forward has
-    consumed them, and the backward's gradients do not change."""
+    """A BN-ReLU output that feeds a max-pool or a transpose is freed once
+    the forward has consumed it (the op keeps its input, not its output
+    or a ReLU mask), and the backward's gradients do not change."""
     net, build = _toy_training_loss()
-    probes = {"batch_norm": [], "relu": []}
+    probes = []
 
     def step():
         for p in net.parameters():
             p.grad = None
         loss = build()
-        alive = sum(r() is not None for refs in probes.values() for r in refs)
+        alive = sum(r() is not None for r in probes)
         T.backward(loss)
         return alive, loss.data, [p.grad for p in net.parameters()]
 
-    def probing(real, fed_by):
+    def probing(real):
         def call(x, *args):
-            if x._node is not None and x._node.name == fed_by:
-                probes[fed_by].append(weakref.ref(x.data))
+            if x._node is not None and x._node.name == "batch_norm":
+                probes.append(weakref.ref(x.data))
             return real(x, *args)
         return call
 
     _, loss_ref, grads_ref = step()
-    for op, fed_by in (("relu", "batch_norm"), ("maxpool3d", "relu"),
-                       ("transpose", "relu")):
-        monkeypatch.setattr(T, op, probing(getattr(T, op), fed_by))
+    for op in ("maxpool3d", "transpose"):
+        monkeypatch.setattr(T, op, probing(getattr(T, op)))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -702,9 +701,9 @@ def test_activations_no_rule_reads_die_in_the_forward(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
-    # 9 BN outputs (stem 3, downsample 2, blocks 4); 6 ReLU outputs
-    # (2 pooled in the stem, 4 transposed in the blocks)
-    assert [len(probes[k]) for k in ("batch_norm", "relu")] == [9, 6]
+    # 6 of the 9 BN-ReLU outputs: 2 pooled in the stem, 4 transposed in
+    # the blocks (the other 3 are conv inputs, which the conv rules read)
+    assert len(probes) == 6
     assert alive == 0
     assert np.array_equal(loss, loss_ref)
     assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
@@ -713,7 +712,7 @@ def test_activations_no_rule_reads_die_in_the_forward(monkeypatch):
 def test_no_grad_forward_frees_stem_and_conv_features_before_the_mamba_layers(
         monkeypatch):
     """Under no_grad nothing records them: the stem output and each
-    block's conv features (its ReLU output) die before any Mamba layer
+    block's conv features (its BN-ReLU output) die before any Mamba layer
     runs, and the output stays bitwise."""
     net = PulseMambaNet(ModelConfig(channels=16, blocks_per_stream=2,
                                     ca_ratio=4), seed=0).eval()
@@ -721,7 +720,7 @@ def test_no_grad_forward_frees_stem_and_conv_features_before_the_mamba_layers(
     with T.no_grad():
         ref = net(x).data
     probes, alive, in_block = [], [], []
-    real_stem, real_relu = blocks.Stem.__call__, T.relu
+    real_stem, real_bn = blocks.Stem.__call__, T.batch_norm
     real_block = blocks.TemporalDifferenceMambaBlock.__call__
     real_mamba = blocks.MambaLayer.__call__
 
@@ -737,8 +736,8 @@ def test_no_grad_forward_frees_stem_and_conv_features_before_the_mamba_layers(
         finally:
             in_block.pop()
 
-    def relu(x):
-        out = real_relu(x)
+    def batch_norm(x, *args, **kwargs):
+        out = real_bn(x, *args, **kwargs)
         if in_block:
             probes.append(weakref.ref(out.data))
         return out
@@ -749,11 +748,11 @@ def test_no_grad_forward_frees_stem_and_conv_features_before_the_mamba_layers(
 
     monkeypatch.setattr(blocks.Stem, "__call__", stem)
     monkeypatch.setattr(blocks.TemporalDifferenceMambaBlock, "__call__", block)
-    monkeypatch.setattr(T, "relu", relu)
+    monkeypatch.setattr(T, "batch_norm", batch_norm)
     monkeypatch.setattr(blocks.MambaLayer, "__call__", mamba)
     with T.no_grad():
         out = net(x).data
-    assert len(alive) == 4 and len(probes) >= 5
+    assert len(alive) == 4 and len(probes) == 5  # the stem's, 4 blocks'
     assert alive == [0, 0, 0, 0]
     assert np.array_equal(out, ref)
 

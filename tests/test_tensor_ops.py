@@ -555,22 +555,97 @@ def test_norm_backward_bit_equal_to_one_array_per_op(case, transposed, rng):
         assert _bits_equal(a, b)
 
 
-def test_batch_norm_backward_peaks_at_three_full_size_arrays(rng):
-    x = T.tensor(rng.normal(size=(2, 16, 8, 32, 32)), requires_grad=True)
-    gamma, beta = (T.tensor(rng.normal(size=16), requires_grad=True)
+def _norm_op(case, xs, gs, bs, rm, rv, separate=False):
+    """A norm op, with ``separate`` BN-ReLU as two ops, returning the output
+    and a backward from its upstream gradient."""
+    if case == "layer_norm":
+        out = T.layer_norm(xs, gs, bs)
+        return out, out._node.bwd
+    training = not case.endswith("eval")
+    if separate:
+        mid = T.batch_norm(xs, gs, bs, rm, rv, training)
+        out = T.relu(mid)
+        return out, lambda g: mid._node.bwd(out._node.bwd(g)[0])
+    out = T.batch_norm(xs, gs, bs, rm, rv, training, relu="relu" in case)
+    return out, out._node.bwd
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("case", ["batch_norm_relu", "batch_norm_relu_eval",
+                                  "layer_norm"])
+def test_norm_in_several_blocks_matches_the_unblocked_ops(case, b, rng,
+                                                         monkeypatch):
+    """With BLOCK_BYTES at a few KiB the norm runs in 3-8 blocks of whole
+    statistic groups. BN-ReLU's forward and running buffers are then bit
+    for bit those of T.relu(T.batch_norm(...)) in one block (the unblocked
+    formulas), and so is layer norm's forward. The gradients, for a
+    non-contiguous upstream gradient, are bitwise at B = 1 and within
+    1e-12 at B = 3. A NaN input gives a NaN output and the separate ops'
+    gradients. In eval mode, where the channel's statistics stay finite,
+    the input gradient is 0 at the NaN and where the output is exactly 0."""
+    layer = case == "layer_norm"
+    shape = (b, 50, 6) if layer else (b, 6, 3, 4, 5)
+    c = shape[-1] if layer else shape[1]
+    x = rng.normal(0.0, 3.0, shape)
+    nan_at, zero_at = (0, 1, 2, 1, 3), (0, 2, 0, 0, 0)
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+    if not layer:
+        x[nan_at] = np.nan
+        # in eval mode an output of exactly 0, where ReLU passes no gradient
+        x[zero_at], beta[2] = rm[2], 0.0
+    g = rng.normal(size=shape[::-1]).T
+
+    def run(separate):
+        xs, gs, bs = (T.tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        m, v = rm.copy(), rv.copy()
+        out, bwd = _norm_op(case, xs, gs, bs, m, v, separate)
+        return [out.data, m, v], bwd(g)
+
+    (out_ref, *bufs_ref), grads_ref = run(separate=True)
+    monkeypatch.setattr(T, "BLOCK_BYTES", 4096)
+    assert len(T._group_blocks(x, 1)) >= 3
+    (out, *bufs), grads = run(separate=False)
+    for got, ref in zip([out, *bufs], [out_ref, *bufs_ref]):
+        assert _bits_equal(got, ref)
+    for got, ref in zip(grads, grads_ref):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        if b == 1:
+            assert _bits_equal(np.nan_to_num(got), np.nan_to_num(ref))
+        ok = ~np.isnan(ref)
+        assert np.abs(got - ref)[ok].max() <= 1e-12 * np.abs(ref[ok]).max()
+    if not layer:
+        assert np.isnan(out[nan_at])
+        assert np.isnan(grads[0][nan_at]) == (case == "batch_norm_relu")
+        if case == "batch_norm_relu_eval":
+            assert grads[0][nan_at] == grads[0][zero_at] == 0.0
+
+
+@pytest.mark.parametrize("case, shape", [
+    ("batch_norm", (2, 16, 8, 32, 32)),
+    ("batch_norm_relu", (1, 64, 32, 32, 32)),  # long-train's stem conv3
+    ("layer_norm", (1, 4096, 32)),  # long-train's fast block-0 sequence
+], ids=["batch_norm", "batch_norm_relu", "layer_norm"])
+def test_norm_backward_peaks_at_its_input_gradient_and_one_block(case, shape,
+                                                                 rng):
+    c = shape[-1] if case == "layer_norm" else shape[1]
+    x = T.tensor(rng.normal(size=shape), requires_grad=True)
+    gamma, beta = (T.tensor(rng.normal(size=c), requires_grad=True)
                    for _ in range(2))
-    out = T.batch_norm(x, gamma, beta, np.zeros(16), np.ones(16), training=True)
-    g = rng.normal(size=x.shape)
+    _, bwd = _norm_op(case, x, gamma, beta, np.zeros(c), np.ones(c))
+    g = rng.normal(size=shape[::-1]).T  # as a transpose's rule hands it on
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out._node.bwd(g)
+        bwd(g)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # x-hat, g * x-hat (then gscaled * x-hat), and gscaled, which becomes gx
-    assert peak <= 3.1 * x.data.nbytes
+    # gx, the one full-size array, and a block's 4 temporaries of up to
+    # BLOCK_BYTES / 4 each (x-hat, the masked gradient, its product with
+    # x-hat and the rebuilt output or a contiguous gradient copy)
+    assert peak <= x.data.nbytes + 1.1 * T.BLOCK_BYTES
 
 
 def _seed_conv1d(x, w, bias):

@@ -261,6 +261,33 @@ def _toy_checkpoint(tmp_path):
     return cfg, model, state, path
 
 
+def test_failed_checkpoint_write_keeps_the_earlier_checkpoint(tmp_path,
+                                                             monkeypatch):
+    # rewriting a checkpoint in place, as a resume into its own out dir
+    # does, where the new state.bin cannot be written
+    _, model, state, path = _toy_checkpoint(tmp_path)
+    before = {f: (path / f).read_bytes() for f in ("meta.json", "state.bin")}
+    for p in model.parameters():
+        p.data = p.data + 1.0
+    write_bytes = type(path).write_bytes
+
+    def failing(self, data):
+        if self.name == "state.bin":
+            raise OSError("no space left on device")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(type(path), "write_bytes", failing)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, model, state, epoch=3)
+    monkeypatch.undo()
+    assert load_checkpoint(path)[0]["epoch"] == 2
+    assert {f: (path / f).read_bytes() for f in before} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # nothing left over
+    save_checkpoint(path, model, state, epoch=3)  # the rewrite, once it can
+    assert load_checkpoint(path)[0]["epoch"] == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
 def test_toy_net_entry_names_pinned():
     # checkpoint entries and Adam's moments follow these names and orders
     model = PulseMambaNet(ModelConfig(**TOY_MODEL), seed=1)
